@@ -3,7 +3,7 @@
 The vectorised daemon core (struct-of-arrays member state, batch round
 stepping, matrix-free sparse worlds) exists so the simulated-time service
 scales by *population* without the per-step cost creeping up.  This
-benchmark pins that claim with three sections:
+benchmark pins that claim with two sections:
 
 * ``sweep`` — a static-membership ``random-probe`` (budget 32) daemon run
   at each population in the scale's sweep, built on
@@ -14,11 +14,6 @@ benchmark pins that claim with three sections:
   not grow with n.  ``per_step_cost_ratio`` divides the largest
   population's per-step cost by the smallest's — the committed paper
   baseline holds it <= 1.5, CI smoke holds <= 2 on the tiny scale.
-* ``scalar_speedup`` — the same workload at n=100k under a wide fan-out
-  (budget 256), timed under both steppers.  The scalar stepper pays one
-  loop event per probe; the batch stepper one per round — identical
-  timelines (the equivalence tests pin it), so the wall-clock ratio is
-  pure stepping overhead.
 * ``daemon_steady_1m`` — the registered ``daemon-steady`` spec (Poisson
   load, background churn) served at n=1,000,000, proving the full service
   path — membership events, FIFO queueing, time-weighted load accounting
@@ -34,13 +29,16 @@ Usage::
 
 ``--scale tiny`` (populations 2k and 8k, no 1M steady section) is the CI
 smoke setting; ``--scale paper`` sweeps 2k -> 20k -> 100k -> 1M — the
-committed perf baseline.
+committed perf baseline.  ``--check`` validates the report it just wrote
+(shape, ordering, and a per-step cost ratio of at most 2) and exits 1 on
+any failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -79,11 +77,11 @@ SWEEP_SPEC = DaemonSpec(
 )
 
 SWEEP_BUDGET = 32
-#: Wide fan-out for the stepper shoot-out: with one loop event per probe
-#: the scalar stepper's bill is ~budget events/query, the batch stepper's
-#: ~3 — the ratio is the vectorisation win, not scheme work.
-SPEEDUP_BUDGET = 512
-SPEEDUP_N = 100_000
+
+#: Per-step cost may grow at most this much from the smallest to the
+#: largest population (2x headroom for CI noise; the committed paper
+#: baseline holds <= 1.5x up to n=1M).
+MAX_PER_STEP_COST_RATIO = 2.0
 
 
 def _build_daemon(
@@ -150,34 +148,6 @@ def sweep_point(n_hosts: int, seed: int, n_queries: int) -> dict:
     return row
 
 
-def scalar_speedup(seed: int, n_queries: int) -> dict:
-    timings = {}
-    for stepper in ("batch", "scalar"):
-        spec = DaemonSpec(
-            mean_interarrival_ms=SWEEP_SPEC.mean_interarrival_ms,
-            per_node_concurrency=SWEEP_SPEC.per_node_concurrency,
-            initial_fraction=SWEEP_SPEC.initial_fraction,
-            min_members=SWEEP_SPEC.min_members,
-            stepper=stepper,
-        )
-        daemon = _build_daemon(SPEEDUP_N, spec, SPEEDUP_BUDGET, seed)
-        row, _run = _timed_run(daemon, n_queries)
-        timings[stepper] = row
-        print(
-            f"  {stepper:>6}: serve {row['serve_s']:6.2f}s  "
-            f"{row['loop_events']} events"
-        )
-    speedup = timings["scalar"]["serve_s"] / timings["batch"]["serve_s"]
-    print(f"  batch speedup: {speedup:.1f}x")
-    return {
-        "n_hosts": SPEEDUP_N,
-        "budget": SPEEDUP_BUDGET,
-        "batch": timings["batch"],
-        "scalar": timings["scalar"],
-        "speedup": speedup,
-    }
-
-
 def daemon_steady_1m(seed: int, n_queries: int) -> dict:
     spec = get_scenario("daemon-steady").daemon
     start = time.perf_counter()
@@ -217,11 +187,41 @@ def run_suite(scale: str, seed: int) -> dict:
         "per_step_cost_ratio": ratio,
     }
     if scale == "paper":
-        print(f"stepper shoot-out (n={SPEEDUP_N:,}, budget {SPEEDUP_BUDGET})")
-        report["scalar_speedup"] = scalar_speedup(seed, n_queries)
         print("steady-state service at 1M peers")
         report["daemon_steady_1m"] = daemon_steady_1m(seed, n_queries)
     return report
+
+
+def check_report(report: dict) -> list[str]:
+    """Problems with a report (empty when every gate holds)."""
+    problems = []
+    if report["suite"] != "daemon-scale":
+        problems.append(f"suite is {report['suite']!r}")
+    if report["scheme"] != "random-probe":
+        problems.append(f"scheme is {report['scheme']!r}")
+    sweep = report["sweep"]
+    ns = [point["n_hosts"] for point in sweep]
+    if len(sweep) < 2 or ns != sorted(ns) or ns[-1] <= ns[0]:
+        problems.append(f"sweep populations not ascending: {ns}")
+    for point in sweep:
+        n = point["n_hosts"]
+        if point["loop_events"] <= 0:
+            problems.append(f"n={n}: no loop events")
+        if point["per_step_us"] <= 0:
+            problems.append(f"n={n}: per-step cost {point['per_step_us']}")
+        if not 0 < point["tta_median_ms"] <= point["tta_p95_ms"]:
+            problems.append(
+                f"n={n}: tta median {point['tta_median_ms']} not in "
+                f"(0, p95={point['tta_p95_ms']}]"
+            )
+    # The vectorised core's whole point: per-event-loop-step cost must
+    # not grow with the population.
+    ratio = report["per_step_cost_ratio"]
+    if ratio > MAX_PER_STEP_COST_RATIO:
+        problems.append(
+            f"per-step cost ratio {ratio:.2f}x > {MAX_PER_STEP_COST_RATIO}x"
+        )
+    return problems
 
 
 def main() -> None:
@@ -238,6 +238,11 @@ def main() -> None:
             "a casual tiny run cannot clobber the committed paper baseline)"
         ),
     )
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="validate the report's gates and exit 1 if any fails",
+    )
     args = parser.parse_args()
     output = args.output
     if output is None:
@@ -249,6 +254,18 @@ def main() -> None:
     report = run_suite(args.scale, args.seed)
     output.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {output}")
+    if args.check:
+        problems = check_report(report)
+        for problem in problems:
+            print(f"CHECK FAILED: {problem}")
+        if problems:
+            sys.exit(1)
+        ns = [point["n_hosts"] for point in report["sweep"]]
+        print(
+            "daemon scale checks OK:",
+            ns,
+            f"per-step ratio {report['per_step_cost_ratio']:.2f}x",
+        )
 
 
 if __name__ == "__main__":

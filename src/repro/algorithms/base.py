@@ -57,9 +57,9 @@ class MaintenanceLedger:
     ring repair) accrue on the :attr:`background` bucket.
 
     The invariant ``sum(bills) + background == maintenance_probes_total``
-    holds at every flush boundary, independent of scheduling order,
-    stepper choice or shard layout — which is what replaces the daemon's
-    racy first-finisher claim with exact per-event accounting.
+    holds at every flush boundary, independent of scheduling order —
+    which is what replaces the daemon's racy first-finisher claim with
+    exact per-event accounting.
     """
 
     def __init__(self) -> None:
@@ -399,22 +399,16 @@ class NearestPeerAlgorithm(abc.ABC):
     the pre-scheduler code), while ``coalesce``/``lazy`` buffer events and
     apply their net effect later — see :meth:`_flush`.
 
-    Every scheme also answers *stepwise* through :meth:`query_plan` — the
-    sans-io protocol the simulated-time daemon drives, where each probe
-    fan-out is a round whose completion the driver times.  Schemes with
-    ``plan_native = True`` implement the rounds directly in :meth:`_plan`
-    (and derive ``_query`` from it); the rest go through the generic
-    record-and-replay adapter.
+    Every scheme implements its search once, as the stepwise :meth:`_plan`
+    generator: :meth:`query_plan` hands it to the simulated-time daemon,
+    which times each probe fan-out as a round, and the blocking
+    :meth:`query` drives it to completion with no delays.
     """
 
     #: Human-readable scheme name (class attribute).
     name: str = "abstract"
     #: Declared membership-maintenance policy (class attribute).
     maintenance_policy: str = "rebuild"
-    #: Whether the scheme implements a native multi-round :meth:`_plan`
-    #: (class attribute).  Schemes without one still serve
-    #: :meth:`query_plan` through the generic record-and-replay adapter.
-    plan_native: bool = False
     #: Whether the scheme can refresh single index *regions* on demand
     #: (class attribute) — the ``lazy-partial`` discipline's fast path.
     #: Declaring True requires implementing :meth:`_region_is_fresh`,
@@ -432,7 +426,6 @@ class NearestPeerAlgorithm(abc.ABC):
         self._maintenance_probe_count = 0
         self._maintenance_since_query = 0
         self._in_maintenance = False
-        self._plan_recorder: list[ProbeRound] | None = None
         self.rebuild_count = 0
         self._scheduler = MaintenanceScheduler.from_spec(maintenance)
         # Event ids buffered since the last flush (ledger attribution).
@@ -931,11 +924,11 @@ class NearestPeerAlgorithm(abc.ABC):
             live = self._members
             self._members = stale_view
             try:
-                result = self._query(int(target), rng)
+                result = self._query_via_plan(int(target), rng)
             finally:
                 self._members = live
         else:
-            result = self._query(int(target), rng)
+            result = self._query_via_plan(int(target), rng)
         result.probes = self._probe_count
         result.aux_probes = self._aux_probe_count
         result.maintenance_probes = self._maintenance_since_query
@@ -949,10 +942,6 @@ class NearestPeerAlgorithm(abc.ABC):
             self._scheduler.partial_on_query and not self.supports_partial_flush
         )
 
-    @abc.abstractmethod
-    def _query(self, target: int, rng: np.random.Generator) -> SearchResult:
-        """Subclass hook: the actual search."""
-
     # -- stepwise query protocol (sans-io) -------------------------------------
 
     def query_plan(
@@ -962,11 +951,11 @@ class NearestPeerAlgorithm(abc.ABC):
     ) -> QueryPlan:
         """The stepwise counterpart of :meth:`query`.
 
-        Returns a generator that yields probe rounds (``list[ProbeOp]``)
-        and finally returns the :class:`SearchResult` through
-        ``StopIteration.value``.  Each round is a parallel fan-out whose
-        measurements have *already been taken* through the counted probe
-        channel; the driver decides when the round "completes" — after the
+        Returns a generator that yields probe rounds (each a
+        :class:`ProbeRound`) and finally returns the :class:`SearchResult`
+        through ``StopIteration.value``.  Each round is a parallel fan-out
+        whose measurements have *already been taken* through the counted
+        probe channel; the driver decides when the round "completes" — after the
         simulated RTTs on the daemon's event loop, or immediately for an
         instantaneous driver.  Driving a fresh plan to exhaustion with no
         delay reproduces :meth:`query` bit for bit (same rng draws, same
@@ -1038,49 +1027,25 @@ class NearestPeerAlgorithm(abc.ABC):
         self._maintenance_since_query = 0
         return result
 
+    @abc.abstractmethod
     def _plan(self, target: int, rng: np.random.Generator) -> QueryPlan:
         """Subclass hook: the stepwise search (generator).
 
-        Converted schemes override this with a native multi-round plan —
-        one ``yield`` per probe fan-out, issuing the *same* probe calls in
-        the same order as the blocking search — and derive ``_query`` from
-        it via :meth:`_query_via_plan`, so the two code paths cannot
-        drift.
-
-        The default is the generic record-and-replay adapter for
-        unconverted schemes: it runs the blocking :meth:`_query` eagerly
-        (probes/noise/rng consumed exactly as a direct query would), with
-        every probe-channel call recorded as one round, then replays the
-        recorded rounds stepwise.  The timing a driver derives from the
-        replay is faithful — each blocking ``probe_many`` *was* one
-        parallel fan-out — but all measurements are taken at plan start
-        rather than spread over the rounds, so a stateful noisy oracle is
-        consumed up front.  Native plans interleave measurement with the
-        rounds and should be preferred for schemes whose round structure
-        matters.
+        One ``yield`` per probe fan-out — a :class:`ProbeRound` whose
+        measurements were already taken through the counted probe
+        channel — and the final :class:`SearchResult` as the return
+        value.  A fault-aware driver sends back each round's per-probe
+        answered mask (``None`` when every probe was answered).
         """
-        recorder: list[ProbeRound] = []
-        if self._plan_recorder is not None:
-            raise ConfigurationError(
-                f"{self.name}: recording plans cannot nest"
-            )
-        self._plan_recorder = recorder
-        try:
-            result = self._query(target, rng)
-        finally:
-            self._plan_recorder = None
-        for batch in recorder:
-            yield batch
-        return result
 
     def _query_via_plan(
         self, target: int, rng: np.random.Generator
     ) -> SearchResult:
-        """Run a native :meth:`_plan` to completion with no delays.
+        """Run :meth:`_plan` to completion with no delays.
 
-        Converted schemes implement ``_query`` as exactly this call, which
-        is what makes zero-delay plan driving bit-identical to the
-        blocking query: they are the same code.
+        This is how :meth:`query` searches, which is what makes zero-delay
+        plan driving bit-identical to the blocking query: they are the
+        same code.
         """
         plan = self._plan(target, rng)
         try:
@@ -1107,12 +1072,7 @@ class NearestPeerAlgorithm(abc.ABC):
         """Measure RTT between a member and the target (counted, noisy)."""
         self._probe_count += 1
         assert self._probe_oracle is not None
-        value = self._probe_oracle.latency_ms(node, target)
-        if self._plan_recorder is not None:
-            self._plan_recorder.append(
-                ProbeRound([int(node)], int(target), [float(value)])
-            )
-        return value
+        return self._probe_oracle.latency_ms(node, target)
 
     def probe_many(
         self, nodes: np.ndarray | list[int], target: int
@@ -1145,17 +1105,7 @@ class NearestPeerAlgorithm(abc.ABC):
             return np.empty((rows.size, cols.size), dtype=float)
         self._probe_count += int(rows.size * cols.size)
         assert self._probe_oracle is not None
-        block = batch_latency_block(self._probe_oracle, rows, cols)
-        if self._plan_recorder is not None:
-            # Row-major flattening matches the historical per-op order.
-            self._plan_recorder.append(
-                ProbeRound(
-                    np.repeat(rows, cols.size),
-                    np.tile(cols, rows.size),
-                    block.ravel(),
-                )
-            )
-        return block
+        return batch_latency_block(self._probe_oracle, rows, cols)
 
     def aux_probe(self, a: int, b: int) -> float:
         """Measure RTT between two non-target nodes at query time.
@@ -1166,12 +1116,7 @@ class NearestPeerAlgorithm(abc.ABC):
         """
         self._aux_probe_count += 1
         assert self._probe_oracle is not None
-        value = self._probe_oracle.latency_ms(a, b)
-        if self._plan_recorder is not None:
-            self._plan_recorder.append(
-                ProbeRound([int(a)], [int(b)], [float(value)], kind="aux")
-            )
-        return value
+        return self._probe_oracle.latency_ms(a, b)
 
     def aux_probe_many(
         self, a: int, nodes: np.ndarray | list[int]
@@ -1186,12 +1131,7 @@ class NearestPeerAlgorithm(abc.ABC):
             return np.empty(0, dtype=float)
         self._aux_probe_count += int(nodes.size)
         assert self._probe_oracle is not None
-        values = batch_latencies_from(self._probe_oracle, int(a), nodes)
-        if self._plan_recorder is not None:
-            self._plan_recorder.append(
-                ProbeRound(np.full(nodes.size, int(a)), nodes, values, kind="aux")
-            )
-        return values
+        return batch_latencies_from(self._probe_oracle, int(a), nodes)
 
     def offline_distances_from(self, node: int) -> np.ndarray:
         """RTTs from ``node`` to every member, for *build/maintenance* use.
@@ -1269,7 +1209,7 @@ class NearestPeerAlgorithm(abc.ABC):
         lines up 1:1 with the daemon's membership-event sequence.  Unlike
         the per-query ``maintenance_probes`` claim — which depends on
         which in-flight query finishes first — these bills are invariant
-        to scheduling order, stepper choice and shard layout.
+        to scheduling order.
         """
         return self._scheduler.ledger.bills()
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import NearestPeerAlgorithm, SearchResult
+from repro.algorithms.base import NearestPeerAlgorithm
 from repro.util.validate import require_positive
 
 
@@ -33,7 +33,6 @@ class BeaconSearch(NearestPeerAlgorithm):
 
     name = "beaconing"
     maintenance_policy = "incremental"
-    plan_native = True
 
     def __init__(
         self,
@@ -148,5 +147,3 @@ class BeaconSearch(NearestPeerAlgorithm):
             return self.no_answer(target)
         return self.result(target, measured, hops=1)
 
-    def _query(self, target: int, rng: np.random.Generator) -> SearchResult:
-        return self._query_via_plan(target, rng)

@@ -37,7 +37,6 @@ class MeridianSearch(NearestPeerAlgorithm):
 
     name = "meridian"
     maintenance_policy = "incremental"
-    plan_native = True
 
     def __init__(
         self,
@@ -199,5 +198,3 @@ class MeridianSearch(NearestPeerAlgorithm):
             path=path,
         )
 
-    def _query(self, target: int, rng: np.random.Generator) -> SearchResult:
-        return self._query_via_plan(target, rng)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import NearestPeerAlgorithm, SearchResult
+from repro.algorithms.base import NearestPeerAlgorithm
 from repro.util.validate import require_positive
 
 
@@ -25,7 +25,6 @@ class RandomProbeSearch(NearestPeerAlgorithm):
 
     name = "random-probe"
     maintenance_policy = "incremental"
-    plan_native = True
 
     def __init__(self, budget: int = 32, maintenance=None) -> None:
         super().__init__(maintenance=maintenance)
@@ -61,5 +60,3 @@ class RandomProbeSearch(NearestPeerAlgorithm):
             return self.no_answer(target)
         return self.result(target, measured, hops=0)
 
-    def _query(self, target: int, rng: np.random.Generator) -> SearchResult:
-        return self._query_via_plan(target, rng)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import NearestPeerAlgorithm, SearchResult
+from repro.algorithms.base import NearestPeerAlgorithm
 from repro.util.validate import require_positive
 
 _HEX_DIGITS = 16
@@ -53,7 +53,6 @@ class TapestrySearch(NearestPeerAlgorithm):
 
     name = "tapestry"
     maintenance_policy = "rebuild"
-    plan_native = True
     supports_partial_flush = True
 
     def __init__(
@@ -211,5 +210,3 @@ class TapestrySearch(NearestPeerAlgorithm):
                 path.append(current)
         return self.result(target, measured, hops=len(path) - 1, path=path)
 
-    def _query(self, target: int, rng: np.random.Generator) -> SearchResult:
-        return self._query_via_plan(target, rng)

@@ -454,11 +454,6 @@ class QueryEngine:
         alive when they entered service (:func:`score_epochs` over the
         daemon's epoch log).
 
-        ``spec.shards > 1`` hands the run to
-        :func:`~repro.service.sharded.run_sharded_daemon`, which pre-draws
-        the same workload stream into a script and partitions the loop by
-        entry-node range (sharded runs forbid probe noise — see there).
-
         ``spec.faults`` attaches the broken-network layer: the fault
         model is built — and every per-query fault outcome later drawn —
         from a *dedicated* stream keyed off ``spec.faults.seed`` (falling
@@ -468,7 +463,6 @@ class QueryEngine:
         loop's livelock guard for fault runs that might fail to converge.
         """
         from repro.service.daemon import QueryDaemon
-        from repro.service.sharded import run_sharded_daemon
 
         if spec is None:
             raise ConfigurationError("the daemon protocol requires a DaemonSpec")
@@ -477,12 +471,6 @@ class QueryEngine:
         members = np.setdiff1d(np.arange(world.topology.n_nodes), targets)
         if probe_oracle is None and noise is not None:
             probe_oracle = noise.wrap(world.oracle, seed)
-        if spec.shards > 1 and probe_oracle is not None:
-            raise ConfigurationError(
-                "sharded daemon runs forbid probe noise: the noisy oracle's "
-                "shared stream would make measurements depend on the shard "
-                "layout"
-            )
         workload_rng = np.random.default_rng(int(rng.integers(2**63)))
         n_initial = int(round(spec.initial_fraction * members.size))
         n_initial = min(members.size, max(spec.min_members, n_initial))
@@ -504,31 +492,17 @@ class QueryEngine:
             )
             fault_key = (base, 977002)
             deadline_ms = faults.deadline_ms
-        if spec.shards > 1:
-            run = run_sharded_daemon(
-                algorithm,
-                spec,
-                targets=targets,
-                standby=standby,
-                n_queries=n_queries,
-                workload_rng=workload_rng,
-                algo_rng=rng,
-                fault_model=fault_model,
-                fault_key=fault_key,
-                max_sim_ms=max_sim_ms,
-            )
-        else:
-            daemon = QueryDaemon(
-                algorithm,
-                spec,
-                targets=targets,
-                workload_rng=workload_rng,
-                algo_rng=rng,
-                standby=standby,
-                fault_model=fault_model,
-                fault_key=fault_key,
-            )
-            run = daemon.run(n_queries, max_sim_ms=max_sim_ms)
+        daemon = QueryDaemon(
+            algorithm,
+            spec,
+            targets=targets,
+            workload_rng=workload_rng,
+            algo_rng=rng,
+            standby=standby,
+            fault_model=fault_model,
+            fault_key=fault_key,
+        )
+        run = daemon.run(n_queries, max_sim_ms=max_sim_ms)
         jobs = run.jobs
         query_targets = np.array([job.target for job in jobs], dtype=int)
         found = np.array([job.result.found for job in jobs], dtype=int)

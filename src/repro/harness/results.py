@@ -291,7 +291,7 @@ class DaemonTrialRecord(TrialRecord):
     #: Exact per-membership-event maintenance bills from the scheduler's
     #: ledger, length ``n_churn_events``.  Unlike the per-query
     #: ``maintenance_probes`` claims (first finisher wins), each entry is
-    #: invariant to stepper choice and shard layout.
+    #: invariant to which in-flight query finishes first.
     maintenance_by_event: np.ndarray | None = None
     #: Maintenance attributable to no membership event (Meridian's
     #: continuous ring repair).  ``sum(maintenance_by_event) +

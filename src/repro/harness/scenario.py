@@ -266,13 +266,14 @@ class FaultSpec:
             "base_loss_rate",
             "intra_cluster_loss_rate",
             "cross_cluster_loss_rate",
+            # 1.0 would NAT every host and leave no relay to detour through.
+            "nat_fraction",
         ):
             value = getattr(self, name)
             if value is not None and not 0.0 <= value < 1.0:
                 raise ConfigurationError(
                     f"{name} must be in [0, 1), got {value}"
                 )
-        require_in_range(self.nat_fraction, "nat_fraction", 0.0, 1.0)
         require_in_range(self.clock_skew, "clock_skew", 0.0, 1.0)
         require_positive(self.probe_timeout_ms, "probe_timeout_ms")
         require_positive(self.query_retry_ms, "query_retry_ms")
@@ -411,18 +412,10 @@ class DaemonSpec:
     ring_repair_period_ms: float | None = None
     #: Instantaneous probe delivery (testing / equivalence runs).
     zero_delay: bool = False
-    #: Plan-stepping strategy: ``"batch"`` resumes each round with one
-    #: vectorised round-completion event (the scaled path); ``"scalar"``
-    #: delivers one loop event per probe (the historical reference).  Both
-    #: produce identical timelines — the equivalence tests pin it.
-    stepper: str = "batch"
     #: Bill the coordination hop: asking peer *p* to probe the target
     #: costs the entry->p RTT, drawn through the network's vectorised path
     #: draw, on top of the probe RTT.  Off by default so goldens hold.
     charge_dispatch: bool = False
-    #: Event-loop shards (process fan-out over entry-node id ranges);
-    #: ``1`` keeps the serial loop.
-    shards: int = 1
     #: Network-fault configuration (``None`` = the perfect network).
     faults: FaultSpec | None = None
     #: Observability configuration (``None`` = tracing off: no tracer is
@@ -435,12 +428,6 @@ class DaemonSpec:
 
     def __post_init__(self) -> None:
         require_positive(self.mean_interarrival_ms, "mean_interarrival_ms")
-        if self.stepper not in ("batch", "scalar"):
-            raise ConfigurationError(
-                f"stepper must be 'batch' or 'scalar', got {self.stepper!r}"
-            )
-        if self.shards < 1:
-            raise ConfigurationError(f"shards must be >= 1, got {self.shards}")
         require_positive(self.per_node_concurrency, "per_node_concurrency")
         require_in_range(self.initial_fraction, "initial_fraction", 0.0, 1.0)
         if self.min_members < 2:

@@ -2,7 +2,7 @@
 
 ``*Spec`` dataclasses (``ChurnSpec``, ``DaemonSpec``, ``FaultSpec``, …) are
 shared freely: the scenario registry hands the same instance to every
-trial, the sharded daemon ships them to worker processes, and ``compare()``
+trial, the engine ships them to worker processes, and ``compare()``
 replays one spec across schemes.  A mutable spec lets one consumer's edit
 leak into another's run — the classic irreproducibility bug.  Every spec
 dataclass must be declared ``frozen=True``, and nothing may assign spec

@@ -3,7 +3,7 @@
 CPython sets iterate in hash order, which for ints tracks the values but
 for general objects (and across interpreter builds / PYTHONHASHSEED for
 strings) does not.  In the packages where draws and outcomes must replay
-bit-for-bit across schemes, shard layouts and steppers, a loop whose body
+bit-for-bit across schemes and reruns, a loop whose body
 consumes RNG or emits events in set order is a latent CRN break: it works
 today and diverges on the next refactor.  Iterate ``sorted(s)`` (or keep an
 insertion-ordered list/dict alongside the set) instead.

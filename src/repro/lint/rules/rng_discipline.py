@@ -1,7 +1,7 @@
 """R1 ``rng-discipline`` — all randomness flows from seeded numpy Generators.
 
 The reproduction's comparisons lean on common random numbers: two schemes
-(or two shard layouts, or the fault stream vs the workload stream) must see
+(or the fault stream vs the workload stream) must see
 *identical* draws from identical seeds.  Any stdlib ``random`` use, any
 global numpy seeding, and any OS-entropy ``default_rng()`` breaks that
 silently — outputs stay plausible, CRN comparisons stop meaning anything.
@@ -47,7 +47,7 @@ class RngDisciplineRule(Rule):
     )
     invariant = (
         "every outcome is a pure function of explicit seeds (common random "
-        "numbers across schemes/shards/fault streams)"
+        "numbers across schemes and fault streams)"
     )
 
     def applies_to(self, path: str) -> bool:

@@ -128,32 +128,6 @@ class EventLoop:
             self._peak_queue = len(self._queue)
         return EventHandle(event, self)
 
-    def schedule_at(
-        self, time_ms: float, callback: Callable[..., None], *args: Any
-    ) -> EventHandle:
-        """Run ``callback(*args)`` at absolute simulated time ``time_ms``.
-
-        Unlike ``schedule(time_ms - now, ...)``, the event fires at
-        *exactly* ``time_ms`` — no float round-trip through the current
-        clock.  Scripted daemon replays rely on this: every shard must
-        observe one pre-drawn timestamp bit-identically, whatever its own
-        clock path to that instant was.
-        """
-        if time_ms < self._now:
-            raise SimulationError(
-                f"cannot schedule in the past: t={time_ms} < now={self._now}"
-            )
-        event = _Event(
-            time=float(time_ms),
-            sequence=next(self._sequence),
-            callback=callback,
-            args=args,
-        )
-        heapq.heappush(self._queue, event)
-        if len(self._queue) > self._peak_queue:
-            self._peak_queue = len(self._queue)
-        return EventHandle(event, self)
-
     def _note_cancel(self) -> None:
         """Account one cancellation; compact the heap past the threshold."""
         self._cancelled += 1

@@ -200,7 +200,7 @@ class FaultModel:
         ``relay_extra_ms``).  Draw shape per round is fixed at
         ``(max_retransmits + 1, k)`` so the fault stream's consumption
         depends only on the round sizes — not on the outcomes — keeping
-        timelines invariant to stepper choice and shard layout.
+        each job's outcomes invariant to how jobs interleave.
         """
         srcs = np.asarray(srcs, dtype=np.int64)
         dsts = np.asarray(dsts, dtype=np.int64)
@@ -431,32 +431,6 @@ class Network:
         self.probes_relayed += int(stats["relayed"])
         self.relay_extra_ms += float(stats["relay_extra_ms"])
         return delays, answered, stats
-
-    def deliver_many(
-        self,
-        messages: Sequence[Message],
-        delays_ms: np.ndarray | Sequence[float],
-    ) -> list[EventHandle]:
-        """Schedule one loss-free delivery per message at an explicit delay.
-
-        The batch analogue of :meth:`deliver_later`, for callers that have
-        already *measured* the relevant RTTs (the query daemon's probe
-        fan-outs carry the latency each probe observed through the counted
-        probe channel) — delivery then models timing only, without
-        consulting the oracle again or re-rolling the loss model.
-        """
-        delays = np.asarray(delays_ms, dtype=float)
-        if delays.size != len(messages):
-            raise SimulationError(
-                f"deliver_many got {len(messages)} messages but "
-                f"{delays.size} delays"
-            )
-        if delays.size and float(delays.min()) < 0:
-            raise SimulationError("deliver_many delays must be >= 0")
-        return [
-            self.loop.schedule(float(delay), self._deliver, message)
-            for message, delay in zip(messages, delays)
-        ]
 
     def _deliver(self, message: Message) -> None:
         node = self._nodes.get(message.dst)

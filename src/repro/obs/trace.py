@@ -27,8 +27,8 @@ The tracer is **passive**: every number on a span comes from the event
 loop's clock or the driver's own counters.  No oracle reads, no rng
 draws (statically pinned by the ``obs-passivity`` lint rule), so tracing
 cannot perturb the run it observes.  :func:`sort_spans` defines the one
-canonical stream order, making merged traces bit-identical across
-stepper choice and shard count.
+canonical stream order, so a fixed-seed run replays its trace bit for
+bit.
 """
 
 from __future__ import annotations
@@ -81,11 +81,11 @@ class Span:
 def sort_spans(spans: list[Span]) -> list[Span]:
     """The canonical stream order: time, then query, then per-query seq.
 
-    Every key component is invariant to stepper choice and shard layout
-    (span times come from the pinned timeline, ``seq`` from the job's own
-    event order), so sorting makes the merged stream bit-identical
-    however the run was executed.  Maintenance spans (``query is None``)
-    sort before queries at equal times.
+    Every key component comes from the pinned timeline (span times) or
+    the job's own event order (``seq``), so the sorted stream does not
+    depend on the order the tracer happened to append spans in.
+    Maintenance spans (``query is None``) sort before queries at equal
+    times.
     """
     return sorted(
         spans,
@@ -96,8 +96,7 @@ def sort_spans(spans: list[Span]) -> list[Span]:
 class Tracer:
     """Collects spans (and hosts the run's :class:`MetricsRegistry`).
 
-    One tracer per daemon instance; the sharded driver merges the shard
-    tracers' streams with :func:`sort_spans`.  Per-query spans are opened
+    One tracer per daemon instance.  Per-query spans are opened
     at dispatch and closed when the *driver's next event for that query
     actually fires*, so span boundaries are loop timestamps — never
     recomputed arithmetic that could drift from the timeline.
@@ -197,20 +196,6 @@ class Tracer:
                 f"{sorted(self._open)[:8]}"
             )
         return sort_spans(self.spans)
-
-
-def merge_span_streams(
-    per_query: list[Span], maintenance: list[Span]
-) -> list[Span]:
-    """Reunite shard span streams into one canonical stream.
-
-    ``per_query`` concatenates every shard's query spans (queries are
-    partitioned, so the union is exact); ``maintenance`` is *one*
-    replica's maintenance stream (repair is replicated work — every shard
-    replays every membership event identically, so any single replica's
-    stream is the global one and summing would double count).
-    """
-    return sort_spans(list(per_query) + list(maintenance))
 
 
 def spans_by_query(spans: list[Span]) -> dict[int, list[Span]]:

@@ -6,13 +6,9 @@ a :class:`~repro.netsim.network.Network` and one *built*
 of Poisson-arriving queries under latency-faithful timing:
 
 * each query is a stepwise plan
-  (:meth:`~repro.algorithms.base.NearestPeerAlgorithm.query_plan`); a
-  round's completion is simulated by the configured stepper
-  (:mod:`repro.service.stepper`) — the vectorised
+  (:meth:`~repro.algorithms.base.NearestPeerAlgorithm.query_plan`); the
   :class:`~repro.service.stepper.PlanBatchStepper` resumes the plan with
-  one round event at the slowest probe's RTT, the historical
-  :class:`~repro.service.stepper.ScalarStepper` delivers one loop event
-  per probe; both produce identical timelines;
+  one round event at the slowest probe's RTT;
 * queries are admitted at a random live entry node, at most
   ``per_node_concurrency`` in service per node, the rest FIFO-queued —
   admission counters live in struct-of-arrays form
@@ -25,9 +21,6 @@ of Poisson-arriving queries under latency-faithful timing:
 The daemon is deterministic: one workload generator drives arrivals,
 targets, entry choices and membership draws; one algorithm generator
 drives build/query/maintenance randomness.  Same seeds, same timeline.
-Alternatively a fully pre-drawn :class:`DaemonScript` replaces the
-workload generator — the sharded driver's protocol, where every shard
-replays the same script and serves only its own entry-node range.
 
 **Dispatch model.** A probe round completes after its slowest probe's
 RTT.  By default the coordination hop (asking member *p* to probe the
@@ -55,7 +48,7 @@ from repro.netsim.engine import EventHandle, EventLoop
 from repro.netsim.network import FaultModel, Message, Network, SimNode
 from repro.obs.trace import Tracer
 from repro.service.soa import MemberStateArrays
-from repro.service.stepper import PlanBatchStepper, ScalarStepper
+from repro.service.stepper import PlanBatchStepper
 from repro.util.errors import ConfigurationError, SimulationError
 
 
@@ -83,11 +76,10 @@ class QueryJob:
     #: Whole-plan restarts after a fully-faulted attempt.
     retries: int = 0
     plan: Iterator | None = field(default=None, repr=False)
-    _outstanding: int = field(default=0, repr=False)
     #: Per-probe answered mask of the round in flight (None = all answered).
     _pending_mask: np.ndarray | None = field(default=None, repr=False)
     #: The job's private fault stream (created lazily; consumed in the
-    #: job's own round order, so outcomes are shard- and stepper-invariant).
+    #: job's own round order, so outcomes are invariant to interleaving).
     _fault_rng: np.random.Generator | None = field(default=None, repr=False)
     #: Probe/maintenance bills carried over from failed plan attempts.
     _carry_probes: int = field(default=0, repr=False)
@@ -101,28 +93,6 @@ class QueryJob:
     @property
     def queue_wait_ms(self) -> float:
         return self.start_ms - self.arrival_ms
-
-
-@dataclass(frozen=True)
-class DaemonScript:
-    """A fully pre-drawn daemon workload, replayable by every shard.
-
-    Arrays are indexed by *global* query index; ``own`` masks the queries
-    this daemon instance serves (all of them in the single-shard case).
-    ``events`` carries the absolute-time membership schedule — every
-    shard applies every event, so all algorithm replicas evolve
-    identically, while each query's plan draws from its own independent
-    ``plan_seeds`` entry (what makes answers invariant to the shard
-    layout).
-    """
-
-    arrival_ms: np.ndarray
-    targets: np.ndarray
-    entries: np.ndarray
-    plan_seeds: np.ndarray
-    own: np.ndarray
-    #: ``(time_ms, arriving tuple, departing tuple)`` in ascending time.
-    events: tuple = ()
 
 
 @dataclass
@@ -153,8 +123,8 @@ class DaemonRun:
     loop_events: int
     #: Exact per-membership-event maintenance bills from the algorithm's
     #: ledger, indexed by event id in observation order (length
-    #: ``n_events``).  Unlike the per-job claims these are invariant to
-    #: scheduling order, stepper choice and shard layout.
+    #: ``n_events``).  Unlike the per-job claims these do not depend on
+    #: which in-flight query finishes first.
     maintenance_by_event: np.ndarray = field(
         default_factory=lambda: np.zeros(0, dtype=np.int64)
     )
@@ -182,20 +152,18 @@ class DaemonRun:
 
 
 class _Coordinator(SimNode):
-    """The daemon's single attached node: every probe reply lands here."""
+    """The daemon's single attached node: empty-round resumes land here."""
 
     def __init__(self, node_id: int, daemon: "QueryDaemon") -> None:
         super().__init__(node_id)
         self._daemon = daemon
 
     def on_message(self, message: Message) -> None:
-        kind = message.kind
-        if kind == "probe-reply":
-            self._daemon._on_probe_reply(message.payload)
-        elif kind == "round-empty":
-            self._daemon._advance(message.payload)
-        else:
-            raise SimulationError(f"coordinator got unknown message {kind!r}")
+        if message.kind != "round-empty":
+            raise SimulationError(
+                f"coordinator got unknown message {message.kind!r}"
+            )
+        self._daemon._advance(message.payload)
 
 
 class QueryDaemon:
@@ -210,12 +178,6 @@ class QueryDaemon:
     equivalence tests replay it): per arrival, *target*, then *entry
     node*, then (while arrivals remain) the next *inter-arrival gap*;
     membership ticks draw departures then arrivals then the next gap.
-
-    With a :class:`DaemonScript` the workload generator is bypassed:
-    arrivals, targets, entries, per-query plan seeds and membership
-    events are read from the pre-drawn script instead (``workload_rng``
-    may then be ``None``), and only the queries in ``script.own`` are
-    served here.
     """
 
     def __init__(
@@ -223,10 +185,9 @@ class QueryDaemon:
         algorithm: NearestPeerAlgorithm,
         spec: DaemonSpec,
         targets: np.ndarray,
-        workload_rng: np.random.Generator | None,
+        workload_rng: np.random.Generator,
         algo_rng: np.random.Generator,
         standby: list[int] | None = None,
-        script: DaemonScript | None = None,
         fault_model: FaultModel | None = None,
         fault_key: tuple[int, ...] | None = None,
     ) -> None:
@@ -235,10 +196,6 @@ class QueryDaemon:
         self.targets = np.asarray(targets, dtype=int)
         if self.targets.size == 0:
             raise ConfigurationError("the daemon needs a non-empty target pool")
-        if workload_rng is None and script is None:
-            raise ConfigurationError(
-                "an unscripted daemon needs a workload generator"
-            )
         if fault_model is not None and fault_key is None:
             raise ConfigurationError(
                 "a fault model needs a fault_key (the dedicated stream seed)"
@@ -263,27 +220,16 @@ class QueryDaemon:
             int(algorithm.oracle.n_nodes), algorithm.members
         )
         self._fifo: dict[int, deque[QueryJob]] = {}
-        # Time-weighted queue accounting (breakpoints kept for exact
-        # cross-shard peak merging).
+        # Time-weighted queue accounting (breakpoints feed the traced
+        # queue-depth gauge).
         self._queued = 0
         self._queue_area = 0.0
         self._queue_last = 0.0
         self.queue_depth_max = 0
         self._queue_bp_times: list[np.ndarray] = []
         self._queue_bp_deltas: list[np.ndarray] = []
-        # Round stepping strategy (in-flight accounting lives there).
-        self._stepper = (
-            PlanBatchStepper(self)
-            if spec.stepper == "batch"
-            else ScalarStepper(self)
-        )
-        # Scripted (sharded-protocol) workload state.
-        self._script = script
-        self._own_indices = (
-            np.flatnonzero(script.own) if script is not None else None
-        )
-        self._script_cursor = 0
-        self._event_cursor = 0
+        # Round stepping (in-flight accounting lives there).
+        self._stepper = PlanBatchStepper(self)
         # Run bookkeeping.
         self._n_queries = 0
         self._arrived = 0
@@ -316,32 +262,14 @@ class QueryDaemon:
             raise ConfigurationError(f"n_queries must be >= 1, got {n_queries}")
         if self.jobs:
             raise ConfigurationError("a QueryDaemon instance runs once")
-        script = self._script
-        if script is not None and n_queries != int(self._own_indices.size):
-            raise ConfigurationError(
-                f"scripted daemon owns {int(self._own_indices.size)} queries, "
-                f"asked to serve {n_queries}"
-            )
         self._n_queries = n_queries
         spec = self.spec
-        if script is None:
-            self.loop.schedule(self._next_gap(), self._arrival)
-            if spec.mean_event_interval_ms is not None:
-                self._membership_timer = self.loop.schedule(
-                    float(
-                        self.workload_rng.exponential(spec.mean_event_interval_ms)
-                    ),
-                    self._membership_tick,
-                )
-        else:
-            self.loop.schedule_at(
-                float(script.arrival_ms[self._own_indices[0]]),
-                self._script_arrival,
+        self.loop.schedule(self._next_gap(), self._arrival)
+        if spec.mean_event_interval_ms is not None:
+            self._membership_timer = self.loop.schedule(
+                float(self.workload_rng.exponential(spec.mean_event_interval_ms)),
+                self._membership_tick,
             )
-            if script.events:
-                self._membership_timer = self.loop.schedule_at(
-                    float(script.events[0][0]), self._script_event
-                )
         if spec.flush_period_ms is not None:
             self._flush_timer = self.loop.schedule(
                 spec.flush_period_ms, self._flush_tick
@@ -457,25 +385,6 @@ class QueryDaemon:
             self.loop.schedule(self._next_gap(), self._arrival)
         self._admit(job)
 
-    def _script_arrival(self) -> None:
-        script = self._script
-        global_index = int(self._own_indices[self._script_cursor])
-        self._script_cursor += 1
-        job = QueryJob(
-            index=global_index,
-            target=int(script.targets[global_index]),
-            entry=int(script.entries[global_index]),
-            arrival_ms=self.loop.now,
-        )
-        self._arrived += 1
-        self.jobs.append(job)
-        if self._script_cursor < self._own_indices.size:
-            next_at = float(
-                script.arrival_ms[self._own_indices[self._script_cursor]]
-            )
-            self.loop.schedule_at(next_at, self._script_arrival)
-        self._admit(job)
-
     def _admit(self, job: QueryJob) -> None:
         if self.state.active[job.entry] < self.spec.per_node_concurrency:
             self._start(job)
@@ -502,12 +411,7 @@ class QueryDaemon:
                 membership_size=job.membership_size,
                 epoch=job.epoch,
             )
-        seed = (
-            self.algo_rng
-            if self._script is None
-            else int(self._script.plan_seeds[job.index])
-        )
-        job.plan = self.algorithm.query_plan(job.target, seed=seed)
+        job.plan = self.algorithm.query_plan(job.target, seed=self.algo_rng)
         self._advance(job)
 
     # -- plan driving ------------------------------------------------------
@@ -521,8 +425,7 @@ class QueryDaemon:
         """The job's private fault stream, keyed ``(*fault_key, index)``.
 
         Independent per job and consumed strictly in the job's own round
-        order — so fault outcomes are invariant to how jobs interleave,
-        which stepper runs the rounds, and which shard serves the job.
+        order — so fault outcomes are invariant to how jobs interleave.
         """
         if job._fault_rng is None:
             job._fault_rng = np.random.default_rng((*self.fault_key, job.index))
@@ -571,9 +474,6 @@ class QueryDaemon:
             return
         self._stepper.dispatch_round(job, batch)
 
-    def _on_probe_reply(self, job: QueryJob) -> None:
-        self._stepper.on_probe_reply(job)
-
     # -- whole-plan retry (fault path) ---------------------------------------
 
     def _schedule_retry(self, job: QueryJob, result: SearchResult) -> None:
@@ -610,14 +510,7 @@ class QueryDaemon:
 
     def _retry(self, job: QueryJob) -> None:
         """Restart the job with a fresh plan (new randomness per attempt)."""
-        seed = (
-            self.algo_rng
-            if self._script is None
-            else np.random.default_rng(
-                [int(self._script.plan_seeds[job.index]), job.retries]
-            )
-        )
-        job.plan = self.algorithm.query_plan(job.target, seed=seed)
+        job.plan = self.algorithm.query_plan(job.target, seed=self.algo_rng)
         job._pending_mask = None
         self._advance(job)
 
@@ -716,15 +609,6 @@ class QueryDaemon:
             departing=len(departing),
         )
 
-    def _apply_membership(self, arriving: list[int], departing: list[int]) -> None:
-        """Log one applied membership event and mirror it into the SoA."""
-        self.state.apply_leave(departing)
-        self.state.apply_join(arriving)
-        if departing or arriving:
-            self.memberships.append_event(arriving, departing)
-            self.n_events += (1 if departing else 0) + (1 if arriving else 0)
-            self.state.epoch = self.memberships.n_epochs - 1
-
     def _membership_tick(self) -> None:
         if self._done:
             return
@@ -754,41 +638,19 @@ class QueryDaemon:
             for index in sorted((int(i) for i in picks), reverse=True):
                 del self.standby[index]
             algorithm.join(np.asarray(arriving, dtype=int), seed=self.algo_rng)
-        self._apply_membership(arriving, departing)
+        # Log the applied event and mirror it into the SoA.
+        self.state.apply_leave(departing)
+        self.state.apply_join(arriving)
+        if departing or arriving:
+            self.memberships.append_event(arriving, departing)
+            self.n_events += (1 if departing else 0) + (1 if arriving else 0)
+            self.state.epoch = self.memberships.n_epochs - 1
         if tracer is not None:
             self._trace_eager_maintenance(ids_before, arriving, departing)
         self._membership_timer = self.loop.schedule(
             float(wrng.exponential(spec.mean_event_interval_ms)),
             self._membership_tick,
         )
-
-    def _script_event(self) -> None:
-        if self._done:
-            return
-        script = self._script
-        _time_ms, arriving, departing = script.events[self._event_cursor]
-        self._event_cursor += 1
-        algorithm = self.algorithm
-        tracer = self.tracer
-        ids_before = (
-            algorithm.maintenance_ledger.n_events if tracer is not None else 0
-        )
-        if departing:
-            algorithm.leave(np.asarray(departing, dtype=int), seed=self.algo_rng)
-        if arriving:
-            algorithm.join(np.asarray(arriving, dtype=int), seed=self.algo_rng)
-        self._apply_membership(list(arriving), list(departing))
-        if tracer is not None:
-            self._trace_eager_maintenance(
-                ids_before, list(arriving), list(departing)
-            )
-        if self._event_cursor < len(script.events):
-            next_at = float(script.events[self._event_cursor][0])
-            self._membership_timer = self.loop.schedule_at(
-                next_at, self._script_event
-            )
-        else:
-            self._membership_timer = None
 
     def _flush_tick(self) -> None:
         if self._done:

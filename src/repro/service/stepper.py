@@ -1,37 +1,21 @@
-"""Plan-stepping strategies for the query daemon.
+"""Plan stepping for the query daemon.
 
 The daemon resumes a query plan when its current probe round completes.
-Two interchangeable steppers decide how that completion is simulated:
+:class:`PlanBatchStepper` simulates that completion: a round's delays are
+one numpy array (the :class:`~repro.algorithms.base.ProbeRound` the plan
+yielded already carries them struct-of-arrays), the plan resumes on a
+*single* round-completion event at the slowest probe's arrival, and the
+in-flight probe integral is accrued analytically — each round adds its
+``sum(delays)`` to the area (each probe is in flight for exactly its
+delay), and the peak is reconstructed from the recorded (time, ±k)
+breakpoints in one vectorised sort/cumsum at the end.  O(rounds) loop
+events, independent of fan-out.
 
-* :class:`ScalarStepper` — the historical path: one loop event per probe,
-  delivered through :meth:`~repro.netsim.network.Network.deliver_many`,
-  the plan resuming on the round's last reply.  O(probes) events.
-* :class:`PlanBatchStepper` — the vectorised path: a round's delays are
-  one numpy array (the :class:`~repro.algorithms.base.ProbeRound` the
-  plan yielded already carries them struct-of-arrays), the plan resumes
-  on a *single* round-completion event at the slowest probe's arrival,
-  and the in-flight integral is accrued analytically.  O(rounds) events.
-
-The two are timeline-identical by construction: the scalar round's reply
-events occupy a contiguous sequence-number block on the loop (scheduled
-back-to-back by ``deliver_many``), every other event sorts strictly
-before or after that whole block, and the plan advances during the last
-reply at ``t + max(delays)`` — exactly when the batch stepper's one event
-fires.  The equivalence tests compare full run records for all seven
-schemes.  Because the timelines match event for event, membership events
-fire in the same order under either stepper, so the per-event
-maintenance ledger (``DaemonRun.maintenance_by_event``) is
-stepper-invariant by construction — unlike the per-job
+Membership events interleave with these round events on the one loop,
+so the per-event maintenance ledger (``DaemonRun.maintenance_by_event``)
+is exact and replays bit for bit at a fixed seed — unlike the per-job
 ``maintenance_probes`` claims, which depend on which in-flight plan
 finishes first and are exact only in aggregate.
-
-In-flight probe accounting differs only in mechanics.  The scalar path
-integrates the count at every ±1 transition; the batch path adds each
-round's ``sum(delays)`` to the area (each probe is in flight for exactly
-its delay) and reconstructs the peak from the recorded (time, ±k)
-breakpoints in one vectorised sort/cumsum at the end.  Same integral —
-summed in a different float order, so averages agree to rounding rather
-than bit-for-bit.
 """
 
 from __future__ import annotations
@@ -41,14 +25,14 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.algorithms.base import ProbeRound
-from repro.netsim.network import Message
-from repro.util.errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.service.daemon import QueryDaemon, QueryJob
 
 
-def round_delays(daemon: "QueryDaemon", job: "QueryJob", batch) -> np.ndarray:
+def round_delays(
+    daemon: "QueryDaemon", job: "QueryJob", batch: ProbeRound
+) -> np.ndarray:
     """Per-probe completion delays for one round, as one float array.
 
     ``zero_delay`` collapses everything; otherwise each probe completes
@@ -59,17 +43,15 @@ def round_delays(daemon: "QueryDaemon", job: "QueryJob", batch) -> np.ndarray:
     spec = daemon.spec
     if spec.zero_delay:
         return np.zeros(len(batch))
-    if isinstance(batch, ProbeRound):
-        rtts, srcs = batch.rtts_ms, batch.srcs
-    else:  # legacy list[ProbeOp] rounds from third-party schemes
-        rtts = np.array([op.rtt_ms for op in batch], dtype=float)
-        srcs = np.array([op.src for op in batch], dtype=int)
+    rtts = batch.rtts_ms
     if spec.charge_dispatch:
-        rtts = rtts + daemon.network.path_rtts(job.entry, srcs)
+        rtts = rtts + daemon.network.path_rtts(job.entry, batch.srcs)
     return rtts
 
 
-def round_outcome(daemon: "QueryDaemon", job: "QueryJob", batch) -> np.ndarray:
+def round_outcome(
+    daemon: "QueryDaemon", job: "QueryJob", batch: ProbeRound
+) -> np.ndarray:
     """Per-probe completion delays for one round, faults applied.
 
     The fault-aware front of :func:`round_delays`: with no fault model (or
@@ -83,23 +65,15 @@ def round_outcome(daemon: "QueryDaemon", job: "QueryJob", batch) -> np.ndarray:
     job for the next plan resume, and the drop/retransmit/timeout/relay
     counters are billed to both the job and the network.
 
-    Both steppers call this at dispatch, so the delays array — and with
-    it the round-completion instant — is identical under either stepper;
-    and because the job's fault stream is consumed strictly in the job's
-    own round order, the outcome is invariant to cross-job interleaving
-    and shard layout too.
+    Because the job's fault stream is consumed strictly in the job's own
+    round order, the outcome is invariant to cross-job interleaving.
     """
     delays = round_delays(daemon, job, batch)
     fault_model = daemon.fault_model
     stats = None
     if fault_model is not None and fault_model.active:
-        if isinstance(batch, ProbeRound):
-            srcs, dsts = batch.srcs, batch.dsts
-        else:  # legacy list[ProbeOp] rounds from third-party schemes
-            srcs = np.array([op.src for op in batch], dtype=int)
-            dsts = np.array([op.dst for op in batch], dtype=int)
         delays, answered, stats = daemon.network.apply_faults(
-            daemon.job_fault_rng(job), srcs, dsts, delays
+            daemon.job_fault_rng(job), batch.srcs, batch.dsts, delays
         )
         job.probe_drops += int(stats["dropped"])
         job.probe_retransmits += int(stats["retransmitted"])
@@ -134,57 +108,6 @@ def round_outcome(daemon: "QueryDaemon", job: "QueryJob", batch) -> np.ndarray:
     return delays
 
 
-class ScalarStepper:
-    """One loop event per probe — the PR 5 reference semantics."""
-
-    def __init__(self, daemon: "QueryDaemon") -> None:
-        self.daemon = daemon
-        self.area = 0.0
-        self.peak = 0
-        self._count = 0
-        self._last = 0.0
-        # (time, ±1) breakpoints for exact cross-shard peak merging.
-        self.bp_times: list[np.ndarray] = []
-        self.bp_deltas: list[np.ndarray] = []
-
-    def _note(self, delta: int) -> None:
-        now = self.daemon.loop.now
-        self.area += self._count * (now - self._last)
-        self._last = now
-        self._count += delta
-        if self._count > self.peak:
-            self.peak = self._count
-        if delta:
-            self.bp_times.append(np.array([now]))
-            self.bp_deltas.append(np.array([delta]))
-
-    def dispatch_round(self, job: "QueryJob", batch) -> None:
-        daemon = self.daemon
-        delays = round_outcome(daemon, job, batch)
-        job._outstanding = len(batch)
-        self._note(+len(batch))
-        messages = [
-            Message(
-                src=op.src,
-                dst=daemon._coordinator_id,
-                kind="probe-reply",
-                payload=job,
-            )
-            for op in batch
-        ]
-        daemon.network.deliver_many(messages, delays)
-
-    def on_probe_reply(self, job: "QueryJob") -> None:
-        self._note(-1)
-        job._outstanding -= 1
-        if job._outstanding == 0:
-            self.daemon._advance(job)
-
-    def finalize(self) -> None:
-        """Close the time-weighted integral at the loop's final time."""
-        self._note(0)
-
-
 class PlanBatchStepper:
     """One loop event per probe *round* — the vectorised path.
 
@@ -201,13 +124,13 @@ class PlanBatchStepper:
         self.peak = 0
         # (time, delta) breakpoints: +k at each round's issue instant,
         # -1 at each probe's arrival.  Peak in-flight is reconstructed in
-        # one vectorised pass at finalize; insertion order doubles as the
-        # scalar path's tie-breaking sequence order (rounds append their
-        # issue before their arrivals, in issue order).
+        # one vectorised pass at finalize; ties break in insertion order
+        # (rounds append their issue before their arrivals, in issue
+        # order).
         self.bp_times: list[np.ndarray] = []
         self.bp_deltas: list[np.ndarray] = []
 
-    def dispatch_round(self, job: "QueryJob", batch) -> None:
+    def dispatch_round(self, job: "QueryJob", batch: ProbeRound) -> None:
         daemon = self.daemon
         delays = round_outcome(daemon, job, batch)
         now = daemon.loop.now
@@ -220,11 +143,6 @@ class PlanBatchStepper:
         self.bp_deltas.append(np.full(k, -1))
         # The round completes with its slowest probe.
         daemon.loop.schedule(float(delays.max()), daemon._advance, job)
-
-    def on_probe_reply(self, job: "QueryJob") -> None:
-        raise SimulationError(
-            "the batch stepper delivers no per-probe replies"
-        )
 
     def finalize(self) -> None:
         self.peak = peak_from_breakpoints(self.bp_times, self.bp_deltas)

@@ -10,9 +10,9 @@ class MutableChurnSpec:  # LINT: frozen-specs
 
 @dataclass(eq=True)
 class KeywordButNotFrozenSpec:  # LINT: frozen-specs
-    shards: int = 1
+    per_node_concurrency: int = 2
 
 
 def tweak(spec: MutableChurnSpec, daemon_spec) -> None:
     spec.rate = 0.9  # LINT: frozen-specs
-    daemon_spec.shards += 1  # LINT: frozen-specs
+    daemon_spec.per_node_concurrency += 1  # LINT: frozen-specs

@@ -13,7 +13,7 @@ from repro.algorithms import (
     TiersSearch,
     VivaldiGreedySearch,
 )
-from repro.algorithms.base import NearestPeerAlgorithm
+from repro.algorithms.base import NearestPeerAlgorithm, probe_round
 from repro.topology.oracle import MatrixOracle, NoisyOracle
 from repro.util.errors import ConfigurationError
 
@@ -78,12 +78,13 @@ class _BeaconChattySearch(NearestPeerAlgorithm):
     def _build(self, rng):
         self._anchors = self.members[:3]
 
-    def _query(self, target, rng):
+    def _plan(self, target, rng):
         self.aux_probe(int(self._anchors[0]), int(self._anchors[1]))
         self.aux_probe(int(self._anchors[1]), int(self._anchors[2]))
         measured = {
             int(m): self.probe(int(m), target) for m in self._anchors
         }
+        yield probe_round(list(measured), target, list(measured.values()))
         return self.result(target, measured)
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import BeaconSearch, RandomProbeSearch
-from repro.algorithms.base import NearestPeerAlgorithm
+from repro.algorithms.base import NearestPeerAlgorithm, probe_round
 from repro.harness.engine import QueryEngine
 from repro.harness.scenario import SamplingSpec
 from repro.latency.builder import build_clustered_oracle
@@ -284,7 +284,8 @@ class TestProbeAccounting:
             def _build(self, rng):
                 pass
 
-            def _query(self, target, rng):
+            def _plan(self, target, rng):
+                yield probe_round([], target, [])
                 raise NotImplementedError
 
         asym = np.arange(25, dtype=float).reshape(5, 5)

@@ -307,34 +307,3 @@ class TestSendMany:
         net.send_many(0, [], "x")
         assert net.messages_sent == 0
         assert loop.pending == 0
-
-
-class TestDeliverMany:
-    def test_delivers_at_explicit_delays(self):
-        loop, net, nodes = fan_out_net()
-        messages = [
-            Message(src=0, dst=d, kind="reply", payload=None) for d in (1, 2, 3)
-        ]
-        handles = net.deliver_many(messages, [3.0, 1.0, 2.0])
-        assert len(handles) == 3
-        loop.run()
-        assert nodes[1].received == [("reply", 3.0)]
-        assert nodes[2].received == [("reply", 1.0)]
-        assert nodes[3].received == [("reply", 2.0)]
-
-    def test_handles_cancel_individual_deliveries(self):
-        loop, net, nodes = fan_out_net()
-        messages = [Message(src=0, dst=d, kind="reply") for d in (1, 2)]
-        handles = net.deliver_many(messages, [1.0, 1.0])
-        handles[0].cancel()
-        loop.run()
-        assert nodes[1].received == []
-        assert nodes[2].received == [("reply", 1.0)]
-
-    def test_mismatched_or_negative_delays_rejected(self):
-        loop, net, nodes = fan_out_net()
-        message = Message(src=0, dst=1, kind="x")
-        with pytest.raises(SimulationError):
-            net.deliver_many([message], [1.0, 2.0])
-        with pytest.raises(SimulationError):
-            net.deliver_many([message], [-1.0])

@@ -2,9 +2,9 @@
 
 The load-bearing property is **passivity**: turning ``DaemonSpec.trace``
 on must be bit-identical — answers, per-query timelines, fault bills and
-maintenance ledgers — for every scheme, both steppers and any shard
-count, because the tracer reads only the event loop's clock and counters
-the driver already keeps (zero rng draws; statically pinned by the
+maintenance ledgers — for every scheme and under faults, because the
+tracer reads only the event loop's clock and counters the driver
+already keeps (zero rng draws; statically pinned by the
 ``obs-passivity`` lint rule, pinned at runtime here).
 
 The second property is **exact tiling**: within one query the non-root
@@ -50,9 +50,9 @@ from repro.obs.metrics import (
     populate_span_histograms,
     sample_times,
 )
-from repro.obs.trace import Span, Tracer, merge_span_streams, sort_spans, spans_by_query
+from repro.obs.trace import Span, Tracer, spans_by_query
 from repro.topology.clustered import ClusteredConfig
-from repro.util.errors import ConfigurationError, DataError, SimulationError
+from repro.util.errors import ConfigurationError, SimulationError
 
 SMALL = ClusteredConfig(n_clusters=6, end_networks_per_cluster=20, delta=0.2)
 
@@ -219,14 +219,6 @@ class TestTracer:
             ("probe_round", 1, 2),
         ]
 
-    def test_merge_is_sort_of_the_union(self):
-        a = [Span("query", 0.0, 5.0, query=0, seq=0)]
-        b = [Span("query", 1.0, 2.0, query=1, seq=0)]
-        maint = [Span("maintenance_flush", 0.5, 0.5, query=None, seq=0)]
-        merged = merge_span_streams(a + b, maint)
-        assert merged == sort_spans(a + b + maint)
-
-
 # -- metrics registry unit behaviour -----------------------------------------
 
 
@@ -255,7 +247,7 @@ class TestMetrics:
 
     def test_series_is_tie_order_independent(self):
         # Two breakpoint streams with tied timestamps in opposite orders
-        # sample identically — the shard-merge exactness property.
+        # sample identically.
         forward, backward = Gauge(), Gauge()
         forward.extend(np.array([5.0, 5.0]), np.array([+3, -1]))
         backward.extend(np.array([5.0, 5.0]), np.array([-1, +3]))
@@ -271,25 +263,6 @@ class TestMetrics:
     def test_histogram_rejects_bad_edges(self):
         with pytest.raises(ConfigurationError, match="increasing"):
             Histogram([2.0, 1.0])
-
-    def test_registry_merge_pools_everything(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("drops").inc(1.0)
-        b.counter("drops").inc(2.0, by=2)
-        b.gauge("queue").add(0.0, 5)
-        a.histogram("sizes", [1.0, 2.0]).observe(0.5)
-        b.histogram("sizes", [1.0, 2.0]).observe(3.0)
-        merged = MetricsRegistry.merge([a, b])
-        assert merged.counter("drops").total == 3
-        assert merged.gauge("queue").series_at(np.array([1.0])).tolist() == [5]
-        assert merged.histogram("sizes", [1.0, 2.0]).counts.tolist() == [1, 0, 1]
-
-    def test_registry_merge_rejects_mismatched_edges(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.histogram("sizes", [1.0, 2.0])
-        b.histogram("sizes", [1.0, 3.0])
-        with pytest.raises(DataError, match="edges disagree"):
-            MetricsRegistry.merge([a, b])
 
     def test_sample_times_grid(self):
         assert sample_times(250.0, 100.0).tolist() == [0.0, 100.0, 200.0]
@@ -337,78 +310,27 @@ class TestTracePassivity:
         assert_records_identical(plain, traced)
         assert plain.availability == traced.availability
 
-    def test_trace_is_bit_identical_scalar_stepper(self, small_world):
+# -- replay: one canonical stream per seed -----------------------------------
+
+
+class TestStreamReplay:
+    def test_same_seed_replays_the_stream(self, small_world):
         factory = lambda: TiersSearch(branching=8)  # noqa: E731
-        plain = run_daemon(
-            small_world, factory, dataclasses.replace(CHURN_SPEC, stepper="scalar")
+        base, other = (
+            run_daemon(small_world, factory, TRACED_SPEC, n_queries=30, seed=23)
+            for _ in range(2)
         )
-        traced = run_daemon(
-            small_world, factory, dataclasses.replace(TRACED_SPEC, stepper="scalar")
-        )
-        assert_records_identical(plain, traced)
-
-    def test_trace_is_bit_identical_sharded(self, small_world):
-        factory = lambda: RandomProbeSearch(budget=8)  # noqa: E731
-        plain = run_daemon(
-            small_world, factory, dataclasses.replace(CHURN_SPEC, shards=2),
-            n_queries=40, seed=11,
-        )
-        traced = run_daemon(
-            small_world, factory, dataclasses.replace(TRACED_SPEC, shards=2),
-            n_queries=40, seed=11,
-        )
-        assert_records_identical(plain, traced)
-        assert traced.spans is not None
-
-
-# -- invariance: one canonical stream however the run executes ---------------
-
-
-class TestStreamInvariance:
-    def test_stepper_choice_does_not_change_the_stream(self, small_world):
-        factory = lambda: KargerRuhlSearch(  # noqa: E731
-            samples_per_scale=4, max_rounds=12
-        )
-        batch = run_daemon(small_world, factory, TRACED_SPEC)
-        scalar = run_daemon(
-            small_world, factory, dataclasses.replace(TRACED_SPEC, stepper="scalar")
-        )
-        assert_span_streams_equal(list(batch.spans), list(scalar.spans))
-        assert np.array_equal(batch.timeseries.times_ms, scalar.timeseries.times_ms)
-        for name in batch.timeseries.series:
+        assert_records_identical(base, other)
+        assert_span_streams_equal(list(base.spans), list(other.spans))
+        assert np.array_equal(base.timeseries.times_ms, other.timeseries.times_ms)
+        for name in base.timeseries.series:
             assert np.array_equal(
-                batch.timeseries.series[name], scalar.timeseries.series[name]
+                base.timeseries.series[name], other.timeseries.series[name]
             ), name
-
-    def test_shard_count_does_not_change_the_stream(self, small_world):
-        # The unsharded loop and the sharded script pre-draw the workload
-        # differently, so streams are only comparable within a driver:
-        # across shard counts and steppers *of the sharded driver* the
-        # merged stream must be bit-identical.
-        factory = lambda: TiersSearch(branching=8)  # noqa: E731
-        runs = {
-            (shards, stepper): run_daemon(
-                small_world,
-                factory,
-                dataclasses.replace(TRACED_SPEC, shards=shards, stepper=stepper),
-                n_queries=30,
-                seed=23,
-            )
-            for shards, stepper in [(2, "batch"), (5, "batch"), (2, "scalar")]
-        }
-        base = runs[(2, "batch")]
-        for key in [(5, "batch"), (2, "scalar")]:
-            other = runs[key]
-            assert_records_identical(base, other)
-            assert_span_streams_equal(list(base.spans), list(other.spans))
-            for name in base.timeseries.series:
-                assert np.array_equal(
-                    base.timeseries.series[name], other.timeseries.series[name]
-                ), (key, name)
-            for name, hist in base.timeseries.histograms.items():
-                assert np.array_equal(
-                    hist["counts"], other.timeseries.histograms[name]["counts"]
-                ), (key, name)
+        for name, hist in base.timeseries.histograms.items():
+            assert np.array_equal(
+                hist["counts"], other.timeseries.histograms[name]["counts"]
+            ), name
 
 
 # -- structure: nesting, tiling and the phase decomposition ------------------
@@ -663,18 +585,6 @@ class TestLoopDiagnostics:
         assert record.loop_queue_peak >= 1
         assert record.loop_pending_at_drain == 0
         assert record.loop_cancelled_events >= 0
-
-    def test_sharded_loop_stats_aggregate(self, small_world):
-        record = run_daemon(
-            small_world,
-            lambda: RandomProbeSearch(budget=8),
-            dataclasses.replace(CHURN_SPEC, shards=3),
-            n_queries=40,
-            seed=11,
-        )
-        assert record.loop_events > 0
-        assert record.loop_queue_peak >= 1
-        assert record.loop_pending_at_drain == 0
 
     def test_fault_runs_cancel_timeout_timers(self, small_world):
         record = run_fault_daemon(small_world, trace=False)

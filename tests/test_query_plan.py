@@ -3,7 +3,7 @@
 The contract under test: driving :meth:`query_plan` to exhaustion with
 instantaneous delivery and eager maintenance is **bit-identical** to the
 blocking :meth:`query` — same rng draws, same probes, same result — for
-every scheme, native plans and the record-and-replay adapter alike.
+every scheme.
 """
 
 import numpy as np
@@ -13,7 +13,6 @@ from repro.algorithms import (
     BeaconSearch,
     KargerRuhlSearch,
     MeridianSearch,
-    NearestPeerAlgorithm,
     PicSearch,
     ProbeOp,
     RandomProbeSearch,
@@ -23,15 +22,15 @@ from repro.algorithms import (
 from repro.harness import NoiseSpec
 from repro.util.errors import ConfigurationError
 
-#: Every scheme in the library: (factory, expects a native plan).
+#: Every scheme in the library.
 SCHEMES = [
-    (lambda: RandomProbeSearch(budget=8), True),
-    (lambda: KargerRuhlSearch(samples_per_scale=4, max_rounds=12), True),
-    (lambda: TapestrySearch(id_digits=4, probe_budget_per_level=8), True),
-    (lambda: TiersSearch(branching=8), True),
-    (MeridianSearch, True),
-    (lambda: BeaconSearch(n_beacons=6, probe_budget=8), True),
-    (PicSearch, True),
+    lambda: RandomProbeSearch(budget=8),
+    lambda: KargerRuhlSearch(samples_per_scale=4, max_rounds=12),
+    lambda: TapestrySearch(id_digits=4, probe_budget_per_level=8),
+    lambda: TiersSearch(branching=8),
+    MeridianSearch,
+    lambda: BeaconSearch(n_beacons=6, probe_budget=8),
+    PicSearch,
 ]
 
 IDS = [
@@ -78,12 +77,9 @@ def assert_results_identical(blocking, planned):
 
 
 class TestZeroDelayEquivalence:
-    @pytest.mark.parametrize("factory,native", SCHEMES, ids=IDS)
-    def test_plan_reproduces_query_bit_identically(
-        self, clustered_world, factory, native
-    ):
+    @pytest.mark.parametrize("factory", SCHEMES, ids=IDS)
+    def test_plan_reproduces_query_bit_identically(self, clustered_world, factory):
         direct, stepped = build_pair(factory, clustered_world)
-        assert direct.plan_native is native
         target = clustered_world.topology.n_nodes - 1
         for query_seed in (7, 8):
             blocking = direct.query(target, seed=query_seed)
@@ -93,12 +89,8 @@ class TestZeroDelayEquivalence:
             assert_results_identical(blocking, planned)
             assert sum(len(r) for r in rounds) == planned.probes + planned.aux_probes
 
-    @pytest.mark.parametrize(
-        "factory,native",
-        [s for s in SCHEMES if s[1]],
-        ids=[i for i, s in zip(IDS, SCHEMES) if s[1]],
-    )
-    def test_native_plans_match_under_noise(self, clustered_world, factory, native):
+    @pytest.mark.parametrize("factory", SCHEMES, ids=IDS)
+    def test_native_plans_match_under_noise(self, clustered_world, factory):
         """A stateful noisy oracle is consumed identically by both paths."""
         noise = NoiseSpec(sigma=0.08, additive_ms=0.2, seed=5)
         direct, stepped = build_pair(factory, clustered_world, noise=noise)
@@ -144,7 +136,7 @@ class TestPlanStructure:
         assert multi_round >= 1
 
     def test_beaconing_round_boundaries(self, clustered_world):
-        """Beaconing (native plan): beacon sweep then shortlist fan-out."""
+        """Beaconing: beacon sweep then shortlist fan-out."""
         algorithm = BeaconSearch(n_beacons=6, probe_budget=8)
         algorithm.build(clustered_world.oracle, np.arange(80), seed=1)
         target = clustered_world.topology.n_nodes - 1
@@ -152,40 +144,6 @@ class TestPlanStructure:
         assert len(rounds) >= 2
         assert len(rounds[0]) == 6  # one probe per beacon
         assert result.found in np.arange(80)
-
-    def test_adapter_preserves_round_boundaries(self, clustered_world):
-        """The record-and-replay adapter still serves unconverted schemes."""
-
-        class AdapterDemo(RandomProbeSearch):
-            """A scheme without a native plan: blocking query only."""
-
-            name = "adapter-demo"
-            plan_native = False
-
-            def _plan(self, target, rng):
-                return NearestPeerAlgorithm._plan(self, target, rng)
-
-            def _query(self, target, rng):
-                picks = self.members[:3]
-                values = self.probe_many(picks, target)
-                extra = int(self.members[3])
-                single = self.probe(extra, target)
-                measured = {
-                    int(m): float(v) for m, v in zip(picks, values)
-                }
-                measured[extra] = single
-                return self.result(target, measured)
-
-        direct, stepped = build_pair(AdapterDemo, clustered_world)
-        assert not stepped.plan_native
-        target = clustered_world.topology.n_nodes - 1
-        blocking = direct.query(target, seed=2)
-        planned, rounds = drain_plan(stepped.query_plan(target, seed=2))
-        assert_results_identical(blocking, planned)
-        # One round per probe-channel call: the batched fan-out, then the
-        # scalar probe.
-        assert [len(r) for r in rounds] == [3, 1]
-        assert all(isinstance(op, ProbeOp) for batch in rounds for op in batch)
 
     def test_query_plan_before_build_raises(self):
         with pytest.raises(ConfigurationError):
