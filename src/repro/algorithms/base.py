@@ -951,11 +951,11 @@ class NearestPeerAlgorithm(abc.ABC):
     ) -> QueryPlan:
         """The stepwise counterpart of :meth:`query`.
 
-        Returns a generator that yields probe rounds (each a
-        :class:`ProbeRound`) and finally returns the :class:`SearchResult`
-        through ``StopIteration.value``.  Each round is a parallel fan-out
-        whose measurements have *already been taken* through the counted
-        probe channel; the driver decides when the round "completes" — after the
+        Returns a generator that yields :class:`ProbeRound` probe rounds
+        and finally returns the :class:`SearchResult` through
+        ``StopIteration.value``.  Each round is a parallel fan-out whose
+        measurements have *already been taken* through the counted probe
+        channel; the driver decides when the round "completes" — after the
         simulated RTTs on the daemon's event loop, or immediately for an
         instantaneous driver.  Driving a fresh plan to exhaustion with no
         delay reproduces :meth:`query` bit for bit (same rng draws, same
@@ -1034,7 +1034,7 @@ class NearestPeerAlgorithm(abc.ABC):
         One ``yield`` per probe fan-out — a :class:`ProbeRound` whose
         measurements were already taken through the counted probe
         channel — and the final :class:`SearchResult` as the return
-        value.  A fault-aware driver sends back each round's per-probe
+        value.  Under faults the daemon sends back each round's per-probe
         answered mask (``None`` when every probe was answered).
         """
 

@@ -125,8 +125,8 @@ class PlanBatchStepper:
         # (time, delta) breakpoints: +k at each round's issue instant,
         # -1 at each probe's arrival.  Peak in-flight is reconstructed in
         # one vectorised pass at finalize; ties break in insertion order
-        # (rounds append their issue before their arrivals, in issue
-        # order).
+        # (each round appends its send instant before its arrivals, in
+        # send order).
         self.bp_times: list[np.ndarray] = []
         self.bp_deltas: list[np.ndarray] = []
 

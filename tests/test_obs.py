@@ -3,7 +3,7 @@
 The load-bearing property is **passivity**: turning ``DaemonSpec.trace``
 on must be bit-identical — answers, per-query timelines, fault bills and
 maintenance ledgers — for every scheme and under faults, because the
-tracer reads only the event loop's clock and counters the driver
+tracer reads only the event loop's clock and counters the daemon
 already keeps (zero rng draws; statically pinned by the
 ``obs-passivity`` lint rule, pinned at runtime here).
 
