@@ -1,11 +1,12 @@
-"""Churn-protocol benchmark: query throughput and maintenance cost.
+"""Churn benchmark: query throughput and maintenance cost.
 
-Runs the registered ``steady-churn`` scenario (see
+Runs the registered ``steady-churn`` scenario (a zero-delay daemon whose
+membership process churns between queries, see
 :mod:`repro.harness.scenario`) through the query engine for a set of
 schemes with distinct maintenance policies, and reports each scheme's
 
-* ``queries_per_sec`` — wall-clock throughput of the interleaved
-  event+query loop (algorithm build included, world build excluded);
+* ``queries_per_sec`` — wall-clock throughput of the daemon run
+  (algorithm build included, world build excluded);
 * ``mean_maintenance_probes_per_query`` / ``total_maintenance_probes`` —
   the honest membership-maintenance bill next to the query probe bill;
 * ``exact_rate`` / ``mean_membership_size`` — accuracy against the
@@ -27,12 +28,17 @@ Usage::
 ``--scale tiny`` is the CI smoke setting (the registered scenario's own
 240-host world, trimmed query count); ``--scale paper`` scales the main
 suite up to n=2000 hosts with 300 queries — the committed perf baseline.
+``--check`` validates the report it just wrote and exits 1 when a gate
+fails: the scheme and discipline sets, free maintenance for random-probe
+(and a non-zero bill for the index-carrying schemes), and coalesce:8
+amortising the rebuild bill at least ``MIN_EAGER_OVER_COALESCE8``-fold.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import sys
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -44,7 +50,8 @@ from repro.algorithms import (
     RandomProbeSearch,
     TapestrySearch,
 )
-from repro.harness import ChurnSpec, QueryEngine, SamplingSpec, get_scenario
+from repro.harness import QueryEngine, SamplingSpec, churn_spec, get_scenario
+from repro.harness.scenario import CHURN_STEP_MS
 from repro.latency.builder import build_clustered_oracle
 from repro.topology.clustered import ClusteredConfig
 
@@ -71,6 +78,10 @@ DISCIPLINE_SCHEMES = (
     ("tapestry", TapestrySearch),
 )
 
+#: Coalescing must amortise the rebuild bill: at least this many times
+#: fewer maintenance probes per event than eager.
+MIN_EAGER_OVER_COALESCE8 = 5.0
+
 
 def churn_scenario(scale: str):
     """The steady-churn smoke scenario, scaled to the requested size."""
@@ -84,12 +95,12 @@ def churn_scenario(scale: str):
             n_clusters=10, end_networks_per_cluster=100, delta=0.2
         ),
         sampling=SamplingSpec(n_targets=100),
-        churn=ChurnSpec(
+        daemon=churn_spec(
             initial_fraction=0.8,
             arrival_rate=1.0,
             departure_rate=1.0,
-            session_length=150.0,
-            warmup_steps=25,
+            session_length_ms=150 * CHURN_STEP_MS,
+            warmup_ms=25 * CHURN_STEP_MS,
             min_members=200,
         ),
         n_queries=300,
@@ -97,20 +108,23 @@ def churn_scenario(scale: str):
     )
 
 
-def bench_scheme(name: str, factory, scenario, world) -> dict:
-    engine = QueryEngine()
+def run_churn(algorithm, scenario, world):
+    """One daemon run of ``scenario`` on ``world``; returns (record, s)."""
     start = time.perf_counter()
-    record = engine.run_world_trial(
+    record = QueryEngine().run_daemon_trial(
         world,
-        factory(),
+        algorithm,
+        scenario.daemon,
         sampling=scenario.sampling,
-        protocol="churn",
         n_queries=scenario.n_queries,
         seed=scenario.seed,
         noise=scenario.noise,
-        churn=scenario.churn,
     )
-    elapsed = time.perf_counter() - start
+    return record, time.perf_counter() - start
+
+
+def bench_scheme(name: str, factory, scenario, world) -> dict:
+    record, elapsed = run_churn(factory(), scenario, world)
     return {
         "name": name,
         "maintenance_policy": factory().maintenance_policy,
@@ -144,26 +158,14 @@ def discipline_scenario(scale: str):
         return base.with_(
             n_queries=15,
             trials=1,
-            churn=replace(base.churn, warmup_steps=5),
+            daemon=replace(base.daemon, warmup_ms=5 * CHURN_STEP_MS),
         )
     return base.with_(n_queries=80, trials=1)
 
 
 def bench_discipline(name, factory, discipline: str, scenario, world) -> dict:
     algorithm = factory(maintenance=discipline)
-    engine = QueryEngine()
-    start = time.perf_counter()
-    record = engine.run_world_trial(
-        world,
-        algorithm,
-        sampling=scenario.sampling,
-        protocol="churn",
-        n_queries=scenario.n_queries,
-        seed=scenario.seed,
-        noise=scenario.noise,
-        churn=scenario.churn,
-    )
-    elapsed = time.perf_counter() - start
+    record, elapsed = run_churn(algorithm, scenario, world)
     return {
         "name": name,
         "discipline": discipline,
@@ -242,6 +244,42 @@ def run_suite(scale: str, seed: int) -> dict:
     }
 
 
+def check_report(report: dict) -> list[str]:
+    """Problems with a report (empty when every gate holds)."""
+    problems = []
+    if report["suite"] != "churn":
+        problems.append(f"suite is {report['suite']!r}")
+    if report["scenario"] != "steady-churn":
+        problems.append(f"scenario is {report['scenario']!r}")
+    names = {b["name"] for b in report["benchmarks"]}
+    if names != {name for name, _ in SCHEMES}:
+        problems.append(f"schemes are {sorted(names)}")
+    for bench in report["benchmarks"]:
+        name = bench["name"]
+        if bench["queries_per_sec"] <= 0 or bench["mean_probes_per_query"] <= 0:
+            problems.append(f"{name}: no throughput or no query probes")
+        # Index-carrying schemes must bill maintenance under churn; the
+        # index-free baseline must stay free.
+        maintenance = bench["total_maintenance_probes"]
+        if (name == "random-probe") != (maintenance == 0):
+            problems.append(f"{name}: total maintenance {maintenance}")
+    sweep = report["disciplines"]["schemes"]
+    names = {s["name"] for s in sweep}
+    if names != {name for name, _ in DISCIPLINE_SCHEMES}:
+        problems.append(f"discipline schemes are {sorted(names)}")
+    for scheme in sweep:
+        disciplines = {r["discipline"] for r in scheme["rows"]}
+        if disciplines != set(DISCIPLINES):
+            problems.append(f"{scheme['name']}: disciplines {sorted(disciplines)}")
+        ratio = scheme["eager_over_coalesce8"]
+        if not ratio >= MIN_EAGER_OVER_COALESCE8:
+            problems.append(
+                f"{scheme['name']}: eager/coalesce-8 {ratio:.2f}x < "
+                f"{MIN_EAGER_OVER_COALESCE8}x"
+            )
+    return problems
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--scale", choices=SCALES, default="tiny")
@@ -256,6 +294,11 @@ def main() -> None:
             "tiny run cannot clobber the committed paper baseline)"
         ),
     )
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="validate the report's gates and exit 1 if any fails",
+    )
     args = parser.parse_args()
     output = args.output
     if output is None:
@@ -267,6 +310,13 @@ def main() -> None:
     report = run_suite(args.scale, args.seed)
     output.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {output}")
+    if args.check:
+        problems = check_report(report)
+        for problem in problems:
+            print(f"CHECK FAILED: {problem}")
+        if problems:
+            sys.exit(1)
+        print("churn checks OK: schemes + discipline sweep")
 
 
 if __name__ == "__main__":

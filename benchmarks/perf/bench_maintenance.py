@@ -1,6 +1,7 @@
 """Partial-freshness benchmark: full-flush vs region-touch maintenance.
 
-Runs the ``steady-churn`` workload for the two rebuild-policy schemes
+Runs the ``steady-churn`` workload (a zero-delay churn daemon) for the
+two rebuild-policy schemes
 that support partial freshness (karger-ruhl's sampled ball hierarchy,
 tapestry's prefix-routing neighborhoods) under both lazy disciplines:
 
@@ -26,13 +27,17 @@ Usage::
 
 ``--scale tiny`` is the CI smoke setting (the registered scenario's own
 240-host world, trimmed query count); ``--scale paper`` is the committed
-baseline at n=2000 hosts.
+baseline at n=2000 hosts.  ``--check`` validates the report it just wrote
+and exits 1 when a gate fails: the scheme and arm sets, bit-identical
+answers, a ``full_over_partial`` ratio of at least
+``MIN_FULL_OVER_PARTIAL`` and no full rebuild on the partial arm.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import sys
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -40,7 +45,8 @@ from pathlib import Path
 import numpy as np
 
 from repro.algorithms import KargerRuhlSearch, TapestrySearch
-from repro.harness import ChurnSpec, QueryEngine, SamplingSpec, get_scenario
+from repro.harness import QueryEngine, SamplingSpec, churn_spec, get_scenario
+from repro.harness.scenario import CHURN_STEP_MS
 from repro.latency.builder import build_clustered_oracle
 from repro.topology.clustered import ClusteredConfig
 
@@ -55,6 +61,11 @@ SCHEMES = (
 #: Full-flush baseline first, partial-freshness challenger second.
 DISCIPLINES = ("lazy", "lazy-partial")
 
+#: Partial freshness must be a pure win: at least this many times fewer
+#: maintenance probes even at the touch-dense smoke scale (the committed
+#: paper baseline holds >= 5x at n=2000).
+MIN_FULL_OVER_PARTIAL = 3.0
+
 
 def maintenance_scenario(scale: str):
     """Touch-sparse steady churn: few regions read per query."""
@@ -63,7 +74,7 @@ def maintenance_scenario(scale: str):
         return base.with_(
             n_queries=12,
             trials=1,
-            churn=replace(base.churn, warmup_steps=5),
+            daemon=replace(base.daemon, warmup_ms=5 * CHURN_STEP_MS),
         )
     # Paper scale: n = 10 clusters x 100 end-networks x 2 peers = 2000
     # hosts.  Each query's descent touches O(log n) regions out of ~1600
@@ -73,12 +84,12 @@ def maintenance_scenario(scale: str):
             n_clusters=10, end_networks_per_cluster=100, delta=0.2
         ),
         sampling=SamplingSpec(n_targets=100),
-        churn=ChurnSpec(
+        daemon=churn_spec(
             initial_fraction=0.8,
             arrival_rate=1.0,
             departure_rate=1.0,
-            session_length=150.0,
-            warmup_steps=25,
+            session_length_ms=150 * CHURN_STEP_MS,
+            warmup_ms=25 * CHURN_STEP_MS,
             min_members=200,
         ),
         n_queries=60,
@@ -91,15 +102,14 @@ def run_arm(factory, discipline: str, scenario, world) -> tuple[dict, object]:
     algorithm = factory(maintenance=discipline)
     engine = QueryEngine()
     start = time.perf_counter()
-    record = engine.run_world_trial(
+    record = engine.run_daemon_trial(
         world,
         algorithm,
+        scenario.daemon,
         sampling=scenario.sampling,
-        protocol="churn",
         n_queries=scenario.n_queries,
         seed=scenario.seed,
         noise=scenario.noise,
-        churn=scenario.churn,
     )
     elapsed = time.perf_counter() - start
     row = {
@@ -181,6 +191,39 @@ def run_suite(scale: str, seed: int) -> dict:
     }
 
 
+def check_report(report: dict) -> list[str]:
+    """Problems with a report (empty when every gate holds)."""
+    problems = []
+    if report["suite"] != "maintenance":
+        problems.append(f"suite is {report['suite']!r}")
+    if report["scenario"] != "steady-churn":
+        problems.append(f"scenario is {report['scenario']!r}")
+    names = {s["name"] for s in report["schemes"]}
+    if names != {name for name, _ in SCHEMES}:
+        problems.append(f"schemes are {sorted(names)}")
+    for scheme in report["schemes"]:
+        name = scheme["name"]
+        disciplines = [a["discipline"] for a in scheme["arms"]]
+        if disciplines != list(DISCIPLINES):
+            problems.append(f"{name}: arms {disciplines}")
+            continue
+        if scheme["answers_identical"] is not True:
+            problems.append(f"{name}: answers differ between the arms")
+        ratio = scheme["full_over_partial"]
+        if not ratio >= MIN_FULL_OVER_PARTIAL:
+            problems.append(
+                f"{name}: full/partial {ratio:.2f}x < {MIN_FULL_OVER_PARTIAL}x"
+            )
+        full, partial = scheme["arms"]
+        if full["total_maintenance_probes"] <= 0:
+            problems.append(f"{name}: the full-flush arm billed nothing")
+        if partial["total_maintenance_probes"] <= 0:
+            problems.append(f"{name}: the partial arm billed nothing")
+        if partial["rebuilds"] != 0:
+            problems.append(f"{name}: {partial['rebuilds']} partial rebuilds")
+    return problems
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--scale", choices=SCALES, default="tiny")
@@ -195,6 +238,11 @@ def main() -> None:
             "a casual tiny run cannot clobber the committed paper baseline)"
         ),
     )
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="validate the report's gates and exit 1 if any fails",
+    )
     args = parser.parse_args()
     output = args.output
     if output is None:
@@ -206,6 +254,13 @@ def main() -> None:
     report = run_suite(args.scale, args.seed)
     output.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {output}")
+    if args.check:
+        problems = check_report(report)
+        for problem in problems:
+            print(f"CHECK FAILED: {problem}")
+        if problems:
+            sys.exit(1)
+        print("maintenance checks OK:", sorted(s["name"] for s in report["schemes"]))
 
 
 if __name__ == "__main__":

@@ -7,17 +7,17 @@ example drives the dynamic-membership API the repository adds on top:
    batch with :meth:`leave`, and read the per-event maintenance bill —
    incremental schemes pay per event, rebuild schemes pay the whole
    reconstruction (exactly as their declared ``maintenance_policy`` says);
-2. run the harness's ``churn`` protocol end to end on the registered
-   ``steady-churn`` scenario and compare schemes under the identical
-   world, event stream and query stream — accuracy scored against the
-   membership alive at each query, maintenance probes on the bill next to
-   query probes;
+2. run the registered ``steady-churn`` scenario end to end — a zero-delay
+   daemon whose membership process churns between queries — and compare
+   schemes under the identical world, event stream and query stream —
+   accuracy scored against the membership alive at each query,
+   maintenance probes on the bill next to query probes;
 3. sweep the maintenance *scheduling disciplines* (eager / coalesce /
    lazy) on the high-event-rate ``churn-lazy-index`` scenario — deferring
    and batching index maintenance cuts a rebuild scheme's bill by the
    coalescing window;
 4. run long-running *service mode*: one built algorithm carried warm
-   through steady -> surge -> drain phases, one ``TrialRecord`` per phase.
+   through steady -> surge -> drain daemon phases, one record per phase.
 
 Run:  python examples/churn_lifecycle.py
 """
@@ -68,14 +68,16 @@ def demonstrate_join_leave() -> None:
 
 def demonstrate_churn_protocol() -> None:
     print("=" * 64)
-    print("2. The churn protocol: steady-state membership flux")
+    print("2. Churn on the daemon: steady-state membership flux")
     print("=" * 64)
     scenario = get_scenario("steady-churn")
+    spec = scenario.daemon
     print(
-        f"scenario '{scenario.name}': {scenario.churn.arrival_rate} joins "
-        f"and {scenario.churn.departure_rate} leaves expected per query, "
-        f"mean session {scenario.churn.session_length} queries, "
-        f"{scenario.churn.warmup_steps} warmup steps"
+        f"scenario '{scenario.name}': {spec.arrival_rate} joins and "
+        f"{spec.departure_rate} leaves expected per membership event, one "
+        f"event per {spec.mean_event_interval_ms:.0f} ms, one query per "
+        f"{spec.mean_interarrival_ms:.0f} ms, mean session "
+        f"{spec.session_length_ms:.0f} ms, {spec.warmup_ms:.0f} ms warmup"
     )
     records = QueryEngine().compare(
         scenario,
@@ -107,10 +109,12 @@ def demonstrate_maintenance_disciplines() -> None:
         sampling=SamplingSpec(n_targets=10),
         n_queries=25,
     )
+    spec = scenario.daemon
     print(
         f"scenario '{scenario.name}': "
-        f"{scenario.churn.events_per_query} event steps per query — "
-        "the sparse-query regime deferred maintenance is built for"
+        f"~{spec.mean_interarrival_ms / spec.mean_event_interval_ms:.0f} "
+        "membership events per query — the sparse-query regime deferred "
+        "maintenance is built for"
     )
     for discipline in ("eager", "coalesce:8", "lazy"):
         record = QueryEngine().run_trial(
@@ -146,9 +150,9 @@ def demonstrate_service_mode() -> None:
             f"{record.mean_membership_size:9.0f}"
         )
     print(
-        "=> the index, standby pool, session timers and epoch log all\n"
+        "=> the index, standby pool, session timers and rng streams all\n"
         "   survive the phase boundaries (warm restarts, no rebuild);\n"
-        "   each phase is scored and billed as its own TrialRecord."
+        "   each phase is scored and billed as its own record."
     )
 
 

@@ -681,10 +681,10 @@ class NearestPeerAlgorithm(abc.ABC):
     ) -> int:
         """Apply all buffered events to the index now; returns probes spent.
 
-        A no-op (0) when the index is already in sync.  The harness's
-        churn session drains through here at every phase/trial boundary
-        (so an unfilled coalesce window cannot leave its bill off the
-        books); tests use it to force a deterministic application point.
+        A no-op (0) when the index is already in sync.  A phased daemon
+        run drains through here at every phase boundary (so an unfilled
+        coalesce window cannot leave its bill off the phase's books);
+        tests use it to force a deterministic application point.
         """
         if self._indexed_members is None:
             return 0
@@ -931,8 +931,7 @@ class NearestPeerAlgorithm(abc.ABC):
             result = self._query_via_plan(int(target), rng)
         result.probes = self._probe_count
         result.aux_probes = self._aux_probe_count
-        result.maintenance_probes = self._maintenance_since_query
-        self._maintenance_since_query = 0
+        result.maintenance_probes = self.take_unclaimed_maintenance()
         return result
 
     @property
@@ -1023,8 +1022,7 @@ class NearestPeerAlgorithm(abc.ABC):
             )
         result.probes = probes
         result.aux_probes = aux
-        result.maintenance_probes = self._maintenance_since_query
-        self._maintenance_since_query = 0
+        result.maintenance_probes = self.take_unclaimed_maintenance()
         return result
 
     @abc.abstractmethod
@@ -1184,16 +1182,17 @@ class NearestPeerAlgorithm(abc.ABC):
         """All maintenance measurements since :meth:`build` (cumulative)."""
         return self._maintenance_probe_count
 
-    @property
-    def unclaimed_maintenance_probes(self) -> int:
-        """Maintenance accrued since the last query claimed its bill.
+    def take_unclaimed_maintenance(self) -> int:
+        """Claim the maintenance accrued since the last claim, and zero it.
 
-        The next :meth:`query` / finished :meth:`query_plan` reports this
-        on its ``maintenance_probes`` and zeroes it; the daemon reads it
-        at shutdown so maintenance that lands after the final answer stays
-        on the books.
+        A finished :meth:`query` / :meth:`query_plan` claims it as its
+        ``maintenance_probes``; the daemon claims what lands before its
+        first arrival (warmup) or after its last answer (trailing), so
+        every maintenance probe is on exactly one bill.
         """
-        return self._maintenance_since_query
+        claimed = self._maintenance_since_query
+        self._maintenance_since_query = 0
+        return claimed
 
     @property
     def maintenance_ledger(self) -> MaintenanceLedger:

@@ -4,9 +4,10 @@ The paper evaluates every scheme over a frozen member set, but real p2p
 populations never hold still — churn is the defining operational condition
 (Aspnes et al.; the Amad et al. survey).  With the membership lifecycle
 API (``join``/``leave`` on every :class:`NearestPeerAlgorithm`) and the
-harness's ``churn`` protocol, this experiment asks the question the paper
-could not: *how much accuracy does each scheme keep, and what maintenance
-bill does it pay, when the membership it indexed keeps changing?*
+harness's churn workloads (zero-delay daemon runs), this experiment asks
+the question the paper could not: *how much accuracy does each scheme
+keep, and what maintenance bill does it pay, when the membership it
+indexed keeps changing?*
 
 Every scheme faces the identical world, event stream and query stream
 (common random numbers via :meth:`QueryEngine.compare`), is scored against
@@ -23,7 +24,14 @@ from repro.algorithms import BeaconSearch, MeridianSearch, RandomProbeSearch
 from repro.analysis.compare import Comparison, ShapeCheck
 from repro.analysis.tables import format_table
 from repro.experiments.config import ExperimentScale
-from repro.harness import ChurnSpec, QueryEngine, SamplingSpec, Scenario, TrialRecord
+from repro.harness import (
+    DaemonTrialRecord,
+    QueryEngine,
+    SamplingSpec,
+    Scenario,
+    churn_spec,
+)
+from repro.harness.scenario import CHURN_STEP_MS
 from repro.topology.clustered import ClusteredConfig
 
 #: The schemes under churn: the zero-maintenance baseline, a cheap
@@ -40,7 +48,7 @@ class ChurnResilienceResult:
     """Per-scheme accuracy and maintenance cost under steady churn."""
 
     n_hosts: int
-    records: list  # TrialRecord per scheme, compare() order
+    records: list  # DaemonTrialRecord per scheme, compare() order
 
     def render(self) -> str:
         rows = [
@@ -85,7 +93,7 @@ class ChurnResilienceResult:
             )
         ]
 
-    def _record(self, scheme: str) -> TrialRecord:
+    def _record(self, scheme: str) -> DaemonTrialRecord:
         for record in self.records:
             if record.scheme == scheme:
                 return record
@@ -131,13 +139,13 @@ def churn_scenario(scale: ExperimentScale) -> Scenario:
         name="ext-churn-resilience",
         topology=topology,
         sampling=SamplingSpec(n_targets=n_targets),
-        protocol="churn",
-        churn=ChurnSpec(
+        protocol="daemon",
+        daemon=churn_spec(
             initial_fraction=0.7,
             arrival_rate=0.6,
             departure_rate=0.6,
-            session_length=80.0,
-            warmup_steps=20,
+            session_length_ms=80 * CHURN_STEP_MS,
+            warmup_ms=20 * CHURN_STEP_MS,
             min_members=min_members,
         ),
         n_queries=n_queries,

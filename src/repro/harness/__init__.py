@@ -6,13 +6,18 @@ and targets, run a batch of queries, score exact-hit / cluster-hit /
 probe-cost.  This package is that loop, written once:
 
 * :class:`Scenario` — a declarative workload spec (topology + noise model +
-  member/target sampling policy + trial count + seed) with a process-wide
-  registry, so new workloads are one dataclass away;
+  member/target sampling policy + protocol + trial count + seed) with a
+  process-wide registry, so new workloads are one dataclass away.  Three
+  protocols: ``sampled``, ``per-target`` and the simulated-time
+  ``daemon``, which is also the one membership engine — churn workloads
+  are zero-delay daemons (:func:`churn_spec`) and long-running service
+  mode is a daemon scenario with :class:`ServicePhase` phases;
 * :class:`QueryEngine` — executes scenarios: builds worlds, fans trials out
   across seeds (optionally over a :mod:`concurrent.futures` process pool),
   runs query batches and scores them with one vectorised matrix slice;
-* :class:`TrialRecord` / :class:`AggregateStats` — typed per-trial and
-  cross-trial results, consumed by :mod:`repro.analysis.compare`;
+* :class:`TrialRecord` / :class:`DaemonTrialRecord` /
+  :class:`AggregateStats` — typed per-trial and cross-trial results,
+  consumed by :mod:`repro.analysis.compare`;
 * :mod:`repro.harness.workloads` — the cached expensive artefacts (DNS and
   Azureus measurement studies) shared by the measurement-driven figures.
 
@@ -30,7 +35,6 @@ from repro.harness.results import (
     TrialRecord,
 )
 from repro.harness.scenario import (
-    ChurnSpec,
     DaemonSpec,
     FaultSpec,
     NoiseSpec,
@@ -38,6 +42,7 @@ from repro.harness.scenario import (
     Scenario,
     ServicePhase,
     TraceSpec,
+    churn_spec,
     get_scenario,
     list_scenarios,
     register_scenario,
@@ -48,7 +53,6 @@ from repro.harness.scoring import score_batch, score_epochs, score_single
 
 __all__ = [
     "AggregateStats",
-    "ChurnSpec",
     "DaemonSpec",
     "FaultSpec",
     "DaemonTrialRecord",
@@ -61,6 +65,7 @@ __all__ = [
     "ServicePhase",
     "TraceSpec",
     "TrialRecord",
+    "churn_spec",
     "get_scenario",
     "list_scenarios",
     "register_scenario",

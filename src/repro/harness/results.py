@@ -1,9 +1,11 @@
 """Typed results produced by the query engine.
 
 A :class:`TrialRecord` holds the raw per-query arrays of one trial (one
-world, one built algorithm, one query batch) plus the scored hit masks; an
-:class:`AggregateStats` summarises one metric across trials the way the
-paper plots its three simulation runs (median/min/max, plus mean/std).
+world, one built algorithm, one query batch) plus the scored hit masks; a
+:class:`DaemonTrialRecord` adds the daemon's timing, membership and
+maintenance columns; an :class:`AggregateStats` summarises one metric
+across trials the way the paper plots its three simulation runs
+(median/min/max, plus mean/std).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 
 class MembershipLog:
-    """Persistent diff log of the membership epochs of a churn trial.
+    """Persistent diff log of the membership epochs of a daemon run.
 
     Epoch 0 is the initial membership; epoch ``t`` is epoch ``t - 1`` with
     ``left[t]`` removed and ``joined[t]`` appended (sorted, the order
@@ -130,29 +132,12 @@ class TrialRecord:
     cluster_hit: np.ndarray
     #: Hub latency of each found peer (Fig 9's load-concentration axis).
     found_hub_latency_ms: np.ndarray | None = None
-    #: Membership-maintenance probes billed to each query slot (the events
-    #: applied since the previous query).  ``None`` for static protocols.
-    maintenance_probes: np.ndarray | None = None
-    #: Live membership size at each query (churn protocol only).
-    membership_size: np.ndarray | None = None
-    #: Maintenance probes spent churning before the first query (the
-    #: warmup phase of a churn trial), kept out of the per-query bill.
-    #: Under a deferred maintenance discipline warmup events may buffer at
-    #: zero cost here and land on the first query's bill instead.
-    warmup_maintenance_probes: int = 0
-    #: Membership events (non-empty join/leave calls) the trial applied,
-    #: so maintenance cost can be normalised per event as well as per
-    #: query.  0 for static protocols.
-    n_churn_events: int = 0
-    #: Service-mode phase this record belongs to (``None`` elsewhere).
-    phase: str | None = None
 
     def __post_init__(self) -> None:
         n = self.targets.size
         for name in ("found", "found_latency_ms", "probes", "aux_probes",
                      "hops", "exact_hit", "cluster_hit",
-                     "found_hub_latency_ms", "maintenance_probes",
-                     "membership_size"):
+                     "found_hub_latency_ms"):
             arr = getattr(self, name)
             if arr is None:
                 continue
@@ -195,38 +180,8 @@ class TrialRecord:
 
     @property
     def mean_maintenance_probes_per_query(self) -> float:
-        """Per-query maintenance bill; 0 under a static membership."""
-        if self.maintenance_probes is None:
-            return 0.0
-        return float(self.maintenance_probes.mean())
-
-    @property
-    def total_maintenance_probes(self) -> int:
-        """All maintenance probes, including the warmup phase."""
-        billed = (
-            int(self.maintenance_probes.sum())
-            if self.maintenance_probes is not None
-            else 0
-        )
-        return billed + int(self.warmup_maintenance_probes)
-
-    @property
-    def maintenance_probes_per_event(self) -> float:
-        """Total maintenance bill (warmup included) per membership event.
-
-        The discipline-comparison metric: an eager rebuild scheme pays
-        |M|² here per event, a coalescing one ~|M|²/k.
-        """
-        if self.n_churn_events == 0:
-            return 0.0
-        return self.total_maintenance_probes / self.n_churn_events
-
-    @property
-    def mean_membership_size(self) -> float:
-        """Mean live-membership size over the query batch (0 if static)."""
-        if self.membership_size is None:
-            return 0.0
-        return float(self.membership_size.mean())
+        """Per-query maintenance bill: 0 under a static membership."""
+        return 0.0
 
     @property
     def median_wrong_hub_latency_ms(self) -> float:
@@ -253,10 +208,27 @@ class DaemonTrialRecord(TrialRecord):
     summarised by the percentile properties the daemon scenarios rank
     schemes with.
 
-    ``warmup_maintenance_probes`` holds the run's *trailing* maintenance
-    (accrued after the last answer, claimed by no query's bill), so
-    :attr:`~TrialRecord.total_maintenance_probes` stays exact.
+    It also carries the membership columns: the live membership size and
+    the maintenance each query claimed, the membership events applied and
+    their exact per-event bills, so :attr:`total_maintenance_probes`
+    equals ``sum(maintenance_by_event) + maintenance_background_probes``.
     """
+
+    #: Membership-maintenance probes each query claimed (what accrued
+    #: since the previous claim, lazy flushes at plan start included).
+    maintenance_probes: np.ndarray | None = None
+    #: Live membership size when each query entered service.
+    membership_size: np.ndarray | None = None
+    #: Maintenance no query claimed: what a warmup spent before the first
+    #: arrival plus what accrued after the last answer (a phase's
+    #: boundary drain included).
+    warmup_maintenance_probes: int = 0
+    #: Membership events (non-empty join/leave calls) the run applied, so
+    #: maintenance cost can be normalised per event as well as per query.
+    n_churn_events: int = 0
+    #: Service-mode phase this record belongs to (``None`` for a
+    #: single-phase run).
+    phase: str | None = None
 
     #: Simulated arrival / service-start / answer times per query.
     arrival_ms: np.ndarray | None = None
@@ -315,6 +287,8 @@ class DaemonTrialRecord(TrialRecord):
         super().__post_init__()
         n = self.targets.size
         for name in (
+            "maintenance_probes",
+            "membership_size",
             "arrival_ms",
             "start_ms",
             "finish_ms",
@@ -337,6 +311,29 @@ class DaemonTrialRecord(TrialRecord):
                 f"DaemonTrialRecord.maintenance_by_event has shape "
                 f"{ledger.shape}, expected ({self.n_churn_events},)"
             )
+
+    @property
+    def mean_maintenance_probes_per_query(self) -> float:
+        if self.maintenance_probes is None:
+            return 0.0
+        return float(self.maintenance_probes.mean())
+
+    @property
+    def total_maintenance_probes(self) -> int:
+        """Every maintenance probe of the run, claimed or not."""
+        billed = (
+            int(self.maintenance_probes.sum())
+            if self.maintenance_probes is not None
+            else 0
+        )
+        return billed + int(self.warmup_maintenance_probes)
+
+    @property
+    def mean_membership_size(self) -> float:
+        """Mean live-membership size over the queries."""
+        if self.membership_size is None:
+            return 0.0
+        return float(self.membership_size.mean())
 
     @property
     def maintenance_probes_per_event(self) -> float:

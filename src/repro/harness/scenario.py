@@ -28,19 +28,17 @@ from repro.util.validate import require_in_range, require_positive
 #: one rng through build and queries.  ``per-target`` is the head-to-head
 #: comparison protocol: query each target exactly once, in sampling order,
 #: seeding each query with the target id (common random numbers across
-#: schemes).  ``churn`` is the dynamic-membership protocol: the same
-#: sampled-query discipline with membership events (join/leave, see
-#: :class:`ChurnSpec`) interleaved between queries from the same seeded
-#: stream, and correctness scored against the membership at query time.
-#: ``service`` is long-running service mode: one built algorithm stays
-#: alive across a sequence of churn phases (:class:`ServicePhase`), with
-#: warm restarts between phases and one :class:`TrialRecord` per phase.
-#: ``daemon`` is simulated-time service: Poisson query arrivals, per-node
-#: concurrency caps with FIFO queueing, membership events and continuous
-#: Meridian ring repair all interleaved on one netsim event loop, with
+#: schemes).  ``daemon`` is simulated-time service: Poisson query
+#: arrivals, per-node concurrency caps with FIFO queueing, membership
+#: events (with optional session expiry and warmup) and continuous Meridian
+#: ring repair all interleaved on one netsim event loop, with
 #: time-to-answer percentiles as the headline metric (:class:`DaemonSpec`,
-#: :class:`repro.service.daemon.QueryDaemon`).
-PROTOCOLS = ("sampled", "per-target", "churn", "service", "daemon")
+#: :class:`repro.service.daemon.QueryDaemon`).  It is the one membership
+#: engine: a churn workload is a ``zero_delay`` daemon (queries then
+#: answer like blocking calls between membership events), and long-running
+#: service mode is a daemon scenario with a :class:`ServicePhase` sequence
+#: run on one warm algorithm.
+PROTOCOLS = ("sampled", "per-target", "daemon")
 
 #: Target-sampling policies understood by :class:`SamplingSpec`.
 SAMPLING_POLICIES = ("uniform", "skewed", "single-cluster")
@@ -130,93 +128,6 @@ class SamplingSpec:
             weights /= weights.sum()
             return rng.choice(pool, size=self.n_targets, replace=False, p=weights)
         return rng.choice(pool, size=self.n_targets, replace=False)
-
-
-@dataclass(frozen=True)
-class ChurnSpec:
-    """Membership dynamics for the ``churn`` protocol.
-
-    Time is measured in query steps.  Before each query the engine applies
-    one event step: ``Poisson(departure_rate)`` uniformly random members
-    leave, every arrival whose session expired leaves, and
-    ``Poisson(arrival_rate)`` standby nodes join.  Arrivals draw their
-    session length from an exponential distribution with mean
-    ``session_length`` query steps (``None`` keeps arrivals in until the
-    random-departure process picks them).  ``warmup_steps`` event steps run
-    before the first query so measurements start from churned state rather
-    than a fresh build; their maintenance cost is reported separately
-    (:attr:`~repro.harness.results.TrialRecord.warmup_maintenance_probes`).
-
-    The membership never drops below ``min_members`` (departures are capped
-    at the floor) and never exceeds the scenario's member pool (arrivals
-    are capped by standby supply).  Everything is drawn from the one
-    seeded trial stream, so a churn trial replays from one integer exactly
-    like the static protocols.
-
-    ``events_per_query`` decouples the event rate from the query rate:
-    each query is preceded by that many event steps (default 1, the
-    historical behaviour), so a high-event-rate / sparse-query workload —
-    the regime where deferred maintenance disciplines win — is one knob
-    away.  ``warmup_steps`` and ``session_length`` are measured in *event
-    steps* on the same clock.
-    """
-
-    #: Fraction of the member pool alive at build time; the rest form the
-    #: standby pool arrivals draw from.
-    initial_fraction: float = 0.7
-    arrival_rate: float = 0.5
-    departure_rate: float = 0.5
-    session_length: float | None = None
-    warmup_steps: int = 0
-    min_members: int = 24
-    #: Event steps applied before each query (the event:query rate ratio).
-    events_per_query: int = 1
-
-    def __post_init__(self) -> None:
-        require_in_range(self.initial_fraction, "initial_fraction", 0.0, 1.0)
-        if self.arrival_rate < 0:
-            raise ConfigurationError(
-                f"arrival_rate must be >= 0, got {self.arrival_rate}"
-            )
-        if self.departure_rate < 0:
-            raise ConfigurationError(
-                f"departure_rate must be >= 0, got {self.departure_rate}"
-            )
-        if self.session_length is not None:
-            require_positive(self.session_length, "session_length")
-        if self.warmup_steps < 0:
-            raise ConfigurationError(
-                f"warmup_steps must be >= 0, got {self.warmup_steps}"
-            )
-        if self.min_members < 2:
-            raise ConfigurationError(
-                f"min_members must be >= 2, got {self.min_members}"
-            )
-        require_positive(self.events_per_query, "events_per_query")
-
-
-@dataclass(frozen=True)
-class ServicePhase:
-    """One phase of a long-running ``service`` trial.
-
-    A service trial keeps one built algorithm alive across its phases
-    (warm restarts: the index carries over, no rebuild).  Each phase runs
-    ``churn.warmup_steps`` event-only transition steps followed by
-    ``n_queries`` interleaved event+query steps under its own churn
-    dynamics, and yields its own
-    :class:`~repro.harness.results.TrialRecord` (tagged with ``name``).
-    The first phase's ``initial_fraction`` seeds the session's initial
-    membership split; later phases inherit the live membership.
-    """
-
-    name: str
-    churn: ChurnSpec
-    n_queries: int = 100
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ConfigurationError("a service phase needs a name")
-        require_positive(self.n_queries, "n_queries")
 
 
 @dataclass(frozen=True)
@@ -380,12 +291,16 @@ class DaemonSpec:
     slowest probe), not its probe count.
 
     Membership events, when configured, fire as their own Poisson process
-    (mean spacing ``mean_event_interval_ms``); each event draws
-    ``Poisson(departure_rate)`` departures (respecting ``min_members``)
-    and ``Poisson(arrival_rate)`` arrivals from the standby pool, applied
-    through the algorithm's counted join/leave maintenance — index repair
-    happens *between* query rounds on the same loop, exactly the
-    interleaving a live deployment sees.  ``flush_period_ms`` additionally
+    (mean spacing ``mean_event_interval_ms``); each event first retires
+    the members whose session expired (``session_length_ms``, exponential
+    per arrival), then draws ``Poisson(departure_rate)`` random departures
+    (all respecting ``min_members``; an expiry the floor blocks retries at
+    the next event) and ``Poisson(arrival_rate)`` arrivals from the
+    standby pool, applied through the algorithm's counted join/leave
+    maintenance — index repair happens *between* query rounds on the same
+    loop, exactly the interleaving a live deployment sees.  ``warmup_ms``
+    lets that process churn the built index before the first query
+    arrives.  ``flush_period_ms`` additionally
     forces deferred-maintenance (coalesce/lazy) flushes on a timer;
     ``ring_repair_period_ms`` re-drives Meridian's gossip ring repair
     continuously (ignored by schemes without ``repair_rings``).
@@ -393,7 +308,10 @@ class DaemonSpec:
     ``zero_delay`` collapses every probe delay to zero — queries then
     serialise perfectly and the daemon reproduces the blocking
     :meth:`~repro.algorithms.base.NearestPeerAlgorithm.query` results bit
-    for bit (the regression tests pin this).
+    for bit (the regression tests pin this).  That makes it the churn
+    workload too: with a step of ``S`` ms, ``mean_event_interval_ms = S``
+    and ``mean_interarrival_ms = S * k`` interleave about ``k`` membership
+    events between consecutive queries.
     """
 
     mean_interarrival_ms: float = 50.0
@@ -405,6 +323,13 @@ class DaemonSpec:
     mean_event_interval_ms: float | None = None
     arrival_rate: float = 0.5
     departure_rate: float = 0.5
+    #: Mean session length of arrivals (exponential; ``None`` keeps an
+    #: arrival in until the random-departure draw picks it).
+    session_length_ms: float | None = None
+    #: Simulated time the membership process runs before the first
+    #: arrival gap starts; maintenance spent before the first arrival is
+    #: billed to no query.
+    warmup_ms: float = 0.0
     #: Forced deferred-maintenance flush period (``None`` = only
     #: event/query-driven flushes).
     flush_period_ms: float | None = None
@@ -444,10 +369,54 @@ class DaemonSpec:
             raise ConfigurationError(
                 f"departure_rate must be >= 0, got {self.departure_rate}"
             )
+        if self.session_length_ms is not None:
+            require_positive(self.session_length_ms, "session_length_ms")
+        if self.warmup_ms < 0:
+            raise ConfigurationError(
+                f"warmup_ms must be >= 0, got {self.warmup_ms}"
+            )
         if self.flush_period_ms is not None:
             require_positive(self.flush_period_ms, "flush_period_ms")
         if self.ring_repair_period_ms is not None:
             require_positive(self.ring_repair_period_ms, "ring_repair_period_ms")
+
+
+def check_member_floor(spec: DaemonSpec, pool: int) -> None:
+    """Reject a spec whose membership floor exceeds the member pool.
+
+    Departures stop at ``min_members``; a floor above the whole pool
+    would silently freeze the membership, so it fails up front instead.
+    """
+    if spec.min_members > pool:
+        raise ConfigurationError(
+            f"min_members={spec.min_members} exceeds the member pool of "
+            f"{pool} peers (hosts minus targets)"
+        )
+
+
+@dataclass(frozen=True)
+class ServicePhase:
+    """One phase of a phased ``daemon`` scenario (long-running service mode).
+
+    A phased scenario builds its algorithm once and runs one daemon per
+    phase on it (warm restarts: the index carries over, no rebuild).  The
+    standby pool, the open session timers and the workload and algorithm
+    streams carry from phase to phase; each phase runs under its own
+    ``daemon`` spec (its ``warmup_ms`` is an event-only transition period)
+    and yields its own
+    :class:`~repro.harness.results.DaemonTrialRecord`, tagged with
+    ``name``.  The first phase's ``initial_fraction`` seeds the initial
+    membership split; later phases inherit the live membership.
+    """
+
+    name: str
+    daemon: DaemonSpec
+    n_queries: int = 100
+
+    def __post_init__(self) -> None:
+        if not self.name:
+            raise ConfigurationError("a service phase needs a name")
+        require_positive(self.n_queries, "n_queries")
 
 
 @dataclass(frozen=True)
@@ -459,23 +428,21 @@ class Scenario:
     sampling: SamplingSpec = SamplingSpec()
     noise: NoiseSpec | None = None
     protocol: str = "sampled"
-    #: Queries per trial under the ``sampled`` protocol (ignored by
-    #: ``per-target``, which queries each target once).
+    #: Queries per trial under the ``sampled`` and ``daemon`` protocols
+    #: (ignored by ``per-target``, which queries each target once, and by
+    #: phased scenarios, whose phases carry their own counts).
     n_queries: int = 1000
     #: Independent worlds per scenario (the paper runs three).
     trials: int = 1
     seed: int = 2008
     #: Synthetic-core pool size override (see ``build_clustered_oracle``).
     core_pool_size: int | None = None
-    #: Membership dynamics; required by (and exclusive to) the ``churn``
-    #: protocol.
-    churn: ChurnSpec | None = None
-    #: Phase sequence; required by (and exclusive to) the ``service``
-    #: protocol (``n_queries`` is then per-phase, from each phase).
-    phases: tuple[ServicePhase, ...] | None = None
-    #: Simulated-time load; required by (and exclusive to) the ``daemon``
-    #: protocol.
+    #: Simulated-time load of the ``daemon`` protocol (exclusive with
+    #: ``phases``).
     daemon: DaemonSpec | None = None
+    #: Phase sequence of a phased ``daemon`` scenario — long-running
+    #: service mode, one record per phase (exclusive with ``daemon``).
+    phases: tuple[ServicePhase, ...] | None = None
     description: str = ""
 
     def __post_init__(self) -> None:
@@ -485,31 +452,27 @@ class Scenario:
             )
         require_positive(self.n_queries, "n_queries")
         require_positive(self.trials, "trials")
-        if self.protocol == "churn" and self.churn is None:
+        if self.protocol != "daemon":
+            if self.daemon is not None or self.phases is not None:
+                raise ConfigurationError(
+                    f"daemon spec or phases set but protocol is "
+                    f"{self.protocol!r}"
+                )
+            return
+        if self.phases == ():
+            raise ConfigurationError("scenario.phases must not be empty")
+        if (self.daemon is None) == (self.phases is None):
             raise ConfigurationError(
-                "the churn protocol requires a ChurnSpec (scenario.churn)"
+                "the daemon protocol requires either a DaemonSpec "
+                "(scenario.daemon) or a non-empty phase sequence "
+                "(scenario.phases), not both"
             )
-        if self.protocol != "churn" and self.churn is not None:
-            raise ConfigurationError(
-                f"churn spec set but protocol is {self.protocol!r}"
-            )
-        if self.protocol == "service" and not self.phases:
-            raise ConfigurationError(
-                "the service protocol requires a non-empty phase sequence "
-                "(scenario.phases)"
-            )
-        if self.protocol != "service" and self.phases is not None:
-            raise ConfigurationError(
-                f"phases set but protocol is {self.protocol!r}"
-            )
-        if self.protocol == "daemon" and self.daemon is None:
-            raise ConfigurationError(
-                "the daemon protocol requires a DaemonSpec (scenario.daemon)"
-            )
-        if self.protocol != "daemon" and self.daemon is not None:
-            raise ConfigurationError(
-                f"daemon spec set but protocol is {self.protocol!r}"
-            )
+        pool = self.topology.n_peers - self.sampling.n_targets
+        specs = [self.daemon] if self.daemon is not None else [
+            phase.daemon for phase in self.phases
+        ]
+        for spec in specs:
+            check_member_floor(spec, pool)
 
     def world_seeds(self) -> list[int]:
         """Independent per-trial world seeds derived from the master seed."""
@@ -633,6 +596,28 @@ SKEWED_TARGETS = register_scenario(
 
 # -- churn workloads --------------------------------------------------------
 
+#: One churn step in simulated ms: the churn workloads are zero-delay
+#: daemons whose membership events fire every step on average, with one
+#: query per step (or per ``k`` steps), so queries answer like blocking
+#: calls between membership events.
+CHURN_STEP_MS = 10.0
+
+
+def churn_spec(events_per_query: int = 1, **changes) -> DaemonSpec:
+    """A zero-delay churn daemon: ~``events_per_query`` events per query.
+
+    ``changes`` set any other :class:`DaemonSpec` field (``min_members``
+    defaults to 32).
+    """
+    settings = dict(
+        mean_event_interval_ms=CHURN_STEP_MS, min_members=32, zero_delay=True
+    )
+    settings.update(changes)
+    return DaemonSpec(
+        mean_interarrival_ms=CHURN_STEP_MS * events_per_query, **settings
+    )
+
+
 #: Steady-state churn: arrivals balance departures around a ~70% duty
 #: cycle, with exponential session lengths — the operating point real p2p
 #: populations live at.
@@ -641,14 +626,13 @@ STEADY_CHURN = register_scenario(
         name="steady-churn",
         topology=ClusteredConfig(n_clusters=6, end_networks_per_cluster=20, delta=0.2),
         sampling=SamplingSpec(n_targets=40),
-        protocol="churn",
-        churn=ChurnSpec(
+        protocol="daemon",
+        daemon=churn_spec(
             initial_fraction=0.7,
             arrival_rate=0.6,
             departure_rate=0.6,
-            session_length=80.0,
-            warmup_steps=25,
-            min_members=32,
+            session_length_ms=80 * CHURN_STEP_MS,
+            warmup_ms=25 * CHURN_STEP_MS,
         ),
         n_queries=200,
         seed=77,
@@ -663,13 +647,9 @@ FLASH_CROWD = register_scenario(
         name="flash-crowd",
         topology=ClusteredConfig(n_clusters=6, end_networks_per_cluster=20, delta=0.2),
         sampling=SamplingSpec(n_targets=40),
-        protocol="churn",
-        churn=ChurnSpec(
-            initial_fraction=0.25,
-            arrival_rate=3.0,
-            departure_rate=0.05,
-            warmup_steps=0,
-            min_members=32,
+        protocol="daemon",
+        daemon=churn_spec(
+            initial_fraction=0.25, arrival_rate=3.0, departure_rate=0.05
         ),
         n_queries=150,
         seed=78,
@@ -684,13 +664,9 @@ MASS_DEPARTURE = register_scenario(
         name="mass-departure",
         topology=ClusteredConfig(n_clusters=6, end_networks_per_cluster=20, delta=0.2),
         sampling=SamplingSpec(n_targets=40),
-        protocol="churn",
-        churn=ChurnSpec(
-            initial_fraction=0.95,
-            arrival_rate=0.0,
-            departure_rate=2.0,
-            warmup_steps=0,
-            min_members=32,
+        protocol="daemon",
+        daemon=churn_spec(
+            initial_fraction=0.95, arrival_rate=0.0, departure_rate=2.0
         ),
         n_queries=150,
         seed=79,
@@ -698,29 +674,28 @@ MASS_DEPARTURE = register_scenario(
     )
 )
 
-#: High event rate, sparse queries: eight event steps between consecutive
-#: queries.  The regime deferred maintenance disciplines are built for —
-#: under ``maintenance="lazy"`` the eight steps coalesce into one index
-#: application per query, under ``"coalesce:8"`` into roughly one per
-#: window, while ``"eager"`` pays per event.
+#: High event rate, sparse queries: about eight membership events between
+#: consecutive queries.  The regime deferred maintenance disciplines are
+#: built for — under ``maintenance="lazy"`` the events coalesce into one
+#: index application per query, under ``"coalesce:8"`` into roughly one
+#: per window, while ``"eager"`` pays per event.
 CHURN_LAZY_INDEX = register_scenario(
     Scenario(
         name="churn-lazy-index",
         topology=ClusteredConfig(n_clusters=6, end_networks_per_cluster=20, delta=0.2),
         sampling=SamplingSpec(n_targets=40),
-        protocol="churn",
-        churn=ChurnSpec(
+        protocol="daemon",
+        daemon=churn_spec(
+            events_per_query=8,
             initial_fraction=0.7,
             arrival_rate=0.7,
             departure_rate=0.7,
-            session_length=300.0,
-            warmup_steps=24,
-            min_members=32,
-            events_per_query=8,
+            session_length_ms=300 * CHURN_STEP_MS,
+            warmup_ms=24 * CHURN_STEP_MS,
         ),
         n_queries=60,
         seed=81,
-        description="8 event steps per query: the deferred-maintenance regime",
+        description="~8 membership events per query: the deferred-maintenance regime",
     )
 )
 
@@ -879,43 +854,40 @@ DAEMON_PARTITION = register_scenario(
 #: Long-running service mode: one built algorithm survives three operating
 #: regimes back to back — steady flux, an arrival surge, then a drain —
 #: with warm restarts (the index carries across phase boundaries) and one
-#: TrialRecord per phase.
+#: DaemonTrialRecord per phase.
 SERVICE_MODE_RESTARTS = register_scenario(
     Scenario(
         name="service-mode-restarts",
         topology=ClusteredConfig(n_clusters=6, end_networks_per_cluster=20, delta=0.2),
         sampling=SamplingSpec(n_targets=40),
-        protocol="service",
+        protocol="daemon",
         phases=(
             ServicePhase(
                 "steady",
-                ChurnSpec(
+                churn_spec(
                     initial_fraction=0.6,
                     arrival_rate=0.5,
                     departure_rate=0.5,
-                    session_length=100.0,
-                    warmup_steps=10,
-                    min_members=32,
+                    session_length_ms=100 * CHURN_STEP_MS,
+                    warmup_ms=10 * CHURN_STEP_MS,
                 ),
                 n_queries=60,
             ),
             ServicePhase(
                 "surge",
-                ChurnSpec(
+                churn_spec(
                     arrival_rate=2.5,
                     departure_rate=0.2,
-                    warmup_steps=5,
-                    min_members=32,
+                    warmup_ms=5 * CHURN_STEP_MS,
                 ),
                 n_queries=60,
             ),
             ServicePhase(
                 "drain",
-                ChurnSpec(
+                churn_spec(
                     arrival_rate=0.1,
                     departure_rate=1.8,
-                    warmup_steps=5,
-                    min_members=32,
+                    warmup_ms=5 * CHURN_STEP_MS,
                 ),
                 n_queries=60,
             ),

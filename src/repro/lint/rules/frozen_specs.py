@@ -1,6 +1,6 @@
 """R6 ``frozen-specs`` — scenario/config specs are immutable value objects.
 
-``*Spec`` dataclasses (``ChurnSpec``, ``DaemonSpec``, ``FaultSpec``, …) are
+``*Spec`` dataclasses (``DaemonSpec``, ``FaultSpec``, ``TraceSpec``, …) are
 shared freely: the scenario registry hands the same instance to every
 trial, the engine ships them to worker processes, and ``compare()``
 replays one spec across schemes.  A mutable spec lets one consumer's edit

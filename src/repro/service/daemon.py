@@ -14,7 +14,8 @@ of Poisson-arriving queries under latency-faithful timing:
   admission counters live in struct-of-arrays form
   (:class:`~repro.service.soa.MemberStateArrays`) so the hot path is
   array indexing, not dict hashing;
-* membership events (counted join/leave maintenance), forced
+* membership events (counted join/leave maintenance, with session
+  expiry when ``session_length_ms`` is set), forced
   deferred-maintenance flushes and continuous Meridian ring repair
   (:class:`~repro.meridian.gossip.PeriodicRepair`) fire on the same loop.
 
@@ -34,6 +35,7 @@ and the daemon reproduces blocking ``query()`` results bit for bit.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -113,22 +115,24 @@ class DaemonRun:
     queue_depth_max: int
     in_flight_probes_time_avg: float
     in_flight_probes_max: int
-    #: Maintenance accrued after the last answered query (unclaimed by any
-    #: job's ``maintenance_probes``).
-    trailing_maintenance_probes: int
+    #: Maintenance no job's ``maintenance_probes`` claimed: what the
+    #: warmup spent before the first arrival plus what accrued after the
+    #: last answer (the phase-boundary drain included).
+    unclaimed_maintenance_probes: int
     ring_repair_passes: int
     ring_repair_nodes: int
     ring_repair_probes: int
     forced_flushes: int
     loop_events: int
     #: Exact per-membership-event maintenance bills from the algorithm's
-    #: ledger, indexed by event id in observation order (length
-    #: ``n_events``).  Unlike the per-job claims these do not depend on
-    #: which in-flight query finishes first.
+    #: ledger for the events this run applied, in observation order
+    #: (length ``n_events``).  Unlike the per-job claims these do not
+    #: depend on which in-flight query finishes first.
     maintenance_by_event: np.ndarray = field(
         default_factory=lambda: np.zeros(0, dtype=np.int64)
     )
-    #: Maintenance probes with no membership-event cause (ring repair).
+    #: Maintenance probes with no membership-event cause (ring repair)
+    #: spent during this run.
     maintenance_background_probes: int = 0
     #: Fault-path totals (zero without an active fault model).
     probes_dropped: int = 0
@@ -171,13 +175,17 @@ class QueryDaemon:
 
     The caller supplies a *built* algorithm plus the workload inputs; the
     engine front-end (:meth:`repro.harness.engine.QueryEngine.run_daemon_trial`)
-    handles the member/standby split and build, mirroring the churn
-    session's stream discipline so one integer seed replays everything.
+    handles the member/standby split and build, splitting the workload
+    stream off first so one integer seed replays everything.  A phased
+    run hands the next daemon this one's standby pool and open session
+    timers (``sessions``: node -> remaining lifetime in ms).
 
     Workload draw order (pinned — the determinism and zero-delay
     equivalence tests replay it): per arrival, *target*, then *entry
     node*, then (while arrivals remain) the next *inter-arrival gap*;
-    membership ticks draw departures then arrivals then the next gap.
+    membership ticks draw departures, then arrivals, then (with
+    ``session_length_ms``) the arrivals' lifetimes, then the next gap.
+    Expired sessions leave before the random departure draw.
     """
 
     def __init__(
@@ -190,6 +198,7 @@ class QueryDaemon:
         standby: list[int] | None = None,
         fault_model: FaultModel | None = None,
         fault_key: tuple[int, ...] | None = None,
+        sessions: dict[int, float] | None = None,
     ) -> None:
         self.algorithm = algorithm
         self.spec = spec
@@ -214,6 +223,18 @@ class QueryDaemon:
         self.network.attach(self._coordinator)
         self.memberships = MembershipLog(algorithm.members)
         self.n_events = 0
+        # This run's share of the ledger starts where the previous run on
+        # the same algorithm (an earlier phase) left it.
+        ledger = algorithm.maintenance_ledger
+        self._ledger_start = (ledger.n_events, ledger.background)
+        self._warmup_maintenance = 0
+        # Session timers: a (due_ms, node) heap plus each node's current
+        # due time, which marks heap entries stale once the node leaves —
+        # a node that left early and rejoined lives out its new session.
+        self._expiries: list[tuple[float, int]] = []
+        self._session_due: dict[int, float] = {}
+        for node, remaining in sorted((sessions or {}).items()):
+            self._open_session(int(node), float(remaining))
         self.jobs: list[QueryJob] = []
         # Hot per-node state, struct-of-arrays (admission + liveness).
         self.state = MemberStateArrays(
@@ -250,13 +271,20 @@ class QueryDaemon:
 
     # -- run ---------------------------------------------------------------
 
-    def run(self, n_queries: int, max_sim_ms: float | None = None) -> DaemonRun:
+    def run(
+        self,
+        n_queries: int,
+        max_sim_ms: float | None = None,
+        drain: bool = False,
+    ) -> DaemonRun:
         """Serve ``n_queries`` queries to completion and collect the run.
 
         ``max_sim_ms`` arms the event loop's livelock guard: a fault
         configuration whose retries never converge raises at that
         simulated instant instead of spinning forever (the no-hang tests
-        run fault scenarios under a generous guard).
+        run fault scenarios under a generous guard).  ``drain`` flushes
+        any still-buffered maintenance once the last query is answered,
+        so a phase's bill cannot leak into the next phase's ledger.
         """
         if n_queries < 1:
             raise ConfigurationError(f"n_queries must be >= 1, got {n_queries}")
@@ -264,7 +292,7 @@ class QueryDaemon:
             raise ConfigurationError("a QueryDaemon instance runs once")
         self._n_queries = n_queries
         spec = self.spec
-        self.loop.schedule(self._next_gap(), self._arrival)
+        self.loop.schedule(spec.warmup_ms + self._next_gap(), self._arrival)
         if spec.mean_event_interval_ms is not None:
             self._membership_timer = self.loop.schedule(
                 float(self.workload_rng.exponential(spec.mean_event_interval_ms)),
@@ -287,6 +315,9 @@ class QueryDaemon:
             raise SimulationError(
                 f"daemon drained with {self._answered}/{n_queries} answered"
             )
+        algorithm = self.algorithm
+        if drain:
+            algorithm.flush_maintenance(seed=self.algo_rng)
         # Close the time-weighted integrals at the makespan.
         self._note_queue(0)
         self._stepper.finalize()
@@ -295,7 +326,7 @@ class QueryDaemon:
         spans = metrics = None
         tracer = self.tracer
         if tracer is not None:
-            self.algorithm._flush_observer = None
+            algorithm._flush_observer = None
             metrics = tracer.metrics
             # The load gauges reuse the breakpoints the daemon/stepper
             # already recorded — zero extra hot-path work.
@@ -325,10 +356,14 @@ class QueryDaemon:
                 self._stepper.area / makespan if makespan > 0 else 0.0
             ),
             in_flight_probes_max=self._stepper.peak,
-            trailing_maintenance_probes=self.algorithm.unclaimed_maintenance_probes,
-            maintenance_by_event=self.algorithm.maintenance_by_event,
+            unclaimed_maintenance_probes=(
+                self._warmup_maintenance + algorithm.take_unclaimed_maintenance()
+            ),
+            maintenance_by_event=algorithm.maintenance_by_event[
+                self._ledger_start[0]:
+            ],
             maintenance_background_probes=(
-                self.algorithm.maintenance_background_probes
+                algorithm.maintenance_background_probes - self._ledger_start[1]
             ),
             ring_repair_passes=repair.passes if repair else 0,
             ring_repair_nodes=repair.nodes_repaired if repair else 0,
@@ -369,6 +404,11 @@ class QueryDaemon:
         )
 
     def _arrival(self) -> None:
+        if self._arrived == 0 and self.spec.warmup_ms > 0:
+            # The warmup's maintenance is billed to no query.
+            self._warmup_maintenance = (
+                self.algorithm.take_unclaimed_maintenance()
+            )
         wrng = self.workload_rng
         target = int(wrng.choice(self.targets))
         live = self.algorithm.members
@@ -620,16 +660,21 @@ class QueryDaemon:
             algorithm.maintenance_ledger.n_events if tracer is not None else 0
         )
         current = algorithm.members
-        departing: list[int] = []
+        headroom = max(0, current.size - spec.min_members)
+        departing = self._expired(headroom) if self._expiries else []
         n_departures = int(wrng.poisson(spec.departure_rate))
-        n_departures = min(n_departures, max(0, current.size - spec.min_members))
+        n_departures = min(n_departures, headroom - len(departing))
         if n_departures > 0:
-            departing = [
+            pool = current[~np.isin(current, departing)] if departing else current
+            departing += [
                 int(x)
-                for x in wrng.choice(current, size=n_departures, replace=False)
+                for x in wrng.choice(pool, size=n_departures, replace=False)
             ]
+        if departing:
             algorithm.leave(np.asarray(departing, dtype=int), seed=self.algo_rng)
             self.standby.extend(departing)
+            for node in departing:
+                self._session_due.pop(node, None)
         n_arrivals = min(int(wrng.poisson(spec.arrival_rate)), len(self.standby))
         arriving: list[int] = []
         if n_arrivals > 0:
@@ -638,6 +683,12 @@ class QueryDaemon:
             for index in sorted((int(i) for i in picks), reverse=True):
                 del self.standby[index]
             algorithm.join(np.asarray(arriving, dtype=int), seed=self.algo_rng)
+            if spec.session_length_ms is not None:
+                lifetimes = wrng.exponential(
+                    spec.session_length_ms, size=n_arrivals
+                )
+                for node, life in zip(arriving, lifetimes):
+                    self._open_session(node, float(life))
         # Log the applied event and mirror it into the SoA.
         self.state.apply_leave(departing)
         self.state.apply_join(arriving)
@@ -651,6 +702,36 @@ class QueryDaemon:
             float(wrng.exponential(spec.mean_event_interval_ms)),
             self._membership_tick,
         )
+
+    # -- session timers ----------------------------------------------------
+
+    def _open_session(self, node: int, remaining_ms: float) -> None:
+        due = self.loop.now + remaining_ms
+        self._session_due[node] = due
+        heapq.heappush(self._expiries, (due, node))
+
+    def _expired(self, headroom: int) -> list[int]:
+        """Pop the sessions due by now; return at most ``headroom`` of them.
+
+        Entries whose node left since (or left and rejoined on a new
+        session) are stale and dropped.  Expiries the membership floor
+        blocks go back on the heap, so they retry at the next tick.
+        """
+        now = self.loop.now
+        heap = self._expiries
+        due: list[tuple[float, int]] = []
+        while heap and heap[0][0] <= now:
+            entry = heapq.heappop(heap)
+            if self._session_due.get(entry[1]) == entry[0]:
+                due.append(entry)
+        for entry in due[headroom:]:
+            heapq.heappush(heap, entry)
+        return [node for _, node in due[:headroom]]
+
+    def open_sessions(self) -> dict[int, float]:
+        """Remaining lifetime (ms) of each open session; <= 0 is overdue."""
+        now = self.loop.now
+        return {node: due - now for node, due in self._session_due.items()}
 
     def _flush_tick(self) -> None:
         if self._done:

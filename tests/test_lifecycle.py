@@ -1,4 +1,4 @@
-"""Tests for the membership lifecycle API (join/leave/churn).
+"""Tests for the membership lifecycle API (join/leave) and churn workloads.
 
 Covers the redesign's three guarantees:
 
@@ -17,6 +17,8 @@ Covers the redesign's three guarantees:
   captured from the pre-redesign code).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -32,7 +34,7 @@ from repro.algorithms import (
 )
 from repro.algorithms.base import MAINTENANCE_POLICIES
 from repro.harness import (
-    ChurnSpec,
+    DaemonSpec,
     NoiseSpec,
     QueryEngine,
     SamplingSpec,
@@ -40,9 +42,11 @@ from repro.harness import (
     get_scenario,
     list_scenarios,
     register_scenario,
+    churn_spec,
     temporary_scenario,
     unregister_scenario,
 )
+from repro.harness.scenario import CHURN_STEP_MS
 from repro.latency.builder import build_clustered_oracle
 from repro.topology.clustered import ClusteredConfig
 from repro.topology.oracle import MatrixOracle
@@ -353,25 +357,27 @@ class TestBitIdentityRegression:
             16, 10, 5, 8, 3, 12, 7, 7, 9, 7, 13, 13, 2, 4, 3,
         ]
         # Static protocols carry no maintenance columns.
-        assert record.maintenance_probes is None
-        assert record.membership_size is None
-        assert record.warmup_maintenance_probes == 0
+        assert not hasattr(record, "maintenance_probes")
+        assert not hasattr(record, "membership_size")
+        assert record.mean_maintenance_probes_per_query == 0.0
 
 
 class TestChurnProtocol:
+    """Churn workloads: zero-delay daemon scenarios with session expiry."""
+
     @pytest.fixture(scope="class")
     def churn_scenario(self):
         return Scenario(
             name="test-churn-proto",
             topology=SMALL,
             sampling=SamplingSpec(n_targets=10),
-            protocol="churn",
-            churn=ChurnSpec(
+            protocol="daemon",
+            daemon=churn_spec(
                 initial_fraction=0.6,
                 arrival_rate=0.8,
                 departure_rate=0.8,
-                session_length=30.0,
-                warmup_steps=10,
+                session_length_ms=30 * CHURN_STEP_MS,
+                warmup_ms=10 * CHURN_STEP_MS,
                 min_members=16,
             ),
             n_queries=60,
@@ -379,8 +385,13 @@ class TestChurnProtocol:
         )
 
     def test_churn_requires_spec(self):
-        with pytest.raises(ConfigurationError, match="ChurnSpec"):
-            Scenario(name="bad-churn", topology=SMALL, protocol="churn")
+        """Churn runs on the daemon, which needs its spec; the retired
+        ``churn`` and ``service`` protocol names are unknown."""
+        with pytest.raises(ConfigurationError, match="DaemonSpec"):
+            Scenario(name="bad-churn", topology=SMALL, protocol="daemon")
+        for protocol in ("churn", "service"):
+            with pytest.raises(ConfigurationError, match="unknown protocol"):
+                Scenario(name="bad-churn", topology=SMALL, protocol=protocol)
 
     def test_churn_spec_exclusive_to_churn_protocol(self):
         with pytest.raises(ConfigurationError, match="protocol"):
@@ -388,16 +399,41 @@ class TestChurnProtocol:
                 name="bad-static",
                 topology=SMALL,
                 protocol="sampled",
-                churn=ChurnSpec(),
+                daemon=churn_spec(),
             )
 
     def test_churn_spec_validation(self):
-        with pytest.raises(ConfigurationError):
-            ChurnSpec(arrival_rate=-1.0)
-        with pytest.raises(ConfigurationError):
-            ChurnSpec(min_members=1)
-        with pytest.raises(ConfigurationError):
-            ChurnSpec(initial_fraction=1.5)
+        for bad in (
+            dict(arrival_rate=-1.0),
+            dict(min_members=1),
+            dict(initial_fraction=1.5),
+            dict(session_length_ms=0.0),
+            dict(warmup_ms=-1.0),
+        ):
+            with pytest.raises(ConfigurationError):
+                DaemonSpec(**bad)
+
+    def test_min_members_above_pool_rejected_by_scenario(self):
+        """A floor above the member pool would freeze the membership
+        silently; it fails when the scenario is built instead."""
+        scenario = get_scenario("daemon-steady")
+        pool = scenario.topology.n_peers - scenario.sampling.n_targets
+        scenario.with_(daemon=replace(scenario.daemon, min_members=pool))
+        with pytest.raises(ConfigurationError, match="member pool"):
+            scenario.with_(daemon=replace(scenario.daemon, min_members=pool + 1))
+
+    def test_min_members_above_pool_rejected_by_run_daemon_trial(self):
+        algorithm = RandomProbeSearch(budget=8)
+        with pytest.raises(ConfigurationError, match="member pool"):
+            QueryEngine().run_daemon_trial(
+                build_clustered_oracle(SMALL, seed=5),
+                algorithm,
+                DaemonSpec(min_members=500, mean_event_interval_ms=10.0),
+                sampling=SamplingSpec(n_targets=10),
+                seed=5,
+            )
+        with pytest.raises(ConfigurationError, match="not built"):
+            algorithm.oracle  # rejected before the build
 
     def test_churn_trial_end_to_end(self, churn_scenario):
         record = QueryEngine().run_trial(
@@ -406,13 +442,17 @@ class TestChurnProtocol:
         assert record.n_queries == 60
         assert record.maintenance_probes is not None
         assert record.membership_size is not None
-        assert record.membership_size.min() >= churn_scenario.churn.min_members
+        assert record.membership_size.min() >= churn_scenario.daemon.min_members
         # The membership actually churned.
         assert np.unique(record.membership_size).size > 1
         assert 0.0 <= record.exact_rate <= 1.0
         assert 0.0 <= record.cluster_rate <= 1.0
         # Targets are never members, under any epoch.
         assert not np.isin(record.found, record.targets).any()
+        # Zero delay: every query answers the instant it arrives, and the
+        # warmup holds the first arrival back.
+        assert (record.time_to_answer_ms == 0).all()
+        assert record.arrival_ms[0] > churn_scenario.daemon.warmup_ms
 
     def test_churn_trial_is_deterministic(self, churn_scenario):
         run = lambda: QueryEngine().run_trial(  # noqa: E731
@@ -426,29 +466,31 @@ class TestChurnProtocol:
         assert a.warmup_maintenance_probes == b.warmup_maintenance_probes
 
     def test_churn_bills_maintenance(self, churn_scenario):
-        """An index-carrying scheme must pay per event under churn."""
+        """An index-carrying scheme must pay per event under churn, and
+        the warmup's bill stays off every query's."""
         record = QueryEngine().run_trial(
             churn_scenario, lambda: BeaconSearch(n_beacons=5), 123
         )
         assert record.total_maintenance_probes > 0
         assert record.mean_maintenance_probes_per_query > 0
         assert record.warmup_maintenance_probes > 0
+        assert record.total_maintenance_probes == int(
+            record.maintenance_by_event.sum()
+        ) + record.maintenance_background_probes
 
     def test_registered_churn_scenarios_run(self):
         """The canonical churn workloads drive the engine end-to-end."""
         for name in ("steady-churn", "flash-crowd", "mass-departure"):
             scenario = get_scenario(name)
-            assert scenario.protocol == "churn"
+            assert scenario.protocol == "daemon"
+            assert scenario.daemon.zero_delay
             small = scenario.with_(
                 topology=SMALL,
                 n_queries=25,
                 sampling=SamplingSpec(n_targets=10),
-                churn=ChurnSpec(
-                    initial_fraction=scenario.churn.initial_fraction,
-                    arrival_rate=scenario.churn.arrival_rate,
-                    departure_rate=scenario.churn.departure_rate,
-                    session_length=scenario.churn.session_length,
-                    warmup_steps=min(scenario.churn.warmup_steps, 5),
+                daemon=replace(
+                    scenario.daemon,
+                    warmup_ms=min(scenario.daemon.warmup_ms, 5 * CHURN_STEP_MS),
                     min_members=16,
                 ),
                 trials=1,

@@ -15,6 +15,8 @@ The scheduler's three guarantees:
   miss).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -27,16 +29,16 @@ from repro.algorithms import (
     TapestrySearch,
 )
 from repro.harness import (
-    ChurnSpec,
     MembershipLog,
     QueryEngine,
     SamplingSpec,
     Scenario,
     ServicePhase,
+    churn_spec,
     get_scenario,
     score_epochs,
 )
-from repro.latency.builder import build_clustered_oracle
+from repro.harness.scenario import CHURN_STEP_MS
 from repro.topology.clustered import ClusteredConfig
 from repro.topology.oracle import MatrixOracle
 from repro.util.errors import ConfigurationError, DataError
@@ -101,13 +103,13 @@ class TestEagerBitIdentity:
             name="test-eager-identity",
             topology=SMALL,
             sampling=SamplingSpec(n_targets=10),
-            protocol="churn",
-            churn=ChurnSpec(
+            protocol="daemon",
+            daemon=churn_spec(
                 initial_fraction=0.6,
                 arrival_rate=0.8,
                 departure_rate=0.8,
-                session_length=30.0,
-                warmup_steps=8,
+                session_length_ms=30 * CHURN_STEP_MS,
+                warmup_ms=8 * CHURN_STEP_MS,
                 min_members=16,
             ),
             n_queries=40,
@@ -437,13 +439,15 @@ class TestMembershipLog:
 
 
 class TestServiceMode:
+    """Service mode: a phased daemon scenario on one warm algorithm."""
+
     @pytest.fixture(scope="class")
     def service_scenario(self):
         return get_scenario("service-mode-restarts").with_(
             topology=SMALL,
             sampling=SamplingSpec(n_targets=10),
             phases=tuple(
-                ServicePhase(p.name, p.churn, n_queries=20)
+                ServicePhase(p.name, p.daemon, n_queries=20)
                 for p in get_scenario("service-mode-restarts").phases
             ),
         )
@@ -467,21 +471,13 @@ class TestServiceMode:
         # the drain phase shrinks what the surge built.
         assert records[1].membership_size[-1] > records[0].membership_size[-1]
         assert records[2].membership_size[-1] < records[1].membership_size[-1]
-        # Phase epochs are global into one shared log: later phases score
-        # against memberships the earlier phases produced.
-        assert records[0].exact_rate >= 0.0
+        # Each phase starts from the membership the previous one left.
+        assert records[1].membership_size[0] != records[0].membership_size[0]
 
     def test_no_rebuild_between_phases(self, service_scenario):
         """Warm restarts: the index survives phase boundaries."""
         algorithm = BeaconSearch(n_beacons=5)
-        world = build_clustered_oracle(service_scenario.topology, seed=3)
-        QueryEngine().run_service_trial(
-            world,
-            algorithm,
-            service_scenario.phases,
-            sampling=service_scenario.sampling,
-            seed=3,
-        )
+        QueryEngine().run_scenario(service_scenario, lambda: algorithm)
         assert algorithm.rebuild_count == 0
 
     def test_service_trial_is_deterministic(self, service_scenario):
@@ -494,6 +490,60 @@ class TestServiceMode:
             assert (ra.found == rb.found).all()
             assert (ra.membership_size == rb.membership_size).all()
 
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            lambda: BeaconSearch(n_beacons=5),
+            lambda: KargerRuhlSearch(maintenance="coalesce:8"),
+            MeridianSearch,
+        ],
+        ids=["beaconing", "karger-ruhl-coalesce", "meridian"],
+    )
+    def test_phase_records_conserve_maintenance(self, service_scenario, factory):
+        """Each phase's record holds exactly its slice of the ledger: the
+        boundary drain keeps a coalesce window from leaking a bill into
+        the next phase, and warmup maintenance is on no query's bill."""
+        result = QueryEngine().run_scenario(
+            service_scenario.with_(
+                phases=tuple(
+                    ServicePhase(
+                        p.name,
+                        replace(p.daemon, ring_repair_period_ms=30.0),
+                        n_queries=p.n_queries,
+                    )
+                    for p in service_scenario.phases
+                )
+            ),
+            factory,
+        )
+        for record in result.records:
+            assert record.n_churn_events > 0
+            assert record.maintenance_by_event.shape == (record.n_churn_events,)
+            assert record.total_maintenance_probes == int(
+                record.maintenance_by_event.sum()
+            ) + record.maintenance_background_probes, record.phase
+        # The first phase's warmup churned the index before any query.
+        assert result.records[0].warmup_maintenance_probes > 0
+
+    def test_session_timers_carry_across_phases(self, service_scenario):
+        """Sessions opened in one phase expire in the next, even when the
+        next phase has no random departures and opens no sessions."""
+        steady, _, _ = service_scenario.phases
+        quiet = churn_spec(arrival_rate=0.0, departure_rate=0.0, min_members=2)
+        scenario = service_scenario.with_(
+            phases=(
+                ServicePhase("open", steady.daemon, n_queries=20),
+                ServicePhase("expire", quiet, n_queries=60),
+            )
+        )
+        first, second = QueryEngine().run_scenario(
+            scenario, lambda: RandomProbeSearch(budget=8)
+        ).records
+        assert first.n_churn_events > 0
+        # Only expiries can shrink the quiet phase's membership.
+        assert second.n_churn_events > 0
+        assert second.membership_size[-1] < second.membership_size[0]
+
     def test_run_trial_rejects_service_protocol(self, service_scenario):
         with pytest.raises(ConfigurationError, match="per phase"):
             QueryEngine().run_trial(
@@ -504,20 +554,28 @@ class TestServiceMode:
         with pytest.raises(ConfigurationError, match="service"):
             QueryEngine().compare(service_scenario, [RandomProbeSearch])
 
-    def test_service_scenario_validation(self):
+    def test_service_scenario_validation(self, service_scenario):
         with pytest.raises(ConfigurationError, match="phase"):
-            Scenario(name="bad-service", topology=SMALL, protocol="service")
+            Scenario(name="bad-service", topology=SMALL, protocol="daemon")
+        with pytest.raises(ConfigurationError, match="not both"):
+            service_scenario.with_(daemon=churn_spec())
+        with pytest.raises(ConfigurationError, match="empty"):
+            service_scenario.with_(phases=())
         with pytest.raises(ConfigurationError, match="phases"):
             Scenario(
                 name="bad-static-phases",
                 topology=SMALL,
                 protocol="sampled",
-                phases=(ServicePhase("p", ChurnSpec()),),
+                phases=(ServicePhase("p", churn_spec()),),
+            )
+        with pytest.raises(ConfigurationError, match="member pool"):
+            service_scenario.with_(
+                phases=(ServicePhase("p", churn_spec(min_members=500)),)
             )
         with pytest.raises(ConfigurationError):
-            ServicePhase("", ChurnSpec())
+            ServicePhase("", churn_spec())
         with pytest.raises(ConfigurationError):
-            ServicePhase("p", ChurnSpec(), n_queries=0)
+            ServicePhase("p", churn_spec(), n_queries=0)
 
 
 class TestMaintenanceLedger:
@@ -735,7 +793,7 @@ class TestPartialFreshness:
 class TestEventsPerQuery:
     def test_events_per_query_validation(self):
         with pytest.raises(ConfigurationError):
-            ChurnSpec(events_per_query=0)
+            churn_spec(events_per_query=0)
 
     def test_registered_lazy_index_scenario_runs(self):
         scenario = get_scenario("churn-lazy-index").with_(
@@ -745,11 +803,11 @@ class TestEventsPerQuery:
             scenario, lambda: RandomProbeSearch(budget=8), 7
         )
         assert record.n_queries == 12
-        # 8 event steps per query: far more events than queries.
+        # ~8 membership ticks per query: far more events than queries.
         assert record.n_churn_events > record.n_queries
 
     def test_lazy_beats_eager_on_sparse_queries(self):
-        """The scenario's reason to exist: under 8 events/query, lazy and
+        """The scenario's reason to exist: under ~8 events/query, lazy and
         coalesce-8 apply a fraction of eager's rebuilds."""
         scenario = get_scenario("churn-lazy-index").with_(
             topology=SMALL, n_queries=12, sampling=SamplingSpec(n_targets=10)

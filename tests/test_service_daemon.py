@@ -428,3 +428,79 @@ class TestDaemonTableFormatting:
         assert "tta p50 (ms)" not in only_untimed
         ranked = rank_by_time_to_answer([untimed, timed])
         assert ranked == [timed, untimed]
+
+
+class TestSessionExpiry:
+    """Session timers on the daemon's membership process."""
+
+    @staticmethod
+    def _daemon(world, spec, sessions, standby=()):
+        """A daemon over members 0..9 that logs every departure."""
+        algorithm = RandomProbeSearch(budget=4)
+        algorithm.build(world.oracle, np.arange(10), seed=1)
+        departures = []
+        leave = algorithm.leave
+
+        def logged_leave(ids, *args, **kwargs):
+            departures.append(sorted(int(x) for x in ids))
+            return leave(ids, *args, **kwargs)
+
+        algorithm.leave = logged_leave
+        daemon = QueryDaemon(
+            algorithm,
+            spec,
+            targets=np.array([world.topology.n_nodes - 1]),
+            workload_rng=np.random.default_rng(3),
+            algo_rng=np.random.default_rng(4),
+            standby=list(standby),
+            sessions=sessions,
+        )
+        return daemon, departures
+
+    def test_stale_timer_does_not_remove_rejoined_node(self, small_world):
+        """A node that left early and rejoined lives out its new session:
+        its old timer, still queued, must not remove it."""
+        spec = DaemonSpec(
+            mean_interarrival_ms=1.0,
+            mean_event_interval_ms=1.0,
+            arrival_rate=0.0,
+            departure_rate=0.0,
+            min_members=2,
+            warmup_ms=20.0,
+            zero_delay=True,
+        )
+        # Control: the old session alone expires at the first tick >= 5 ms.
+        daemon, departures = self._daemon(small_world, spec, {3: 5.0})
+        daemon.run(1)
+        assert departures == [[3]]
+        # Node 3 left and rejoined on a session due at 50 ms: the state a
+        # random departure plus a re-arrival leaves behind, with the old
+        # 5 ms entry still on the timer heap.
+        daemon, departures = self._daemon(small_world, spec, {3: 5.0})
+        daemon._open_session(3, 50.0)
+        daemon.run(1)
+        assert 20.0 < daemon.loop.now < 50.0
+        assert departures == []
+        assert 3 in daemon.algorithm.members
+        assert daemon.open_sessions() == {3: 50.0 - daemon.loop.now}
+
+    def test_floor_blocked_expiry_retries_next_tick(self, small_world):
+        """An expiry the membership floor blocks stays due and leaves at
+        the next tick once arrivals lift the membership off the floor."""
+        spec = DaemonSpec(
+            mean_interarrival_ms=1.0,
+            mean_event_interval_ms=1.0,
+            arrival_rate=50.0,  # every standby node rejoins each tick
+            departure_rate=0.0,  # only expiries depart
+            min_members=9,
+            warmup_ms=20.0,
+            zero_delay=True,
+        )
+        daemon, departures = self._daemon(small_world, spec, {4: 1.0, 7: 1.0})
+        daemon.run(1)
+        # Ten members over a floor of nine: one of the two due sessions
+        # leaves at the first tick (and rejoins from standby), the other
+        # at the next.
+        assert departures == [[4], [7]]
+        assert daemon.n_events == 4  # two leave events, two join events
+        assert daemon.open_sessions() == {}
