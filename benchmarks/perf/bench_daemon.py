@@ -24,12 +24,18 @@ Usage::
 ``--scale tiny`` is the CI smoke setting (the registered scenario's own
 240-host world, trimmed query count); ``--scale paper`` scales the world
 to n=2000 hosts with 300 queries — the committed perf baseline.
+``--check`` validates the report it just wrote and exits 1 when a gate
+fails: the scheme and ranking sets, ordered positive tta percentiles,
+random-probe answering in exactly one round (the others in more), a
+positive simulated throughput, and dispatch charging never speeding an
+answer up.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import sys
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -157,6 +163,57 @@ def run_suite(scale: str, seed: int) -> dict:
     }
 
 
+def check_report(report: dict) -> list[str]:
+    """Problems with a report (empty when every gate holds)."""
+    problems = []
+    if report["suite"] != "daemon":
+        problems.append(f"suite is {report['suite']!r}")
+    if report["scenario"] != "daemon-steady":
+        problems.append(f"scenario is {report['scenario']!r}")
+    names = {b["name"] for b in report["benchmarks"]}
+    if names != {name for name, _ in SCHEMES}:
+        problems.append(f"schemes are {sorted(names)}")
+    if set(report["ranking_by_tta_median"]) != names:
+        problems.append(f"ranking is {report['ranking_by_tta_median']}")
+    for bench in report["benchmarks"]:
+        name = bench["name"]
+        # Time-to-answer percentiles must be present, positive and
+        # ordered; the critical path must span >= 1 probe round.
+        if not 0 < bench["tta_median_ms"] <= bench["tta_p95_ms"]:
+            problems.append(
+                f"{name}: tta median {bench['tta_median_ms']} not in "
+                f"(0, p95={bench['tta_p95_ms']}]"
+            )
+        if not bench["tta_p95_ms"] <= bench["tta_p99_ms"]:
+            problems.append(
+                f"{name}: tta p95 {bench['tta_p95_ms']} > "
+                f"p99 {bench['tta_p99_ms']}"
+            )
+        rounds = bench["mean_probe_rounds"]
+        if rounds < 1.0:
+            problems.append(f"{name}: {rounds} probe rounds per query")
+        if not bench["simulated_queries_per_sec"] > 0:
+            problems.append(f"{name}: no simulated throughput")
+        # The single-fan-out baseline answers in exactly one round;
+        # multi-round schemes must show deeper critical paths.
+        if (name == "random-probe") != (rounds == 1.0):
+            problems.append(f"{name}: {rounds} probe rounds per query")
+    # Billing the dispatch hop can only slow answers down.
+    charged = {b["name"]: b for b in report["dispatch_charged"]}
+    if set(charged) != names:
+        problems.append(f"dispatch-charged schemes are {sorted(charged)}")
+    for bench in report["benchmarks"]:
+        name = bench["name"]
+        if name in charged and not (
+            charged[name]["tta_median_ms"] >= bench["tta_median_ms"]
+        ):
+            problems.append(
+                f"{name}: dispatch-charged tta median "
+                f"{charged[name]['tta_median_ms']} < {bench['tta_median_ms']}"
+            )
+    return problems
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--scale", choices=SCALES, default="tiny")
@@ -171,6 +228,11 @@ def main() -> None:
             "tiny run cannot clobber the committed paper baseline)"
         ),
     )
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="validate the report's gates and exit 1 if any fails",
+    )
     args = parser.parse_args()
     output = args.output
     if output is None:
@@ -182,6 +244,17 @@ def main() -> None:
     report = run_suite(args.scale, args.seed)
     output.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {output}")
+    if args.check:
+        problems = check_report(report)
+        for problem in problems:
+            print(f"CHECK FAILED: {problem}")
+        if problems:
+            sys.exit(1)
+        print(
+            "daemon smoke OK:",
+            sorted(b["name"] for b in report["benchmarks"]),
+            "+ dispatch-charged",
+        )
 
 
 if __name__ == "__main__":

@@ -58,7 +58,8 @@ def demonstrate_join_leave() -> None:
             f"{algorithm.name:14s} [{algorithm.maintenance_policy:11s}] "
             f"join({arrivals.size})={join_cost:7d} probes   "
             f"leave({initial.size // 4})={leave_cost:7d} probes   "
-            f"next query carries maintenance_probes={result.maintenance_probes}"
+            f"bill={join_cost + leave_cost:7d}   "
+            f"query probes={result.probes}"
         )
     print(
         "=> incremental schemes splice the index per event; rebuild schemes\n"

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Generator, Iterable
+from typing import Callable, Generator, Iterable, Sequence
 
 import numpy as np
 
@@ -49,17 +49,17 @@ class MaintenanceLedger:
 
     Every non-empty membership event observed after :meth:`build` gets a
     monotonically increasing *event id* (:meth:`new_event`), and every
-    maintenance probe is charged to the event(s) that caused it: an eager
-    event's bill lands on its own id, a flush's bill is split over the
-    buffered ids it applied (:meth:`charge_spread`), and a partial-flush
-    region refresh is split over the ids still pending.  Probes with no
+    maintenance probe is charged (:meth:`charge`) to the event(s) that
+    caused it: an eager event's bill lands on its own id, a flush's bill
+    is split over the buffered ids it applied, and a partial-flush region
+    refresh is split over the ids still pending.  Probes with no
     membership-event cause (continuous overlay upkeep such as Meridian
     ring repair) accrue on the :attr:`background` bucket.
 
     The invariant ``sum(bills) + background == maintenance_probes_total``
-    holds at every flush boundary, independent of scheduling order —
-    which is what replaces the daemon's racy first-finisher claim with
-    exact per-event accounting.
+    holds at every flush boundary, independent of scheduling order.  The
+    ledger is the only place maintenance is attributed: daemon records
+    derive their maintenance totals from it.
     """
 
     def __init__(self) -> None:
@@ -77,18 +77,14 @@ class MaintenanceLedger:
         self._bills.append(0)
         return len(self._bills) - 1
 
-    def charge(self, event_id: int, probes: int) -> None:
-        """Bill ``probes`` to one event (the eager path)."""
-        self._bills[event_id] += int(probes)
-
-    def charge_spread(self, event_ids: list[int], probes: int) -> None:
+    def charge(self, event_ids: Sequence[int], probes: int) -> None:
         """Split ``probes`` over ``event_ids`` deterministically.
 
         Each id gets ``probes // len(ids)``; the remainder goes to the
         earliest ids, one probe each — a fixed rule so bills are replayable
-        regardless of which query triggered the flush.  With no ids on the
-        books the probes fall to :attr:`background` (cannot happen from a
-        flush, which by construction has pending ids).
+        regardless of which query triggered the flush.  With no ids the
+        probes have no membership-event cause and fall to
+        :attr:`background`.
         """
         probes = int(probes)
         if probes <= 0:
@@ -99,9 +95,6 @@ class MaintenanceLedger:
         share, remainder = divmod(probes, len(event_ids))
         for rank, event_id in enumerate(event_ids):
             self._bills[event_id] += share + (1 if rank < remainder else 0)
-
-    def charge_background(self, probes: int) -> None:
-        self.background += int(probes)
 
     def bills(self) -> np.ndarray:
         """Per-event bills as an int64 array indexed by event id."""
@@ -134,8 +127,8 @@ class MaintenanceScheduler:
     routing tables, beacon columns — is only re-aligned when the scheduler
     says so.  Deferred probes are still honestly billed when they fire: a
     flush runs under the same counted-maintenance accounting as an eager
-    event, and its bill is reported on the next query's
-    :attr:`SearchResult.maintenance_probes`.
+    event, and the ledger charges its bill to the buffered events it
+    applied.
 
     Disciplines (:data:`MAINTENANCE_DISCIPLINES`):
 
@@ -353,10 +346,9 @@ class SearchResult:
     ``probes`` counts latency measurements involving the target — the
     paper's cost metric ("this translates to a lower bound on the number of
     latency probes performed").  ``aux_probes`` counts other measurements
-    the query triggered (e.g. beacon-to-beacon).  ``maintenance_probes``
-    counts the membership-maintenance measurements (join/leave index
-    updates or counted rebuilds) accrued since the previous query — zero
-    under a static membership.
+    the query triggered (e.g. beacon-to-beacon).  Membership maintenance is
+    not a query's cost: it is billed per event on the
+    :class:`MaintenanceLedger`, even when a lazy flush runs at plan start.
     """
 
     target: int
@@ -364,7 +356,6 @@ class SearchResult:
     found_latency_ms: float
     probes: int
     aux_probes: int = 0
-    maintenance_probes: int = 0
     hops: int = 0
     path: list[int] = field(default_factory=list)
 
@@ -424,7 +415,6 @@ class NearestPeerAlgorithm(abc.ABC):
         self._probe_count = 0
         self._aux_probe_count = 0
         self._maintenance_probe_count = 0
-        self._maintenance_since_query = 0
         self._in_maintenance = False
         self.rebuild_count = 0
         self._scheduler = MaintenanceScheduler.from_spec(maintenance)
@@ -535,9 +525,8 @@ class NearestPeerAlgorithm(abc.ABC):
         splice the arrivals into the existing index, rebuild schemes
         re-run the offline build over the grown membership with every
         probe counted.  The returned count (also accumulated on
-        :attr:`maintenance_probes_total` and reported on the next query's
-        :attr:`SearchResult.maintenance_probes`) is the event's
-        measurement bill.
+        :attr:`maintenance_probes_total` and charged to the event on the
+        :attr:`maintenance_ledger`) is the event's measurement bill.
 
         Under a deferred discipline (``coalesce``/``lazy``) the member set
         is updated immediately but the index is not: the event is buffered
@@ -578,18 +567,9 @@ class NearestPeerAlgorithm(abc.ABC):
                 np.concatenate([self._members, joined]), seed, joined=joined
             )
         event_id = self._scheduler.ledger.new_event()
-        before = self._maintenance_probe_count
         self._members = np.concatenate([self._members, joined])
         self._update_member_mask(add=joined)
-        self._in_maintenance = True
-        try:
-            self._join(joined, make_rng(seed))
-        finally:
-            self._in_maintenance = False
-        spent = self._maintenance_probe_count - before
-        self._scheduler.ledger.charge(event_id, spent)
-        self._maintenance_since_query += spent
-        return spent
+        return self._maintain([event_id], self._join, joined, make_rng(seed))
 
     def leave(
         self,
@@ -629,17 +609,29 @@ class NearestPeerAlgorithm(abc.ABC):
         if not self._scheduler.eager:
             return self._defer_event(self._members[kept_mask], seed, left=left)
         event_id = self._scheduler.ledger.new_event()
-        before = self._maintenance_probe_count
         self._members = self._members[kept_mask]
         self._update_member_mask(remove=left)
+        return self._maintain(
+            [event_id], self._leave, left, kept_mask, make_rng(seed)
+        )
+
+    def _maintain(
+        self, event_ids: Sequence[int], work: Callable[..., object], *args
+    ) -> int:
+        """Run ``work(*args)`` as maintenance and bill it; returns probes spent.
+
+        The one place a maintenance spend is measured and charged: offline
+        helpers count as maintenance while ``work`` runs, and the ledger
+        splits what it spent over ``event_ids`` (no ids: background).
+        """
+        before = self._maintenance_probe_count
         self._in_maintenance = True
         try:
-            self._leave(left, kept_mask, make_rng(seed))
+            work(*args)
         finally:
             self._in_maintenance = False
         spent = self._maintenance_probe_count - before
-        self._scheduler.ledger.charge(event_id, spent)
-        self._maintenance_since_query += spent
+        self._scheduler.ledger.charge(event_ids, spent)
         return spent
 
     # -- deferred maintenance (non-eager disciplines) --------------------------
@@ -708,61 +700,60 @@ class NearestPeerAlgorithm(abc.ABC):
         """
         flushed = self._indexed_members
         assert flushed is not None
-        current = self._members
-        assert current is not None
-        before = self._maintenance_probe_count
-        self._in_maintenance = True
-        try:
-            kept_mask = np.isin(flushed, current)
-            survivors = flushed[kept_mask]
-            net_left = flushed[~kept_mask]
-            net_joined = current[~np.isin(current, flushed)]
-            if net_left.size == 0 and net_joined.size == 0:
-                # Every buffered event netted out (join-then-leave,
-                # leave-then-rejoin): the index is already consistent —
-                # pay nothing.  Incremental schemes restore the indexed
-                # member order (their per-member arrays are aligned to
-                # it); rebuild schemes key their index by node id, so the
-                # live order stays — which keeps full and partial flushes
-                # on the same member order, hence the same query draws.
-                if self.maintenance_policy == "incremental":
-                    self._members = flushed
-                elif self.supports_partial_flush:
-                    self._note_index_current()
-            elif self.maintenance_policy == "rebuild":
-                if self.supports_partial_flush and self._scheduler.partial_on_query:
-                    # Forced flush under lazy-partial: bring only the
-                    # still-stale regions up to date — regions a query
-                    # already refreshed at this generation are not
-                    # rebuilt (or billed) twice.
-                    self._refresh_stale_regions()
-                else:
-                    self.rebuild_count += 1
-                    self._build(rng)
-            else:
-                if net_left.size:
-                    self._members = survivors
-                    self._leave(net_left, kept_mask, rng)
-                if net_joined.size:
-                    self._members = np.concatenate([survivors, net_joined])
-                    self._join(net_joined, rng)
-                else:
-                    self._members = survivors
-        finally:
-            self._in_maintenance = False
+        event_ids = self._pending_event_ids
+        spent = self._maintain(event_ids, self._apply_net_change, flushed, rng)
         self._indexed_members = None
         # A flush reorders the member array but never changes the member
         # *set* (deferred events updated mask and members in lock-step), so
         # the mask contents stay valid — only re-pin its identity anchor.
         self._member_mask_for = self._members
         self._scheduler.note_flush()
-        spent = self._maintenance_probe_count - before
-        self._scheduler.ledger.charge_spread(self._pending_event_ids, spent)
-        if self._flush_observer is not None and self._pending_event_ids:
-            self._flush_observer(tuple(self._pending_event_ids), spent, "flush")
+        if self._flush_observer is not None and event_ids:
+            self._flush_observer(tuple(event_ids), spent, "flush")
         self._pending_event_ids = []
-        self._maintenance_since_query += spent
         return spent
+
+    def _apply_net_change(
+        self, flushed: np.ndarray, rng: np.random.Generator
+    ) -> None:
+        """Re-align the index from the ``flushed`` membership to the live one."""
+        current = self._members
+        assert current is not None
+        kept_mask = np.isin(flushed, current)
+        survivors = flushed[kept_mask]
+        net_left = flushed[~kept_mask]
+        net_joined = current[~np.isin(current, flushed)]
+        if net_left.size == 0 and net_joined.size == 0:
+            # Every buffered event netted out (join-then-leave,
+            # leave-then-rejoin): the index is already consistent — pay
+            # nothing.  Incremental schemes restore the indexed member
+            # order (their per-member arrays are aligned to it); rebuild
+            # schemes key their index by node id, so the live order stays
+            # — which keeps full and partial flushes on the same member
+            # order, hence the same query draws.
+            if self.maintenance_policy == "incremental":
+                self._members = flushed
+            elif self.supports_partial_flush:
+                self._note_index_current()
+        elif self.maintenance_policy == "rebuild":
+            if self.supports_partial_flush and self._scheduler.partial_on_query:
+                # Forced flush under lazy-partial: bring only the
+                # still-stale regions up to date — regions a query already
+                # refreshed at this generation are not rebuilt (or billed)
+                # twice.
+                self._refresh_stale_regions()
+            else:
+                self.rebuild_count += 1
+                self._build(rng)
+        else:
+            if net_left.size:
+                self._members = survivors
+                self._leave(net_left, kept_mask, rng)
+            if net_joined.size:
+                self._members = np.concatenate([survivors, net_joined])
+                self._join(net_joined, rng)
+            else:
+                self._members = survivors
 
     def _join(self, joined: np.ndarray, rng: np.random.Generator) -> None:
         """Subclass hook: maintain the index after ``joined`` were appended.
@@ -858,19 +849,13 @@ class NearestPeerAlgorithm(abc.ABC):
         """
         if not self._partial_pending or self._region_is_fresh(int(node)):
             return 0
-        before = self._maintenance_probe_count
-        self._in_maintenance = True
-        try:
-            self._refresh_region(int(node))
-        finally:
-            self._in_maintenance = False
-        spent = self._maintenance_probe_count - before
-        self._scheduler.ledger.charge_spread(self._pending_event_ids, spent)
+        spent = self._maintain(
+            self._pending_event_ids, self._refresh_region, int(node)
+        )
         if self._flush_observer is not None and spent:
             self._flush_observer(
                 tuple(self._pending_event_ids), spent, "partial"
             )
-        self._maintenance_since_query += spent
         return spent
 
     def partial_flush(
@@ -902,37 +887,27 @@ class NearestPeerAlgorithm(abc.ABC):
         """Find the nearest member to ``target`` (not itself a member).
 
         Under the ``lazy`` discipline a stale index is flushed first (the
-        deferred bill lands on this query's ``maintenance_probes``); under
-        ``coalesce`` the query answers from the bounded-staleness index —
-        it may return a recently departed member or miss a very recent
-        arrival, exactly the trade real batched-repair deployments make.
-        Under ``lazy-partial`` (on a supporting scheme) nothing is flushed
-        up front: the plan refreshes each region as it reads it
+        ledger bills the flush to the buffered events); under ``coalesce``
+        the query answers from the bounded-staleness index — it may return
+        a recently departed member or miss a very recent arrival, exactly
+        the trade real batched-repair deployments make.  Under
+        ``lazy-partial`` (on a supporting scheme) nothing is flushed up
+        front: the plan refreshes each region as it reads it
         (:meth:`touch_region`), answering from a partially fresh index at
         a region-sized bill instead of a full one.
+
+        This drives :meth:`query_plan` to completion with no delays, which
+        is what makes zero-delay plan driving bit-identical to the blocking
+        query: they are the same code.
         """
         if self._oracle is None or self._members is None:
             raise ConfigurationError(f"{self.name}: query() before build()")
-        rng = make_rng(seed)
-        if self._indexed_members is not None and self._must_flush_on_query:
-            self._flush(rng)
-        self._probe_count = 0
-        self._aux_probe_count = 0
-        stale_view = None if self.partial_mode else self._indexed_members
-        if stale_view is not None:
-            # Answer from the membership the index actually reflects.
-            live = self._members
-            self._members = stale_view
-            try:
-                result = self._query_via_plan(int(target), rng)
-            finally:
-                self._members = live
-        else:
-            result = self._query_via_plan(int(target), rng)
-        result.probes = self._probe_count
-        result.aux_probes = self._aux_probe_count
-        result.maintenance_probes = self.take_unclaimed_maintenance()
-        return result
+        plan = self._drive_plan(int(target), make_rng(seed))
+        try:
+            while True:
+                plan.send(None)
+        except StopIteration as stop:
+            return stop.value
 
     @property
     def _must_flush_on_query(self) -> bool:
@@ -973,7 +948,10 @@ class NearestPeerAlgorithm(abc.ABC):
         return self._drive_plan(int(target), make_rng(seed))
 
     def _drive_plan(self, target: int, rng: np.random.Generator) -> QueryPlan:
-        """Wrap :meth:`_plan` with the bookkeeping :meth:`query` performs.
+        """Wrap :meth:`_plan` with the bookkeeping every query needs.
+
+        A stale index is flushed first when the discipline asks for it,
+        and the plan answers from the member view the index reflects.
 
         Per-plan probe counters are swapped into the shared slots around
         every generator step, so concurrently in-flight plans (the daemon
@@ -1022,7 +1000,6 @@ class NearestPeerAlgorithm(abc.ABC):
             )
         result.probes = probes
         result.aux_probes = aux
-        result.maintenance_probes = self.take_unclaimed_maintenance()
         return result
 
     @abc.abstractmethod
@@ -1035,22 +1012,6 @@ class NearestPeerAlgorithm(abc.ABC):
         value.  Under faults the daemon sends back each round's per-probe
         answered mask (``None`` when every probe was answered).
         """
-
-    def _query_via_plan(
-        self, target: int, rng: np.random.Generator
-    ) -> SearchResult:
-        """Run :meth:`_plan` to completion with no delays.
-
-        This is how :meth:`query` searches, which is what makes zero-delay
-        plan driving bit-identical to the blocking query: they are the
-        same code.
-        """
-        plan = self._plan(target, rng)
-        try:
-            while True:
-                plan.send(None)
-        except StopIteration as stop:
-            return stop.value
 
     # -- probing --------------------------------------------------------------
 
@@ -1182,18 +1143,6 @@ class NearestPeerAlgorithm(abc.ABC):
         """All maintenance measurements since :meth:`build` (cumulative)."""
         return self._maintenance_probe_count
 
-    def take_unclaimed_maintenance(self) -> int:
-        """Claim the maintenance accrued since the last claim, and zero it.
-
-        A finished :meth:`query` / :meth:`query_plan` claims it as its
-        ``maintenance_probes``; the daemon claims what lands before its
-        first arrival (warmup) or after its last answer (trailing), so
-        every maintenance probe is on exactly one bill.
-        """
-        claimed = self._maintenance_since_query
-        self._maintenance_since_query = 0
-        return claimed
-
     @property
     def maintenance_ledger(self) -> MaintenanceLedger:
         """The exact per-cause probe ledger (see :class:`MaintenanceLedger`)."""
@@ -1205,10 +1154,9 @@ class NearestPeerAlgorithm(abc.ABC):
 
         Event ids are allocated in observation order (one per non-empty
         :meth:`join` / :meth:`leave` since :meth:`build`), so this array
-        lines up 1:1 with the daemon's membership-event sequence.  Unlike
-        the per-query ``maintenance_probes`` claim — which depends on
-        which in-flight query finishes first — these bills are invariant
-        to scheduling order.
+        lines up 1:1 with the daemon's membership-event sequence.  The
+        bills are invariant to the order in which in-flight queries
+        finish.
         """
         return self._scheduler.ledger.bills()
 

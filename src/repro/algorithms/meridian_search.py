@@ -125,18 +125,20 @@ class MeridianSearch(NearestPeerAlgorithm):
         """
         if self._overlay is None:
             raise ConfigurationError(f"{self.name}: repair_rings() before build()")
-        before = self._maintenance_probe_count
-        repaired = repair_overlay_rings(
-            self._overlay,
-            self.maintenance_probe_many,
-            make_rng(seed),
-            exchange_size=self._repair_exchange_size,
-        )
-        spent = self._maintenance_probe_count - before
+        repaired = 0
+
+        def repair() -> None:
+            nonlocal repaired
+            repaired = repair_overlay_rings(
+                self._overlay,
+                self.maintenance_probe_many,
+                make_rng(seed),
+                exchange_size=self._repair_exchange_size,
+            )
+
         # Continuous upkeep has no membership-event cause: the ledger
         # books it as background so per-event bills stay exact.
-        self._scheduler.ledger.charge_background(spent)
-        self._maintenance_since_query += spent
+        spent = self._maintain([], repair)
         return repaired, spent
 
     def _plan(self, target: int, rng: np.random.Generator):

@@ -504,13 +504,9 @@ class QueryEngine:
             exact_hit=exact_hit,
             cluster_hit=cluster_hit,
             found_hub_latency_ms=world.topology.host_hub_latency_ms[found],
-            maintenance_probes=np.array(
-                [job.result.maintenance_probes for job in jobs], dtype=int
-            ),
             membership_size=np.array(
                 [job.membership_size for job in jobs], dtype=int
             ),
-            warmup_maintenance_probes=run.unclaimed_maintenance_probes,
             n_churn_events=run.n_events,
             phase=phase,
             maintenance_by_event=run.maintenance_by_event,

@@ -208,21 +208,15 @@ class DaemonTrialRecord(TrialRecord):
     summarised by the percentile properties the daemon scenarios rank
     schemes with.
 
-    It also carries the membership columns: the live membership size and
-    the maintenance each query claimed, the membership events applied and
-    their exact per-event bills, so :attr:`total_maintenance_probes`
-    equals ``sum(maintenance_by_event) + maintenance_background_probes``.
+    It also carries the membership columns: the live membership size per
+    query, the membership events applied and their exact per-event bills
+    from the maintenance ledger.  The maintenance metrics derive from the
+    ledger alone: :attr:`total_maintenance_probes` is
+    ``sum(maintenance_by_event) + maintenance_background_probes``.
     """
 
-    #: Membership-maintenance probes each query claimed (what accrued
-    #: since the previous claim, lazy flushes at plan start included).
-    maintenance_probes: np.ndarray | None = None
     #: Live membership size when each query entered service.
     membership_size: np.ndarray | None = None
-    #: Maintenance no query claimed: what a warmup spent before the first
-    #: arrival plus what accrued after the last answer (a phase's
-    #: boundary drain included).
-    warmup_maintenance_probes: int = 0
     #: Membership events (non-empty join/leave calls) the run applied, so
     #: maintenance cost can be normalised per event as well as per query.
     n_churn_events: int = 0
@@ -261,10 +255,11 @@ class DaemonTrialRecord(TrialRecord):
     #: Availability deadline the scenario scores against.
     deadline_ms: float = float("inf")
     #: Exact per-membership-event maintenance bills from the scheduler's
-    #: ledger, length ``n_churn_events``.  Unlike the per-query
-    #: ``maintenance_probes`` claims (first finisher wins), each entry is
-    #: invariant to which in-flight query finishes first.
-    maintenance_by_event: np.ndarray | None = None
+    #: ledger, length ``n_churn_events``; each entry is invariant to which
+    #: in-flight query finishes first.
+    maintenance_by_event: np.ndarray = field(
+        default_factory=lambda: np.zeros(0, dtype=np.int64)
+    )
     #: Maintenance attributable to no membership event (Meridian's
     #: continuous ring repair).  ``sum(maintenance_by_event) +
     #: maintenance_background_probes == total_maintenance_probes``.
@@ -287,7 +282,6 @@ class DaemonTrialRecord(TrialRecord):
         super().__post_init__()
         n = self.targets.size
         for name in (
-            "maintenance_probes",
             "membership_size",
             "arrival_ms",
             "start_ms",
@@ -306,7 +300,7 @@ class DaemonTrialRecord(TrialRecord):
                     f"expected ({n},)"
                 )
         ledger = self.maintenance_by_event
-        if ledger is not None and ledger.shape != (self.n_churn_events,):
+        if ledger.shape != (self.n_churn_events,):
             raise DataError(
                 f"DaemonTrialRecord.maintenance_by_event has shape "
                 f"{ledger.shape}, expected ({self.n_churn_events},)"
@@ -314,19 +308,15 @@ class DaemonTrialRecord(TrialRecord):
 
     @property
     def mean_maintenance_probes_per_query(self) -> float:
-        if self.maintenance_probes is None:
-            return 0.0
-        return float(self.maintenance_probes.mean())
+        """The run's whole maintenance bill spread over its queries."""
+        return self.total_maintenance_probes / self.n_queries
 
     @property
     def total_maintenance_probes(self) -> int:
-        """Every maintenance probe of the run, claimed or not."""
-        billed = (
-            int(self.maintenance_probes.sum())
-            if self.maintenance_probes is not None
-            else 0
+        """Every maintenance probe of the run, from the ledger."""
+        return int(self.maintenance_by_event.sum()) + int(
+            self.maintenance_background_probes
         )
-        return billed + int(self.warmup_maintenance_probes)
 
     @property
     def mean_membership_size(self) -> float:
@@ -339,18 +329,12 @@ class DaemonTrialRecord(TrialRecord):
     def maintenance_probes_per_event(self) -> float:
         """Mean exact per-event maintenance bill from the ledger.
 
-        Prefers the scheduler's per-event ledger (background repair such
-        as Meridian ring maintenance excluded — that is reported
-        separately as :attr:`maintenance_background_probes`); falls back
-        to the aggregate total/event ratio when no ledger was recorded.
+        Background repair such as Meridian ring maintenance is excluded —
+        it is reported separately as :attr:`maintenance_background_probes`.
         """
-        if self.maintenance_by_event is not None:
-            if self.maintenance_by_event.size == 0:
-                return 0.0
-            return float(self.maintenance_by_event.mean())
-        if self.n_churn_events == 0:
+        if self.maintenance_by_event.size == 0:
             return 0.0
-        return self.total_maintenance_probes / self.n_churn_events
+        return float(self.maintenance_by_event.mean())
 
     # -- timing metrics ----------------------------------------------------
 

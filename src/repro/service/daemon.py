@@ -47,7 +47,7 @@ from repro.harness.results import MembershipLog
 from repro.harness.scenario import DaemonSpec
 from repro.meridian.gossip import PeriodicRepair
 from repro.netsim.engine import EventHandle, EventLoop
-from repro.netsim.network import FaultModel, Message, Network, SimNode
+from repro.netsim.network import FaultModel, Network
 from repro.obs.trace import Tracer
 from repro.service.soa import MemberStateArrays
 from repro.service.stepper import PlanBatchStepper
@@ -83,10 +83,9 @@ class QueryJob:
     #: The job's private fault stream (created lazily; consumed in the
     #: job's own round order, so outcomes are invariant to interleaving).
     _fault_rng: np.random.Generator | None = field(default=None, repr=False)
-    #: Probe/maintenance bills carried over from failed plan attempts.
+    #: Probe bills carried over from failed plan attempts.
     _carry_probes: int = field(default=0, repr=False)
     _carry_aux: int = field(default=0, repr=False)
-    _carry_maintenance: int = field(default=0, repr=False)
 
     @property
     def time_to_answer_ms(self) -> float:
@@ -115,10 +114,6 @@ class DaemonRun:
     queue_depth_max: int
     in_flight_probes_time_avg: float
     in_flight_probes_max: int
-    #: Maintenance no job's ``maintenance_probes`` claimed: what the
-    #: warmup spent before the first arrival plus what accrued after the
-    #: last answer (the phase-boundary drain included).
-    unclaimed_maintenance_probes: int
     ring_repair_passes: int
     ring_repair_nodes: int
     ring_repair_probes: int
@@ -126,8 +121,9 @@ class DaemonRun:
     loop_events: int
     #: Exact per-membership-event maintenance bills from the algorithm's
     #: ledger for the events this run applied, in observation order
-    #: (length ``n_events``).  Unlike the per-job claims these do not
-    #: depend on which in-flight query finishes first.
+    #: (length ``n_events``).  With the background bucket below they are
+    #: the run's whole maintenance bill, warmup and phase-boundary drain
+    #: included; neither depends on which in-flight query finishes first.
     maintenance_by_event: np.ndarray = field(
         default_factory=lambda: np.zeros(0, dtype=np.int64)
     )
@@ -153,21 +149,6 @@ class DaemonRun:
     #: the run carries no observability payload at all).
     spans: list | None = None
     metrics: object | None = None
-
-
-class _Coordinator(SimNode):
-    """The daemon's single attached node: empty-round resumes land here."""
-
-    def __init__(self, node_id: int, daemon: "QueryDaemon") -> None:
-        super().__init__(node_id)
-        self._daemon = daemon
-
-    def on_message(self, message: Message) -> None:
-        if message.kind != "round-empty":
-            raise SimulationError(
-                f"coordinator got unknown message {message.kind!r}"
-            )
-        self._daemon._advance(message.payload)
 
 
 class QueryDaemon:
@@ -218,16 +199,12 @@ class QueryDaemon:
         self.network = Network(
             self.loop, algorithm.oracle, fault_model=fault_model
         )
-        self._coordinator_id = int(algorithm.oracle.n_nodes)  # off host range
-        self._coordinator = _Coordinator(self._coordinator_id, self)
-        self.network.attach(self._coordinator)
         self.memberships = MembershipLog(algorithm.members)
         self.n_events = 0
         # This run's share of the ledger starts where the previous run on
         # the same algorithm (an earlier phase) left it.
         ledger = algorithm.maintenance_ledger
         self._ledger_start = (ledger.n_events, ledger.background)
-        self._warmup_maintenance = 0
         # Session timers: a (due_ms, node) heap plus each node's current
         # due time, which marks heap entries stale once the node leaves —
         # a node that left early and rejoined lives out its new session.
@@ -356,9 +333,6 @@ class QueryDaemon:
                 self._stepper.area / makespan if makespan > 0 else 0.0
             ),
             in_flight_probes_max=self._stepper.peak,
-            unclaimed_maintenance_probes=(
-                self._warmup_maintenance + algorithm.take_unclaimed_maintenance()
-            ),
             maintenance_by_event=algorithm.maintenance_by_event[
                 self._ledger_start[0]:
             ],
@@ -404,11 +378,6 @@ class QueryDaemon:
         )
 
     def _arrival(self) -> None:
-        if self._arrived == 0 and self.spec.warmup_ms > 0:
-            # The warmup's maintenance is billed to no query.
-            self._warmup_maintenance = (
-                self.algorithm.take_unclaimed_maintenance()
-            )
         wrng = self.workload_rng
         target = int(wrng.choice(self.targets))
         live = self.algorithm.members
@@ -502,15 +471,7 @@ class QueryDaemon:
                     attempt=job.retries,
                 )
             # A round with nothing to measure resumes on the next loop turn.
-            self.network.deliver_later(
-                Message(
-                    src=self._coordinator_id,
-                    dst=self._coordinator_id,
-                    kind="round-empty",
-                    payload=job,
-                ),
-                0.0,
-            )
+            self.loop.schedule(0.0, self._advance, job)
             return
         self._stepper.dispatch_round(job, batch)
 
@@ -520,14 +481,13 @@ class QueryDaemon:
         """A plan attempt heard nothing back: bill it, back off, retry.
 
         The failed attempt's probes were really sent (and really timed
-        out), so its probe/aux/maintenance bills are carried onto the
-        final result; the retry itself waits ``query_retry_ms`` scaled by
+        out), so its probe/aux bills are carried onto the final result;
+        the retry itself waits ``query_retry_ms`` scaled by
         the fault model's backoff — long enough for a scheduled outage to
         end before the ceiling trips.
         """
         job._carry_probes += result.probes
         job._carry_aux += result.aux_probes
-        job._carry_maintenance += result.maintenance_probes
         job.retries += 1
         self.query_retries += 1
         if job.retries > self.MAX_QUERY_RETRIES:
@@ -555,16 +515,13 @@ class QueryDaemon:
         self._advance(job)
 
     def _finish(self, job: QueryJob, result: SearchResult) -> None:
-        if job._carry_probes or job._carry_aux or job._carry_maintenance:
+        if job._carry_probes or job._carry_aux:
             result = SearchResult(
                 target=result.target,
                 found=result.found,
                 found_latency_ms=result.found_latency_ms,
                 probes=result.probes + job._carry_probes,
                 aux_probes=result.aux_probes + job._carry_aux,
-                maintenance_probes=(
-                    result.maintenance_probes + job._carry_maintenance
-                ),
                 hops=result.hops,
                 path=result.path,
             )

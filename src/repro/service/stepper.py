@@ -11,11 +11,10 @@ delay), and the peak is reconstructed from the recorded (time, ±k)
 breakpoints in one vectorised sort/cumsum at the end.  O(rounds) loop
 events, independent of fan-out.
 
-Membership events interleave with these round events on the one loop,
-so the per-event maintenance ledger (``DaemonRun.maintenance_by_event``)
-is exact and replays bit for bit at a fixed seed — unlike the per-job
-``maintenance_probes`` claims, which depend on which in-flight plan
-finishes first and are exact only in aggregate.
+Membership events interleave with these round events on the one loop;
+their maintenance is billed per event on the algorithm's ledger
+(``DaemonRun.maintenance_by_event``), which is exact and replays bit for
+bit at a fixed seed whichever in-flight plan finishes first.
 """
 
 from __future__ import annotations

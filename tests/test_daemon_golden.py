@@ -76,7 +76,6 @@ INT_ARRAYS = (
     "hops",
     "exact_hit",
     "cluster_hit",
-    "maintenance_probes",
     "membership_size",
     "probe_rounds",
     "maintenance_by_event",
@@ -89,7 +88,6 @@ INT_ARRAYS = (
 FLOAT_ARRAYS = ("found_latency_ms", "arrival_ms", "start_ms", "finish_ms")
 INT_SCALARS = (
     "n_churn_events",
-    "warmup_maintenance_probes",
     "maintenance_background_probes",
     "queue_depth_max",
     "in_flight_probes_max",

@@ -17,6 +17,7 @@ import pytest
 
 from repro.algorithms import (
     BeaconSearch,
+    KargerRuhlSearch,
     MeridianSearch,
     RandomProbeSearch,
     TiersSearch,
@@ -111,15 +112,23 @@ class TestSameSeedReplay:
         assert base.n_churn_events == other.n_churn_events
 
 
+def run_fresh(world, factory, spec, n_queries=25, seed=5):
+    """One run on a fresh algorithm; returns ``(record, algorithm)``."""
+    algorithm = factory()
+    record = run_daemon(world, lambda: algorithm, spec, n_queries, seed)
+    return record, algorithm
+
+
 class TestMaintenanceByEvent:
-    """The per-event ledger replaces the racy first-finisher claim: bills
-    are exact (they sum to the run's total maintenance) and replay at a
-    fixed seed, independent of which in-flight query finishes first."""
+    """The per-event ledger is the one maintenance bill: it accounts for
+    every probe the algorithm's independent maintenance counter saw, and
+    replays at a fixed seed, independent of which in-flight query
+    finishes first."""
 
     @pytest.fixture(scope="class")
-    def records(self, small_world):
+    def runs(self, small_world):
         return {
-            seed: run_daemon(
+            seed: run_fresh(
                 small_world,
                 lambda: TiersSearch(branching=8),
                 CHURN_SPEC,
@@ -129,15 +138,41 @@ class TestMaintenanceByEvent:
             for seed in (23, 29)
         }
 
-    def test_bills_are_exact_in_every_configuration(self, records):
-        for key, record in records.items():
+    @pytest.fixture(scope="class")
+    def records(self, runs):
+        return {seed: record for seed, (record, _) in runs.items()}
+
+    def test_bills_are_exact_in_every_configuration(self, runs):
+        for key, (record, algorithm) in runs.items():
             bills = record.maintenance_by_event
-            assert bills is not None, key
             assert bills.shape == (record.n_churn_events,), key
+            assert np.array_equal(bills, algorithm.maintenance_by_event), key
             assert (
-                int(bills.sum()) + record.maintenance_background_probes
-                == record.total_maintenance_probes
+                record.total_maintenance_probes
+                == algorithm.maintenance_probes_total
             ), key
+
+    @pytest.mark.parametrize(
+        "discipline", ["eager", "coalesce:8", "lazy", "lazy-partial"]
+    )
+    def test_record_total_matches_the_counter(self, small_world, discipline):
+        """Whatever the discipline, a single-phase run's ledger total is
+        everything the algorithm's maintenance counter saw."""
+        record, algorithm = run_fresh(
+            small_world,
+            lambda: KargerRuhlSearch(
+                samples_per_scale=4, max_rounds=12, maintenance=discipline
+            ),
+            dataclasses.replace(CHURN_SPEC, mean_event_interval_ms=40.0),
+            n_queries=30,
+            seed=23,
+        )
+        assert record.n_churn_events >= 8
+        assert algorithm.maintenance_probes_total > 0
+        assert (
+            record.total_maintenance_probes
+            == algorithm.maintenance_probes_total
+        )
 
     def test_bills_replay_at_fixed_seed(self, small_world, records):
         again = run_daemon(
@@ -163,7 +198,7 @@ class TestMaintenanceByEvent:
         # Per-event repair off and a draining churn mix: the periodic
         # timer does all the repairing, exactly the daemon deployment the
         # background bucket exists for.
-        record = run_daemon(
+        record, algorithm = run_fresh(
             small_world,
             lambda: MeridianSearch(ring_repair=False),
             dataclasses.replace(
@@ -179,9 +214,8 @@ class TestMaintenanceByEvent:
         assert record.ring_repair_probes > 0
         assert record.maintenance_background_probes == record.ring_repair_probes
         assert (
-            int(record.maintenance_by_event.sum())
-            + record.maintenance_background_probes
-            == record.total_maintenance_probes
+            record.total_maintenance_probes
+            == algorithm.maintenance_probes_total
         )
 
 

@@ -46,7 +46,9 @@ class TestChurnResilienceExtension:
             "random-probe", "beaconing", "meridian",
         ]
         for record in result.records:
-            assert record.maintenance_probes is not None
+            assert record.maintenance_by_event.shape == (
+                record.n_churn_events,
+            )
             assert 0.0 <= record.exact_rate <= 1.0
 
     def test_common_random_numbers_across_schemes(self, result):

@@ -387,6 +387,21 @@ class TestDaemonPartition:
         # the answers themselves stay complete: graceful degradation.
         assert 0.0 < record.availability < 1.0
 
+    def test_failed_attempts_carry_their_probes(self):
+        """A retried query's bill includes every failed attempt's probes:
+        a one-probe plan that retried ``r`` times sent ``1 + r`` probes."""
+        from repro.algorithms import RandomProbeSearch
+        from repro.harness import get_scenario
+
+        scenario = get_scenario("daemon-partition")
+        record = QueryEngine().run_trial(
+            scenario,
+            lambda: RandomProbeSearch(budget=1),
+            scenario.world_seeds()[0],
+        )
+        assert record.total_query_retries > 0
+        assert np.array_equal(record.probes, 1 + record.query_retries)
+
     def test_livelock_guard_raises_instead_of_hanging(self):
         loop = EventLoop()
 

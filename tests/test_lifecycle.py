@@ -10,8 +10,8 @@ Covers the redesign's three guarantees:
   fresh ``build((M ∪ J) \\ L)``, and the stateful incremental schemes
   stay within quality tolerance;
 * honest maintenance accounting — join/leave return their probe bill,
-  ``SearchResult.maintenance_probes`` carries it to the next query, and
-  rebuild-policy schemes bill the full reconstruction;
+  the maintenance ledger charges it to the event, and rebuild-policy
+  schemes bill the full reconstruction;
 * bit-identity — fixed-seed results of the static ``sampled`` /
   ``per-target`` protocols are unchanged by the redesign (golden arrays
   captured from the pre-redesign code).
@@ -261,20 +261,20 @@ class TestIncrementalTolerance:
 
 
 class TestMaintenanceAccounting:
-    def test_result_reports_maintenance_since_previous_query(
-        self, lifecycle_setup
-    ):
+    def test_events_bill_the_ledger(self, lifecycle_setup):
         oracle, initial, joiners, leavers, targets = lifecycle_setup
         algorithm = BeaconSearch()
         algorithm.build(oracle, initial, seed=7)
-        spent = algorithm.join(joiners, seed=11)
-        spent += algorithm.leave(leavers, seed=13)
-        result = algorithm.query(int(targets[0]), seed=1)
-        assert spent > 0
-        assert result.maintenance_probes == spent
-        assert algorithm.maintenance_probes_total == spent
-        # Accounted once: the next quiet query reports zero.
-        assert algorithm.query(int(targets[1]), seed=2).maintenance_probes == 0
+        joined = algorithm.join(joiners, seed=11)
+        left = algorithm.leave(leavers, seed=13)
+        assert joined + left > 0
+        assert algorithm.maintenance_by_event.tolist() == [joined, left]
+        assert algorithm.maintenance_probes_total == joined + left
+        # Queries add nothing to the maintenance books.
+        algorithm.query(int(targets[0]), seed=1)
+        algorithm.query(int(targets[1]), seed=2)
+        assert algorithm.maintenance_probes_total == joined + left
+        assert algorithm.maintenance_ledger.total == joined + left
 
     def test_random_probe_maintenance_is_free(self, lifecycle_setup):
         oracle, initial, joiners, leavers, _ = lifecycle_setup
@@ -297,7 +297,7 @@ class TestMaintenanceAccounting:
         algorithm.join(joiners, seed=1)
         result = algorithm.query(int(targets[0]), seed=3)
         assert result.probes == 9
-        assert result.maintenance_probes == 0
+        assert algorithm.maintenance_probes_total == 0
 
 
 class TestBitIdentityRegression:
@@ -440,7 +440,7 @@ class TestChurnProtocol:
             churn_scenario, lambda: RandomProbeSearch(budget=8), 123
         )
         assert record.n_queries == 60
-        assert record.maintenance_probes is not None
+        assert record.maintenance_by_event.shape == (record.n_churn_events,)
         assert record.membership_size is not None
         assert record.membership_size.min() >= churn_scenario.daemon.min_members
         # The membership actually churned.
@@ -461,22 +461,25 @@ class TestChurnProtocol:
         a, b = run(), run()
         assert (a.targets == b.targets).all()
         assert (a.found == b.found).all()
-        assert (a.maintenance_probes == b.maintenance_probes).all()
+        assert (a.maintenance_by_event == b.maintenance_by_event).all()
         assert (a.membership_size == b.membership_size).all()
-        assert a.warmup_maintenance_probes == b.warmup_maintenance_probes
+        assert a.total_maintenance_probes == b.total_maintenance_probes
 
     def test_churn_bills_maintenance(self, churn_scenario):
         """An index-carrying scheme must pay per event under churn, and
-        the warmup's bill stays off every query's."""
-        record = QueryEngine().run_trial(
-            churn_scenario, lambda: BeaconSearch(n_beacons=5), 123
-        )
+        the record's ledger total is the algorithm's whole maintenance
+        bill, warmup included."""
+        algorithm = BeaconSearch(n_beacons=5)
+        record = QueryEngine().run_trial(churn_scenario, lambda: algorithm, 123)
+        assert churn_scenario.daemon.warmup_ms > 0
         assert record.total_maintenance_probes > 0
-        assert record.mean_maintenance_probes_per_query > 0
-        assert record.warmup_maintenance_probes > 0
-        assert record.total_maintenance_probes == int(
-            record.maintenance_by_event.sum()
-        ) + record.maintenance_background_probes
+        assert (
+            record.total_maintenance_probes
+            == algorithm.maintenance_probes_total
+        )
+        assert record.mean_maintenance_probes_per_query == (
+            record.total_maintenance_probes / record.n_queries
+        )
 
     def test_registered_churn_scenarios_run(self):
         """The canonical churn workloads drive the engine end-to-end."""

@@ -126,10 +126,12 @@ class TestEagerBitIdentity:
                 scenario, lambda: factory("eager"), 123
             )
             assert (default.found == eager.found).all()
-            assert (default.maintenance_probes == eager.maintenance_probes).all()
             assert (
-                default.warmup_maintenance_probes
-                == eager.warmup_maintenance_probes
+                default.maintenance_by_event == eager.maintenance_by_event
+            ).all()
+            assert (
+                default.total_maintenance_probes
+                == eager.total_maintenance_probes
             )
 
 
@@ -141,11 +143,17 @@ class TestDeferredSemantics:
         assert algorithm.leave(np.arange(0, 10), seed=2) == 0
         assert algorithm.has_pending_maintenance
         assert algorithm.pending_maintenance_events == 2
-        result = algorithm.query(150, seed=3)
-        assert result.maintenance_probes > 0
+        assert algorithm.maintenance_probes_total == 0
+        algorithm.query(150, seed=3)
+        spent = algorithm.maintenance_probes_total
+        assert spent > 0
         assert not algorithm.has_pending_maintenance
-        # Already applied: the next quiet query reports zero.
-        assert algorithm.query(151, seed=4).maintenance_probes == 0
+        # The query's flush is billed to the two buffered events.
+        assert algorithm.maintenance_by_event.size == 2
+        assert int(algorithm.maintenance_by_event.sum()) == spent
+        # Already applied: the next quiet query spends nothing.
+        algorithm.query(151, seed=4)
+        assert algorithm.maintenance_probes_total == spent
 
     def test_coalesce_flushes_on_window(self, oracle):
         algorithm = KargerRuhlSearch(maintenance="coalesce:3")
@@ -500,9 +508,16 @@ class TestServiceMode:
         ids=["beaconing", "karger-ruhl-coalesce", "meridian"],
     )
     def test_phase_records_conserve_maintenance(self, service_scenario, factory):
-        """Each phase's record holds exactly its slice of the ledger: the
-        boundary drain keeps a coalesce window from leaking a bill into
-        the next phase, and warmup maintenance is on no query's bill."""
+        """Each phase's record holds exactly its slice of the ledger, so
+        the phase totals add up to the algorithm's maintenance counter:
+        the boundary drain keeps a coalesce window from leaking a bill
+        past its phase, and the first phase's warmup is on its books."""
+        algorithms = []
+
+        def build():
+            algorithms.append(factory())
+            return algorithms[-1]
+
         result = QueryEngine().run_scenario(
             service_scenario.with_(
                 phases=tuple(
@@ -514,16 +529,21 @@ class TestServiceMode:
                     for p in service_scenario.phases
                 )
             ),
-            factory,
+            build,
         )
         for record in result.records:
             assert record.n_churn_events > 0
             assert record.maintenance_by_event.shape == (record.n_churn_events,)
-            assert record.total_maintenance_probes == int(
-                record.maintenance_by_event.sum()
-            ) + record.maintenance_background_probes, record.phase
-        # The first phase's warmup churned the index before any query.
-        assert result.records[0].warmup_maintenance_probes > 0
+        n_phases = len(service_scenario.phases)
+        assert len(result.records) == n_phases * len(algorithms)
+        assert service_scenario.phases[0].daemon.warmup_ms > 0
+        for index, algorithm in enumerate(algorithms):
+            phases = result.records[index * n_phases:(index + 1) * n_phases]
+            assert algorithm.maintenance_probes_total > 0
+            assert (
+                sum(r.total_maintenance_probes for r in phases)
+                == algorithm.maintenance_probes_total
+            )
 
     def test_session_timers_carry_across_phases(self, service_scenario):
         """Sessions opened in one phase expire in the next, even when the
@@ -668,14 +688,14 @@ class TestMaintenanceLedger:
         assert algorithm.maintenance_by_event.size == 0
         assert algorithm.maintenance_background_probes == 0
 
-    def test_charge_spread_floor_split_unit(self):
+    def test_charge_floor_split_unit(self):
         from repro.algorithms.base import MaintenanceLedger
 
         ledger = MaintenanceLedger()
         ids = [ledger.new_event() for _ in range(3)]
-        ledger.charge_spread(ids, 10)
+        ledger.charge(ids, 10)
         assert ledger.bills().tolist() == [4, 3, 3]
-        ledger.charge_spread([], 5)  # no cause on the books -> background
+        ledger.charge([], 5)  # no cause on the books -> background
         assert ledger.background == 5
         assert ledger.total == 15
 

@@ -9,6 +9,7 @@ from repro.algorithms import (
     MeridianSearch,
     RandomProbeSearch,
 )
+from repro.algorithms.base import NearestPeerAlgorithm, probe_round
 from repro.analysis.compare import format_trial_records, rank_by_time_to_answer
 from repro.harness import (
     DaemonSpec,
@@ -78,7 +79,7 @@ class TestDaemonBasics:
         assert np.array_equal(a.arrival_ms, b.arrival_ms)
         assert np.array_equal(a.start_ms, b.start_ms)
         assert np.array_equal(a.finish_ms, b.finish_ms)
-        assert np.array_equal(a.maintenance_probes, b.maintenance_probes)
+        assert np.array_equal(a.maintenance_by_event, b.maintenance_by_event)
         assert a.n_churn_events == b.n_churn_events
         assert a.makespan_ms == b.makespan_ms
 
@@ -251,6 +252,37 @@ class TestDaemonBasics:
         assert record.ring_repair_nodes > 0
         # Repair probes are maintenance and stay on the books.
         assert record.total_maintenance_probes >= record.ring_repair_probes
+
+
+class _EmptyFirstRound(NearestPeerAlgorithm):
+    """A stub scheme whose plan yields an empty round, then one probe."""
+
+    name = "empty-first-round"
+
+    def _build(self, rng: np.random.Generator) -> None:
+        pass
+
+    def _plan(self, target: int, rng: np.random.Generator):
+        yield probe_round([], target, [])
+        node = int(rng.choice(self.members))
+        measured = {node: self.probe(node, target)}
+        yield from self._offer_round([node], target, list(measured.values()))
+        return self.result(target, measured)
+
+
+class TestEmptyRound:
+    @pytest.mark.parametrize(
+        "spec",
+        [DaemonSpec(mean_interarrival_ms=20.0), DaemonSpec(zero_delay=True)],
+        ids=["timed", "zero-delay"],
+    )
+    def test_empty_round_resumes_on_the_next_loop_turn(self, small_world, spec):
+        """A round with nothing to measure costs no simulated time but is
+        still a round: the plan resumes and the query finishes."""
+        record = run_daemon(small_world, _EmptyFirstRound, spec, n_queries=10)
+        assert (record.found >= 0).all()
+        assert (record.probes == 1).all()
+        assert (record.probe_rounds == 2).all()
 
 
 class TestZeroDelayDaemonEquivalence:
