@@ -29,12 +29,18 @@ Usage::
 ``--scale tiny`` is the CI smoke setting (the registered scenarios' own
 240-host world, trimmed query count); ``--scale paper`` runs the full
 registered workloads — the committed perf baseline.
+``--check`` validates the report it just wrote and exits 1 when a gate
+fails: the scenario and scheme sets, ordered positive tta percentiles,
+drops = retransmits + timeouts, and each scenario exercising its fault
+mode (lossy drops with availability >= 0.95, NAT relays with a billed
+detour, partition timeouts and retries).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -163,6 +169,65 @@ def run_suite(scale: str, seed: int | None) -> dict:
     }
 
 
+def check_report(report: dict) -> list[str]:
+    """Problems with a report (empty when every gate holds)."""
+    problems = []
+    if report["suite"] != "daemon-faults":
+        problems.append(f"suite is {report['suite']!r}")
+    scenarios = {s["scenario"]: s for s in report["scenarios"]}
+    if set(scenarios) != set(FAULT_SCENARIOS):
+        return problems + [f"scenarios are {sorted(scenarios)}"]
+    all_schemes = {name for name, _ in SCHEMES}
+    for sc in scenarios.values():
+        names = {b["name"] for b in sc["benchmarks"]}
+        if names != all_schemes:
+            problems.append(f"{sc['scenario']}: schemes are {sorted(names)}")
+        if set(sc["ranking_by_tta_median"]) != all_schemes:
+            problems.append(
+                f"{sc['scenario']}: ranking is {sc['ranking_by_tta_median']}"
+            )
+        for bench in sc["benchmarks"]:
+            where = f"{sc['scenario']}/{bench['name']}"
+            if not 0 < bench["tta_median_ms"] <= bench["tta_p99_ms"]:
+                problems.append(
+                    f"{where}: tta median {bench['tta_median_ms']} not in "
+                    f"(0, p99={bench['tta_p99_ms']}]"
+                )
+            # The bill decomposition invariant: every dropped probe was
+            # either retransmitted or timed the attempt out.
+            if bench["probe_drops"] != (
+                bench["probe_retransmits"] + bench["probe_timeouts"]
+            ):
+                problems.append(
+                    f"{where}: {bench['probe_drops']} drops != "
+                    f"{bench['probe_retransmits']} retransmits + "
+                    f"{bench['probe_timeouts']} timeouts"
+                )
+    # Each scenario must actually exercise its fault mode.
+    for bench in scenarios["daemon-lossy"]["benchmarks"]:
+        if not bench["probe_drops"] > 0:
+            problems.append(f"daemon-lossy/{bench['name']}: no probe drops")
+        # Availability floor: bounded retransmits plus whole-plan retries
+        # must keep every scheme answering within the deadline under the
+        # smoke loss rate.
+        if not bench["availability"] >= 0.95:
+            problems.append(
+                f"daemon-lossy/{bench['name']}: availability "
+                f"{bench['availability']} < 0.95"
+            )
+    for bench in scenarios["daemon-natted"]["benchmarks"]:
+        if not bench["relayed_probes"] > 0:
+            problems.append(f"daemon-natted/{bench['name']}: no relayed probes")
+        if not bench["relay_extra_ms"] > 0:
+            problems.append(f"daemon-natted/{bench['name']}: no relay detour")
+    part = scenarios["daemon-partition"]["benchmarks"]
+    if not sum(b["probe_timeouts"] for b in part) > 0:
+        problems.append("daemon-partition: no probe timeouts")
+    if not sum(b["query_retries"] for b in part) > 0:
+        problems.append("daemon-partition: no query retries")
+    return problems
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--scale", choices=SCALES, default="tiny")
@@ -183,6 +248,11 @@ def main() -> None:
             "run cannot clobber the committed paper baseline)"
         ),
     )
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="validate the report's gates and exit 1 if any fails",
+    )
     args = parser.parse_args()
     output = args.output
     if output is None:
@@ -194,6 +264,16 @@ def main() -> None:
     report = run_suite(args.scale, args.seed)
     output.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {output}")
+    if args.check:
+        problems = check_report(report)
+        for problem in problems:
+            print(f"CHECK FAILED: {problem}")
+        if problems:
+            sys.exit(1)
+        print(
+            "daemon faults smoke OK:",
+            sorted(s["scenario"] for s in report["scenarios"]),
+        )
 
 
 if __name__ == "__main__":

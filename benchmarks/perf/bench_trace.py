@@ -24,13 +24,17 @@ Usage::
         --scale paper --output BENCH_trace.json
 
 ``--scale tiny`` is the CI smoke setting; ``--scale paper`` raises the
-query count on the same world for a steadier ratio.
+query count on the same world for a steadier ratio.  ``--check``
+validates the report it just wrote and exits 1 when a gate fails: the
+scheme set, passivity for every scheme, a schema-valid non-empty span
+stream, and a total overhead ratio of at most 1.15.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import sys
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -165,6 +169,42 @@ def run_suite(scale: str, seed: int, reps: int, trace_path: Path) -> dict:
     }
 
 
+#: Zero-overhead-by-default budget: tracing may cost at most 15% wall
+#: clock across the three schemes (best-of-reps, interleaved arms, so
+#: noise hits both sides).
+MAX_OVERHEAD_RATIO = 1.15
+
+
+def check_report(report: dict) -> list[str]:
+    """Problems with a report (empty when every gate holds)."""
+    problems = []
+    if report["suite"] != "trace":
+        problems.append(f"suite is {report['suite']!r}")
+    if report["scenario"] != "daemon-steady":
+        problems.append(f"scenario is {report['scenario']!r}")
+    names = {b["name"] for b in report["benchmarks"]}
+    if names != {name for name, _ in SCHEMES}:
+        problems.append(f"schemes are {sorted(names)}")
+    # Passivity: the traced arm reproduced the untraced arm's answers,
+    # bills and timelines bit for bit, for every scheme.
+    if report["all_identical"] is not True:
+        problems.append("traced and untraced runs differ")
+    # The span streams schema-validated.
+    if report["trace_problems"]:
+        problems.append(f"trace problems: {report['trace_problems']}")
+    for bench in report["benchmarks"]:
+        if bench["identical"] is not True:
+            problems.append(f"{bench['name']}: traced run differs")
+        if not bench["n_spans"] > 0:
+            problems.append(f"{bench['name']}: no spans")
+    if not report["total_overhead_ratio"] <= MAX_OVERHEAD_RATIO:
+        problems.append(
+            f"tracing overhead {report['total_overhead_ratio']:.3f}x > "
+            f"{MAX_OVERHEAD_RATIO}x"
+        )
+    return problems
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--scale", choices=SCALES, default="tiny")
@@ -191,6 +231,11 @@ def main() -> None:
         default=None,
         help="where to write the traced runs' JSONL span streams",
     )
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="validate the report's gates and exit 1 if any fails",
+    )
     args = parser.parse_args()
     output = args.output
     if output is None:
@@ -205,6 +250,17 @@ def main() -> None:
     report = run_suite(args.scale, args.seed, args.reps, trace_path)
     output.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {output}")
+    if args.check:
+        problems = check_report(report)
+        for problem in problems:
+            print(f"CHECK FAILED: {problem}")
+        if problems:
+            sys.exit(1)
+        print(
+            "trace smoke OK:",
+            sorted(b["name"] for b in report["benchmarks"]),
+            f"overhead {report['total_overhead_ratio']:.3f}x",
+        )
 
 
 if __name__ == "__main__":

@@ -468,11 +468,8 @@ class QueryEngine:
         jobs = run.jobs
         query_targets = np.array([job.target for job in jobs], dtype=int)
         found = np.array([job.result.found for job in jobs], dtype=int)
-        truth = (
-            world.matrix.values if world.matrix is not None else world.topology
-        )
         exact_hit, cluster_hit = score_epochs(
-            truth,
+            world.topology,
             run.memberships,
             np.array([job.epoch for job in jobs], dtype=int),
             query_targets,
@@ -555,11 +552,8 @@ class QueryEngine:
         seed: int | np.random.Generator | None,
     ) -> TrialRecord:
         found = np.array([r.found for r in results], dtype=int)
-        truth = (
-            world.matrix.values if world.matrix is not None else world.topology
-        )
         exact_hit, cluster_hit = score_batch(
-            truth,
+            world.topology,
             members,
             query_targets,
             found,

@@ -31,8 +31,10 @@ class MembershipLog:
     rather than the O(|M|) full-array copy the engine used to take — so a
     long trial over a large membership costs O(events + total changes)
     memory.  Epoch member arrays are reconstructed on demand
-    (:meth:`membership`, or the sequential :meth:`walk` that
-    :func:`repro.harness.scoring.score_epochs` drives).
+    (:meth:`membership`, or the sequential :meth:`walk`);
+    :func:`repro.harness.scoring.score_epochs` on a clustered world
+    replays :attr:`initial` and the :meth:`diffs` into an incremental
+    ground-truth index instead.
     """
 
     def __init__(self, initial: np.ndarray) -> None:
@@ -49,6 +51,15 @@ class MembershipLog:
         self._joined.append(np.asarray(joined, dtype=int))
         self._left.append(np.asarray(left, dtype=int))
         return len(self._joined)
+
+    @property
+    def initial(self) -> np.ndarray:
+        """The member array of epoch 0."""
+        return self._initial
+
+    def diffs(self):
+        """Yield ``(joined, left)`` of epochs 1, 2, ... in order."""
+        return zip(self._joined, self._left)
 
     @property
     def n_epochs(self) -> int:
@@ -92,7 +103,7 @@ class MembershipLog:
         """Yield the member array of each requested epoch, in order.
 
         ``epochs`` must be sorted ascending; the diffs are applied once in
-        a single forward pass, so scoring a whole trial costs one walk.
+        a single forward pass.
         """
         members = self._initial
         cursor = 0

@@ -21,6 +21,7 @@ intra-EN ≪ intra-cluster < inter-cluster.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -204,6 +205,28 @@ class ClusteredTopology:
 
     # -- ground-truth helpers ----------------------------------------------
 
+    @cached_property
+    def en_separated(self) -> bool:
+        """True when an end-network mate is never farther than a cross-EN host.
+
+        Every cross-EN RTT is ``(hub(a) + hub(b)) + core`` with
+        ``core >= 0``; float ``+`` is monotone, so it is at least
+        ``2 * min(hub)``.  When ``intra_en_latency_ms`` does not exceed
+        that, a live EN-mate *is* a target's nearest member and
+        :class:`GroundTruthIndex` is exact.  Hubs near zero (``delta``
+        near 1) can break this.
+        """
+        return bool(
+            self.config.intra_en_latency_ms <= 2.0 * self.en_hub_latency_ms.min()
+            and (self.core_ms >= 0.0).all()
+        )
+
+    def truth_index(self, members: np.ndarray) -> "GroundTruthIndex | None":
+        """A :class:`GroundTruthIndex` over ``members``, or ``None`` when
+        the world is not :attr:`en_separated` and the index would not be
+        exact."""
+        return GroundTruthIndex(self, members) if self.en_separated else None
+
     def same_end_network(self, a: int, b: int) -> bool:
         """True if two hosts share an end-network (the 'exact-closest' case)."""
         return bool(self.host_en[a] == self.host_en[b])
@@ -234,3 +257,80 @@ class ClusteredTopology:
             f"peers/en={c.peers_per_end_network}, delta={c.delta}, "
             f"hosts={self.n_nodes})"
         )
+
+
+class GroundTruthIndex:
+    """Incremental nearest-live-member ground truth for a clustered world.
+
+    A target's nearest member under the Section 4 path model is the target
+    itself (RTT 0) when it is live, else a live end-network mate
+    (``intra_en_latency_ms``) when one exists — exact only on an
+    :attr:`~ClusteredTopology.en_separated` world — else
+    ``min_c (hub(t) + min_hub[c]) + core[c_t, c]``, where ``min_hub[c]`` is
+    the smallest hub latency among cluster ``c``'s live members.  Float
+    ``+`` is monotone and the operands are added in
+    :meth:`ClusteredTopology.latency_block`'s order, so each cluster's
+    min-hub member yields the very float a full row scan would: the index
+    is bit-identical to ``latency_block(targets, members).min(axis=1)``
+    in O(clusters) per target instead of O(members).
+
+    The index holds a live mask over hosts, per-end-network live counts
+    and ``min_hub``; :meth:`apply` advances it by one membership diff and
+    rescans only the end-networks of the clusters the diff touches.
+    """
+
+    def __init__(self, topology: ClusteredTopology, members: np.ndarray) -> None:
+        self.topology = topology
+        self.live = np.zeros(topology.n_nodes, dtype=bool)
+        self.live[np.asarray(members, dtype=int)] = True
+        n_en = topology.en_cluster.size
+        self._en_live = np.bincount(topology.host_en[self.live], minlength=n_en)
+        self._hub_live = np.where(
+            self._en_live > 0, topology.en_hub_latency_ms, np.inf
+        )
+        # End-networks grouped by cluster: cluster c's are
+        # _cluster_ens[_bounds[c]:_bounds[c + 1]].
+        self._cluster_ens = np.argsort(topology.en_cluster, kind="stable")
+        self._bounds = np.searchsorted(
+            topology.en_cluster[self._cluster_ens],
+            np.arange(topology.config.n_clusters + 1),
+        )
+        self.min_hub = np.full(topology.config.n_clusters, np.inf)
+        np.minimum.at(self.min_hub, topology.en_cluster, self._hub_live)
+
+    def apply(self, joined: np.ndarray, left: np.ndarray) -> None:
+        """Advance by one membership diff: ``left`` leave, then ``joined`` join."""
+        host_en = self.topology.host_en
+        left = np.unique(np.asarray(left, dtype=int))
+        left = left[self.live[left]]
+        self.live[left] = False
+        joined = np.unique(np.asarray(joined, dtype=int))
+        joined = joined[~self.live[joined]]
+        self.live[joined] = True
+        np.subtract.at(self._en_live, host_en[left], 1)
+        np.add.at(self._en_live, host_en[joined], 1)
+        ens = np.unique(host_en[np.concatenate([left, joined])])
+        self._hub_live[ens] = np.where(
+            self._en_live[ens] > 0, self.topology.en_hub_latency_ms[ens], np.inf
+        )
+        for c in np.unique(self.topology.en_cluster[ens]):
+            cluster_ens = self._cluster_ens[self._bounds[c] : self._bounds[c + 1]]
+            self.min_hub[c] = self._hub_live[cluster_ens].min()
+
+    def nearest_rtt(self, targets: np.ndarray) -> np.ndarray:
+        """True RTT from each target to its nearest live member (inf if none)."""
+        topo = self.topology
+        targets = np.asarray(targets, dtype=int)
+        best = topo.host_hub_latency_ms[targets][:, None] + self.min_hub[None, :]
+        best += topo.core_ms[topo.host_cluster[targets]]
+        best = best.min(axis=1)
+        best[self._en_live[topo.host_en[targets]] > 0] = (
+            topo.config.intra_en_latency_ms
+        )
+        best[self.live[targets]] = 0.0
+        return best
+
+    def is_live(self, hosts: np.ndarray) -> np.ndarray:
+        """Membership of each host id; the no-answer sentinel -1 is never live."""
+        hosts = np.asarray(hosts, dtype=int)
+        return (hosts >= 0) & self.live[hosts]
