@@ -8,11 +8,7 @@ from typing import Callable, Generator, Iterable, Sequence
 
 import numpy as np
 
-from repro.topology.oracle import (
-    LatencyOracle,
-    batch_latencies_from,
-    batch_latency_block,
-)
+from repro.topology.oracle import LatencyOracle, missing_oracle_members
 from repro.util.errors import ConfigurationError
 from repro.util.rng import make_rng
 
@@ -455,7 +451,19 @@ class NearestPeerAlgorithm(abc.ABC):
         setting for comparing schemes under the clustering condition
         (beacon triangulation, for one, is unrealistically sharp on exact
         latencies).
+
+        Both oracles must implement the whole
+        :class:`~repro.topology.oracle.LatencyOracle` contract; one that
+        does not is rejected here with :class:`ConfigurationError`, not
+        deep inside a query.
         """
+        for role, candidate in (("oracle", oracle), ("probe_oracle", probe_oracle)):
+            missing = [] if candidate is None else missing_oracle_members(candidate)
+            if missing:
+                raise ConfigurationError(
+                    f"{self.name}: {role} {type(candidate).__name__} is not a "
+                    f"LatencyOracle: missing {', '.join(missing)}"
+                )
         self._oracle = oracle
         self._probe_oracle = probe_oracle or oracle
         self._members = np.asarray(member_ids, dtype=int)
@@ -1040,9 +1048,8 @@ class NearestPeerAlgorithm(abc.ABC):
 
         Accounting and measurement direction are exact: one probe per
         element, measured as ``latency_ms(node, target)`` — identical to
-        calling :meth:`probe` in a loop even for asymmetric oracles.  Uses
-        the oracle's vectorised fast path when available, with the scalar
-        fallback otherwise.
+        calling :meth:`probe` in a loop even for asymmetric oracles.  One
+        ``latency_block`` call on the probe oracle.
         """
         nodes = np.asarray(nodes, dtype=int)
         if nodes.size == 0:
@@ -1064,7 +1071,7 @@ class NearestPeerAlgorithm(abc.ABC):
             return np.empty((rows.size, cols.size), dtype=float)
         self._probe_count += int(rows.size * cols.size)
         assert self._probe_oracle is not None
-        return batch_latency_block(self._probe_oracle, rows, cols)
+        return self._probe_oracle.latency_block(rows, cols)
 
     def aux_probe(self, a: int, b: int) -> float:
         """Measure RTT between two non-target nodes at query time.
@@ -1090,20 +1097,20 @@ class NearestPeerAlgorithm(abc.ABC):
             return np.empty(0, dtype=float)
         self._aux_probe_count += int(nodes.size)
         assert self._probe_oracle is not None
-        return batch_latencies_from(self._probe_oracle, int(a), nodes)
+        return self._probe_oracle.latencies_from(int(a), nodes)
 
     def offline_distances_from(self, node: int) -> np.ndarray:
         """RTTs from ``node`` to every member, for *build/maintenance* use.
 
-        Uses the oracle's vectorised fast path when it exposes one.  Not
-        counted as query probes — index construction is the offline phase.
+        One ``latencies_from`` call on the oracle.  Not counted as query
+        probes — index construction is the offline phase.
         During a :meth:`join` / :meth:`leave` event the same measurements
         are billed as maintenance, which is how the counted-rebuild
         fallback prices a full rebuild.
         """
         if self._in_maintenance:
             self._maintenance_probe_count += int(self.members.size)
-        return batch_latencies_from(self.oracle, int(node), self.members)
+        return self.oracle.latencies_from(int(node), self.members)
 
     def offline_probe_many(
         self, node: int, nodes: np.ndarray | list[int]
@@ -1121,7 +1128,7 @@ class NearestPeerAlgorithm(abc.ABC):
             return np.empty(0, dtype=float)
         if self._in_maintenance:
             self._maintenance_probe_count += int(nodes.size)
-        return batch_latencies_from(self.oracle, int(node), nodes)
+        return self.oracle.latencies_from(int(node), nodes)
 
     def offline_probe_block(
         self, rows: np.ndarray | list[int], cols: np.ndarray | list[int]
@@ -1134,7 +1141,7 @@ class NearestPeerAlgorithm(abc.ABC):
             return np.empty((rows.size, cols.size), dtype=float)
         if self._in_maintenance:
             self._maintenance_probe_count += int(rows.size * cols.size)
-        return batch_latency_block(self.oracle, rows, cols)
+        return self.oracle.latency_block(rows, cols)
 
     # -- maintenance accounting ----------------------------------------------
 
@@ -1184,7 +1191,7 @@ class NearestPeerAlgorithm(abc.ABC):
         if nodes.size == 0:
             return np.empty(0, dtype=float)
         self._maintenance_probe_count += int(nodes.size)
-        return batch_latencies_from(self.oracle, int(a), nodes)
+        return self.oracle.latencies_from(int(a), nodes)
 
     def maintenance_probe_block(
         self, rows: np.ndarray | list[int], cols: np.ndarray | list[int]
@@ -1195,7 +1202,7 @@ class NearestPeerAlgorithm(abc.ABC):
         if rows.size == 0 or cols.size == 0:
             return np.empty((rows.size, cols.size), dtype=float)
         self._maintenance_probe_count += int(rows.size * cols.size)
-        return batch_latency_block(self.oracle, rows, cols)
+        return self.oracle.latency_block(rows, cols)
 
     def _offer_round(
         self,

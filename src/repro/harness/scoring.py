@@ -115,6 +115,8 @@ def score_batch(
     the member id set, ``targets``/``found`` the parallel per-query arrays.
     Returns boolean ``(exact_hit, cluster_hit)`` arrays; ``cluster_hit`` is
     all False when ``host_cluster`` (host id -> cluster id) is not given.
+    A ``found`` of -1 (no answer) is a miss on both metrics, as in
+    :func:`score_epochs`.
     """
     targets = np.asarray(targets, dtype=int)
     found = np.asarray(found, dtype=int)
@@ -128,11 +130,12 @@ def score_batch(
     # Targets repeat in sampled-query batches: one minimum per unique target.
     unique, inverse = np.unique(targets, return_inverse=True)
     best = _truth(matrix, members).nearest_rtt(unique)
-    exact_hit = _pairs(matrix, targets, found) <= best[inverse] + TIE_EPS
+    answered = found >= 0
+    exact_hit = (_pairs(matrix, targets, found) <= best[inverse] + TIE_EPS) & answered
     if host_cluster is None:
         cluster_hit = np.zeros(targets.size, dtype=bool)
     else:
-        cluster_hit = host_cluster[found] == host_cluster[targets]
+        cluster_hit = (host_cluster[found] == host_cluster[targets]) & answered
     return exact_hit, cluster_hit
 
 
@@ -207,6 +210,8 @@ def score_single(
     host_cluster: np.ndarray | None = None,
 ) -> tuple[bool, bool]:
     """Scalar reference scorer (one per-target row scan, as the old loops)."""
+    if found < 0:
+        return False, False
     row = matrix[target, np.asarray(members, dtype=int)]
     exact = bool(matrix[target, found] <= row.min() + TIE_EPS)
     cluster = (

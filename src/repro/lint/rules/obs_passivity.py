@@ -29,8 +29,6 @@ _MEASUREMENT_CALLS = frozenset(
         "latency_ms",
         "latencies_from",
         "latency_block",
-        "batch_latencies_from",
-        "batch_latency_block",
         "probe",
         "probe_many",
         "probe_block",

@@ -44,17 +44,6 @@ class AzureusStudyConfig:
     # penultimate hop are valid, we go up"), so its effective per-router
     # response rate beats a single traceroute's.
     router_response_rate: float = 0.96
-    #: Precompute the vantage->peer true RTTs as one bulk ``latency_matrix``
-    #: block instead of routing per TCP ping.  Noise draws are untouched,
-    #: so results are bit-identical with the flag on or off; ``False``
-    #: exists for the perf benchmarks.
-    batch_true_latencies: bool = True
-    #: Precompute each vantage's traceroute routes in one ``routes_from``
-    #: sweep (shared upward-chain prefix, per-PoP core segments) instead
-    #: of routing per trace.  Route construction consumes no randomness,
-    #: so results are bit-identical on or off; ``False`` exists for the
-    #: perf benchmarks.
-    batch_routes: bool = True
 
     def __post_init__(self) -> None:
         require_positive(self.prune_factor - 1.0, "prune_factor - 1")
@@ -153,29 +142,18 @@ class AzureusStudy:
         result.peers_responsive = len(responsive_peers)
         # Bulk true RTTs for the vantage->peer TCP pings (one block instead
         # of one route() per ping; no RNG consumed, results identical).
-        true_block: np.ndarray | None = None
-        peer_column: dict[int, int] = {}
-        vantage_row: dict[int, int] = {}
-        if cfg.batch_true_latencies and responsive_peers:
-            true_block = internet.latency_matrix(
-                internet.vantage_ids, responsive_peers
-            )
-            vantage_row = {v: i for i, v in enumerate(internet.vantage_ids)}
-            peer_column = {p: j for j, p in enumerate(responsive_peers)}
+        true_block = internet.latency_matrix(internet.vantage_ids, responsive_peers)
+        vantage_row = {v: i for i, v in enumerate(internet.vantage_ids)}
+        peer_column = {p: j for j, p in enumerate(responsive_peers)}
         # Batched route construction: one routes_from sweep per vantage
         # replaces a route() per (vantage, peer) trace — the pipeline's
         # dominant cost.  The traces' noise draws are untouched.
-        route_to_peer: dict[int, dict[int, object]] = {}
-        if cfg.batch_routes and responsive_peers:
-            route_to_peer = {
-                vantage: dict(
-                    zip(
-                        responsive_peers,
-                        internet.routes_from(vantage, responsive_peers),
-                    )
-                )
-                for vantage in internet.vantage_ids
-            }
+        route_to_peer = {
+            vantage: dict(
+                zip(responsive_peers, internet.routes_from(vantage, responsive_peers))
+            )
+            for vantage in internet.vantage_ids
+        }
         hub_of_peer: dict[int, int] = {}
         hub_latency: dict[int, float] = {}
         for peer in responsive_peers:
@@ -184,11 +162,7 @@ class AzureusStudy:
             usable = True
             for vantage in internet.vantage_ids:
                 trace = self._tracer.trace(
-                    vantage,
-                    peer,
-                    route=(
-                        route_to_peer[vantage][peer] if route_to_peer else None
-                    ),
+                    vantage, peer, route=route_to_peer[vantage][peer]
                 )
                 last = trace.last_valid_router()
                 if last is None:
@@ -202,11 +176,7 @@ class AzureusStudy:
                 tcp = self._tcp.measure(
                     vantage,
                     peer,
-                    true_ms=(
-                        float(true_block[vantage_row[vantage], peer_column[peer]])
-                        if true_block is not None
-                        else None
-                    ),
+                    true_ms=float(true_block[vantage_row[vantage], peer_column[peer]]),
                 )
                 hub_hop = next(
                     (h for h in reversed(trace.hops) if h.router_id == last), None

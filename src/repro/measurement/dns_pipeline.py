@@ -49,12 +49,6 @@ class DnsStudyConfig:
     max_hops_from_common: int = 10
     intra_domain_strict_hops: int = 5
     max_predicted_ms: float = 100.0
-    #: Precompute the true RTTs the study's pings and King measurements
-    #: need as bulk ``latency_matrix`` blocks instead of routing host pairs
-    #: one by one.  Noise draws are untouched, so results are bit-identical
-    #: with the flag on or off; ``False`` exists for the perf benchmarks
-    #: (and as a paranoia switch).
-    batch_true_latencies: bool = True
 
     def __post_init__(self) -> None:
         require_positive(self.pairs_per_server, "pairs_per_server")
@@ -119,7 +113,7 @@ class DnsStudy:
         self._pinger = Pinger(internet, seed=self._rng)
         self._king = KingEstimator(internet, seed=self._rng)
         self._ping_cache: dict[tuple[str, int], float | None] = {}
-        # Bulk true-latency blocks (see DnsStudyConfig.batch_true_latencies):
+        # Bulk true-latency blocks (see _precompute_true_latencies):
         # measurement-host->server RTTs and per-pair server RTTs, filled by
         # run() before the measurement loops.
         self._host_true: dict[int, float] = {}
@@ -300,8 +294,7 @@ class DnsStudy:
         result.clusters_found = len(clusters)
         pairs = self._sample_pairs(clusters)
         intra_pairs = self._intra_domain_pairs(traces)
-        if cfg.batch_true_latencies:
-            self._precompute_true_latencies(pairs, intra_pairs)
+        self._precompute_true_latencies(pairs, intra_pairs)
 
         # Inter-domain pairs within clusters (Figs 3, 4, and 5's two
         # inter-domain curves).

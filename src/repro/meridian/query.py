@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.meridian.overlay import MeridianOverlay
-from repro.topology.oracle import LatencyOracle, batch_latency_block
+from repro.topology.oracle import LatencyOracle
 from repro.util.errors import DataError
 from repro.util.rng import make_rng
 
@@ -92,7 +92,7 @@ def closest_node_query(
         )
         if fresh:
             probes += len(fresh)  # the ring sweep is billed before it fires
-            values = batch_latency_block(probe_oracle, fresh, [target])[:, 0]  # repro-lint: allow(counted-probes)
+            values = probe_oracle.latency_block(fresh, [target])[:, 0]  # repro-lint: allow(counted-probes)
             measured.update(zip(fresh, values.tolist()))
         if measured:
             round_best = min(measured, key=measured.get)

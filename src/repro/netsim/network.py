@@ -8,11 +8,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.netsim.engine import EventHandle, EventLoop
-from repro.topology.oracle import (
-    LatencyOracle,
-    batch_latencies_from,
-    batch_latency_block,
-)
+from repro.topology.oracle import LatencyOracle
 from repro.util.errors import SimulationError
 from repro.util.rng import make_rng
 
@@ -142,9 +138,9 @@ class FaultModel:
         for dst in np.unique(dsts[idx]):
             rows = idx[dsts[idx] == dst]
             relay = int(self.relay_of[dst])
-            to_relay = batch_latency_block(oracle, srcs[rows], [relay])[:, 0]
+            to_relay = oracle.latency_block(srcs[rows], [relay])[:, 0]
             detour = to_relay + oracle.latency_ms(relay, int(dst))
-            direct = batch_latency_block(oracle, srcs[rows], [int(dst)])[:, 0]
+            direct = oracle.latency_block(srcs[rows], [int(dst)])[:, 0]
             extra[rows] = np.maximum(0.0, detour - direct)
         return relayed, extra
 
@@ -352,11 +348,11 @@ class Network:
         The batched counterpart of N :meth:`send` calls: the loss decisions
         come first as one vectorised draw (the same generator stream, so
         the drop pattern is bit-identical to the scalar loop), then the
-        *surviving* destinations' latencies come from a single
-        :func:`~repro.topology.oracle.batch_latencies_from` draw instead of
-        N scalar ``latency_ms`` calls — exactly the probes the scalar loop
-        would have made, so counting/noisy oracle accounting stays exact
-        (a lost message never consumes an oracle draw, scalar or batched).
+        *surviving* destinations' latencies come from one
+        ``latencies_from`` draw (:meth:`path_rtts`) instead of N scalar
+        ``latency_ms`` calls — exactly the probes the scalar loop would
+        have made, so counting/noisy oracle accounting stays exact (a lost
+        message never consumes an oracle draw, scalar or batched).
         """
         dsts = np.asarray(dsts, dtype=int)
         if payloads is not None and len(payloads) != dsts.size:
@@ -393,14 +389,13 @@ class Network:
     ) -> np.ndarray:
         """One vectorised RTT draw along the ``src -> dst`` network paths.
 
-        The same oracle draw :meth:`send_many` halves into one-way delays,
-        exposed for callers that bill whole round trips — the daemon's
-        dispatch-RTT charging prices the coordination hop (entry node
-        asking peer *p* to probe) through here.
+        One ``latencies_from`` call on the oracle: the same draw
+        :meth:`send_many` halves into one-way delays, exposed for callers
+        that bill whole round trips — the daemon's dispatch-RTT charging
+        prices the coordination hop (entry node asking peer *p* to probe)
+        through here.
         """
-        return batch_latencies_from(
-            self.oracle, int(src), np.asarray(dsts, dtype=int)
-        )
+        return self.oracle.latencies_from(int(src), np.asarray(dsts, dtype=int))
 
     def deliver_later(self, message: Message, delay_ms: float) -> EventHandle:
         """Schedule a direct (loss-free) delivery; used for timers.

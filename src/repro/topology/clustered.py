@@ -154,8 +154,8 @@ class ClusteredTopology:
     def latencies_from(self, a: int, members: np.ndarray | None = None) -> np.ndarray:
         """RTTs from host ``a`` to ``members`` without a dense matrix.
 
-        The batch half of the :class:`~repro.topology.oracle.BatchLatencyOracle`
-        protocol, computed from the path model directly — the float
+        The row member of the :class:`~repro.topology.oracle.LatencyOracle`
+        contract, computed from the path model directly — the float
         operation order matches :meth:`latency_ms` and :meth:`full_matrix`
         term for term, so the values are bit-identical to a dense row
         slice.  O(len(members)) time and memory: what lets the simulator

@@ -6,28 +6,30 @@ against a dense matrix (Meridian simulations), the routed router-level
 topology (measurement studies), or noisy/counting wrappers (probe accounting
 — the paper's core cost metric is the number of latency probes).
 
-Batch fast path
----------------
+The oracle contract
+-------------------
 
 Simulated probes are the repository's hot path: Meridian overlay
 construction issues O(n·k) of them, ring selection O(k²) more per node.
-Oracles may therefore expose two *optional* vectorised methods (the
-:class:`BatchLatencyOracle` protocol):
+So the contract has four required members, two of them vectorised:
 
-* ``latencies_from(a, members)`` — RTTs from ``a`` to each id in
+* ``latency_ms(a, b)`` — one RTT;
+* ``n_nodes`` — the id space ``0..n_nodes-1``;
+* ``latencies_from(a, members=None)`` — RTTs from ``a`` to each id in
   ``members`` (or the full row when ``members`` is ``None``);
 * ``latency_block(rows, cols)`` — the dense ``len(rows) × len(cols)``
-  RTT block.
+  RTT block, element order row-major.
 
-Callers never probe for these methods themselves: they go through
-:func:`batch_latencies_from` / :func:`batch_latency_block`, which fall back
-to element-wise ``latency_ms`` loops, so third-party oracles implementing
-only the scalar protocol keep working everywhere.
+Batch methods accept any integer sequence and return float arrays whose
+elements equal the scalar ``latency_ms`` loop (for :class:`NoisyOracle`,
+when ``additive_ms == 0``).  Callers use them directly;
+:meth:`~repro.algorithms.base.NearestPeerAlgorithm.build` rejects an
+oracle missing any member with a typed error (see
+:func:`missing_oracle_members`).
 """
 
 from __future__ import annotations
 
-import inspect
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -38,7 +40,7 @@ from repro.util.rng import make_rng
 
 @runtime_checkable
 class LatencyOracle(Protocol):
-    """Interface: round-trip latency in milliseconds between two node ids."""
+    """Interface: round-trip latencies in milliseconds between node ids."""
 
     def latency_ms(self, a: int, b: int) -> float:
         """Return the RTT between nodes ``a`` and ``b`` in milliseconds."""
@@ -48,15 +50,6 @@ class LatencyOracle(Protocol):
     def n_nodes(self) -> int:
         """Number of nodes the oracle knows about (ids are 0..n_nodes-1)."""
         ...
-
-
-@runtime_checkable
-class BatchLatencyOracle(LatencyOracle, Protocol):
-    """A latency oracle with the vectorised fast path (see module docstring).
-
-    This protocol is *optional*: call sites use the dispatch helpers below,
-    never ``isinstance`` checks, so scalar-only oracles remain first-class.
-    """
 
     def latencies_from(
         self, a: int, members: np.ndarray | None = None
@@ -69,55 +62,19 @@ class BatchLatencyOracle(LatencyOracle, Protocol):
         ...
 
 
-def batch_latencies_from(
-    oracle: LatencyOracle, a: int, members: np.ndarray | list[int]
-) -> np.ndarray:
-    """RTTs from ``a`` to each of ``members``, batched when the oracle can.
+#: The members of :class:`LatencyOracle`, in declaration order.
+_ORACLE_MEMBERS = ("latency_ms", "n_nodes", "latencies_from", "latency_block")
 
-    Falls back to a scalar ``latency_ms`` loop for plain oracles, and to
-    full-row indexing for legacy oracles whose ``latencies_from`` takes no
-    ``members`` argument — so every :class:`LatencyOracle` works here.
+
+def missing_oracle_members(oracle: object) -> list[str]:
+    """The :class:`LatencyOracle` members ``oracle`` lacks (empty: conforms).
+
+    Members are looked up dynamically, so a pass-through proxy that
+    delegates through ``__getattr__`` conforms on every Python version
+    (``isinstance`` against a runtime-checkable protocol stopped
+    consulting ``__getattr__`` in 3.12).
     """
-    members = np.asarray(members, dtype=int)
-    fn = getattr(oracle, "latencies_from", None)
-    if fn is not None:
-        try:
-            return np.asarray(fn(int(a), members), dtype=float)
-        except TypeError:
-            # Only fall back for the legacy single-argument signature
-            # (whose binding fails before the body runs, so no oracle
-            # state was consumed).  A TypeError raised *inside* a two-arg
-            # implementation is a real bug and must propagate — retrying
-            # would double-consume RNG draws / probe counters.
-            try:
-                inspect.signature(fn).bind(int(a), members)
-            except TypeError:
-                return np.asarray(fn(int(a)), dtype=float)[members]
-            raise
-    return np.array(
-        [oracle.latency_ms(int(a), int(m)) for m in members], dtype=float
-    )
-
-
-def batch_latency_block(
-    oracle: LatencyOracle,
-    rows: np.ndarray | list[int],
-    cols: np.ndarray | list[int],
-) -> np.ndarray:
-    """The ``rows × cols`` RTT block, batched when the oracle can.
-
-    Scalar fallback iterates ``latency_ms(row, col)`` row-major, matching
-    the element order every batch implementation must produce.
-    """
-    rows = np.asarray(rows, dtype=int)
-    cols = np.asarray(cols, dtype=int)
-    fn = getattr(oracle, "latency_block", None)
-    if fn is not None:
-        return np.asarray(fn(rows, cols), dtype=float)
-    return np.array(
-        [[oracle.latency_ms(int(a), int(b)) for b in cols] for a in rows],
-        dtype=float,
-    )
+    return [name for name in _ORACLE_MEMBERS if not hasattr(oracle, name)]
 
 
 def oracle_probe_many(oracle: LatencyOracle):
@@ -133,7 +90,7 @@ def oracle_probe_many(oracle: LatencyOracle):
     """
 
     def probe_many(src: int, nodes: np.ndarray | list[int]) -> np.ndarray:
-        return batch_latencies_from(oracle, int(src), nodes)
+        return oracle.latencies_from(int(src), nodes)
 
     return probe_many
 
@@ -147,7 +104,7 @@ def oracle_pairwise(oracle: LatencyOracle):
     """
 
     def pairwise(nodes: np.ndarray | list[int]) -> np.ndarray:
-        return batch_latency_block(oracle, nodes, nodes)
+        return oracle.latency_block(nodes, nodes)
 
     return pairwise
 
@@ -236,13 +193,13 @@ class CountingOracle:
             members = np.arange(self.n_nodes)
         members = np.asarray(members, dtype=int)
         self._count_batch(np.full(members.size, int(a)), members)
-        return batch_latencies_from(self._inner, a, members)
+        return self._inner.latencies_from(a, members)
 
     def latency_block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         rows = np.asarray(rows, dtype=int)
         cols = np.asarray(cols, dtype=int)
         self._count_batch(np.repeat(rows, cols.size), np.tile(cols, rows.size))
-        return batch_latency_block(self._inner, rows, cols)
+        return self._inner.latency_block(rows, cols)
 
     def reset(self) -> None:
         """Zero the counters (e.g. between queries)."""
@@ -312,7 +269,7 @@ class NoisyOracle:
     ) -> np.ndarray:
         if members is None:
             members = np.arange(self.n_nodes)
-        return self._noisy_batch(batch_latencies_from(self._inner, a, members))
+        return self._noisy_batch(self._inner.latencies_from(a, members))
 
     def latency_block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        return self._noisy_batch(batch_latency_block(self._inner, rows, cols))
+        return self._noisy_batch(self._inner.latency_block(rows, cols))

@@ -1,10 +1,10 @@
-"""Batch-vs-scalar equivalence for the probe fast path.
+"""Batch-vs-scalar equivalence for the oracle contract.
 
 Every oracle's ``latency_block`` / ``latencies_from`` must agree with the
-element-wise scalar loop; ``RouterLevelTopology.latency_matrix`` must agree
-with per-pair ``route()``; probe accounting must be identical whichever
-path an algorithm takes; and the engine's hoisted sampled loop must be
-bit-identical to the original draw-then-query sequence.
+element-wise scalar loop, bit for bit; probe accounting must be exact per
+element; an oracle missing part of the contract is rejected at ``build``;
+and the engine's hoisted sampled loop must be bit-identical to the
+original draw-then-query sequence.
 """
 
 import numpy as np
@@ -16,17 +16,11 @@ from repro.harness.engine import QueryEngine
 from repro.harness.scenario import SamplingSpec
 from repro.latency.builder import build_clustered_oracle
 from repro.latency.matrix import LatencyMatrix
-from repro.measurement.azureus_pipeline import AzureusStudy, AzureusStudyConfig
-from repro.measurement.dns_pipeline import DnsStudy, DnsStudyConfig
+from repro.measurement.dns_pipeline import DnsStudy
 from repro.topology.clustered import ClusteredConfig
 from repro.topology.internet import InternetConfig, SyntheticInternet
-from repro.topology.oracle import (
-    CountingOracle,
-    MatrixOracle,
-    NoisyOracle,
-    batch_latencies_from,
-    batch_latency_block,
-)
+from repro.topology.oracle import CountingOracle, MatrixOracle, NoisyOracle
+from repro.util.errors import ConfigurationError
 from repro.util.rng import make_rng
 
 
@@ -52,7 +46,7 @@ def small_internet():
 
 
 class _ScalarOnly:
-    """Oracle shim exposing only the scalar protocol (forces fallbacks)."""
+    """Oracle shim exposing only ``latency_ms`` and ``n_nodes``."""
 
     def __init__(self, inner):
         self._inner = inner
@@ -63,23 +57,6 @@ class _ScalarOnly:
 
     def latency_ms(self, a, b):
         return self._inner.latency_ms(a, b)
-
-
-class _LegacyRowOracle:
-    """Third-party style oracle with the old single-argument latencies_from."""
-
-    def __init__(self, matrix):
-        self._matrix = np.asarray(matrix, dtype=float)
-
-    @property
-    def n_nodes(self):
-        return self._matrix.shape[0]
-
-    def latency_ms(self, a, b):
-        return float(self._matrix[a, b])
-
-    def latencies_from(self, a):
-        return self._matrix[a]
 
 
 def scalar_block(oracle, rows, cols):
@@ -156,66 +133,23 @@ class TestNoisyOracleBatch:
         assert np.all(block_a >= scalar_block(MatrixOracle(matrix), rows, cols))
 
 
-class TestDispatchHelpers:
-    def test_scalar_only_fallback(self, matrix):
-        shim = _ScalarOnly(MatrixOracle(matrix))
-        rows, cols = [0, 5], [1, 2, 3]
-        assert np.array_equal(
-            batch_latency_block(shim, rows, cols), matrix[np.ix_(rows, cols)]
-        )
-        assert np.array_equal(
-            batch_latencies_from(shim, 7, cols), matrix[7, cols]
-        )
-
-    def test_legacy_single_argument_latencies_from(self, matrix):
-        legacy = _LegacyRowOracle(matrix)
-        members = np.array([2, 0, 11])
-        assert np.array_equal(
-            batch_latencies_from(legacy, 6, members), matrix[6, members]
-        )
-
-    def test_typeerror_inside_modern_implementation_propagates(self, matrix):
-        """A TypeError raised *inside* a two-argument latencies_from is a
-        real bug and must not be misread as the legacy signature (the
-        retry would double-consume oracle state)."""
-
-        class Buggy(_LegacyRowOracle):
-            calls = 0
-
-            def latencies_from(self, a, members=None):
-                type(self).calls += 1
-                raise TypeError("bug inside the implementation")
-
-        buggy = Buggy(matrix)
-        with pytest.raises(TypeError, match="bug inside"):
-            batch_latencies_from(buggy, 0, np.array([1, 2]))
-        assert Buggy.calls == 1
-
-
 class TestTopologyLatencyMatrix:
     def test_matches_per_pair_route(self, small_internet):
+        """``latency_matrix`` equals the per-pair ``latency_ms`` loop bit
+        for bit, so bulk blocks read the same RTTs as per-pair routing."""
         ids = np.arange(min(60, small_internet.n_hosts))
         block = small_internet.latency_matrix(ids)
-        reference = np.array(
-            [
-                [small_internet.route(int(a), int(b)).latency_ms for b in ids]
-                for a in ids
-            ]
-        )
-        assert np.allclose(block, reference, rtol=0, atol=1e-9)
+        assert np.array_equal(block, scalar_block(small_internet, ids, ids))
 
     def test_rectangular_block_and_row(self, small_internet):
         rows = np.array([0, 5, 9])
         cols = np.array([3, 0, 17, 21])
         block = small_internet.latency_block(rows, cols)
         assert block.shape == (3, 4)
+        assert np.array_equal(block, scalar_block(small_internet, rows, cols))
         for i, a in enumerate(rows):
-            for j, b in enumerate(cols):
-                assert block[i, j] == pytest.approx(
-                    small_internet.route(int(a), int(b)).latency_ms, abs=1e-9
-                )
-        row = small_internet.latencies_from(int(rows[1]), cols)
-        assert np.allclose(row, block[1], rtol=0, atol=1e-9)
+            row = small_internet.latencies_from(int(a), cols)
+            assert np.array_equal(row, block[i])
 
     def test_pair_latencies_match_route(self, small_internet):
         rng = np.random.default_rng(4)
@@ -297,18 +231,20 @@ class TestProbeAccounting:
         assert batched.tolist() == scalar
         assert batched.tolist() == [asym[1, 4], asym[2, 4]]
 
-    def test_batch_and_scalar_probe_paths_agree(self, matrix):
+    def test_scalar_only_oracle_rejected_at_build(self, matrix):
+        """An oracle without the batch members fails at ``build`` with a
+        typed error naming them, as the oracle or as the probe oracle."""
         members = np.arange(8)
-        fast = BeaconSearch(n_beacons=4, probe_budget=3)
-        fast.build(MatrixOracle(matrix), members, seed=3)
-        slow = BeaconSearch(n_beacons=4, probe_budget=3)
-        slow.build(_ScalarOnly(MatrixOracle(matrix)), members, seed=3)
-        slow._probe_oracle = _ScalarOnly(MatrixOracle(matrix))
-        a = fast.query(9, seed=4)
-        b = slow.query(9, seed=4)
-        assert a.found == b.found
-        assert a.probes == b.probes
-        assert a.found_latency_ms == pytest.approx(b.found_latency_ms)
+        shim = _ScalarOnly(MatrixOracle(matrix))
+        with pytest.raises(
+            ConfigurationError,
+            match=r"oracle _ScalarOnly .*missing latencies_from, latency_block",
+        ):
+            BeaconSearch(n_beacons=4, probe_budget=3).build(shim, members, seed=3)
+        with pytest.raises(ConfigurationError, match="probe_oracle _ScalarOnly"):
+            BeaconSearch(n_beacons=4, probe_budget=3).build(
+                MatrixOracle(matrix), members, seed=3, probe_oracle=shim
+            )
 
 
 class TestEngineSampledLoopRegression:
@@ -362,17 +298,23 @@ class TestPipelineBatchFlagEquivalence:
         )
         return SyntheticInternet.generate(config, seed=21)
 
-    def test_dns_study_identical_with_and_without_batching(self, internet):
-        batched = DnsStudy(
-            internet, config=DnsStudyConfig(batch_true_latencies=True), seed=5
-        ).run()
-        scalar = DnsStudy(
-            internet, config=DnsStudyConfig(batch_true_latencies=False), seed=5
-        ).run()
-        assert batched.measurements == scalar.measurements
-        assert batched.intra_domain_predicted_10 == scalar.intra_domain_predicted_10
-        assert batched.pairs_discarded_negative == scalar.pairs_discarded_negative
-        assert batched.servers_traced == scalar.servers_traced
+    def test_bulk_true_latencies_equal_per_pair_reads(self, internet):
+        """The studies' bulk true-RTT blocks hold exactly what a per-pair
+        ``latency_ms`` read gives, so their noise models see the same
+        inputs as the per-call ``true_ms=None`` path of the tools."""
+        study = DnsStudy(internet, seed=5)
+        study.run()
+        mh = internet.measurement_host_id
+        assert study._host_true and study._pair_true
+        for host, value in study._host_true.items():
+            assert value == internet.latency_ms(mh, host)
+        for (a, b), value in study._pair_true.items():
+            assert value == internet.latency_ms(a, b)
+        vantages, peers = internet.vantage_ids, internet.peer_ids
+        assert np.array_equal(
+            internet.latency_matrix(vantages, peers),
+            scalar_block(internet, vantages, peers),
+        )
 
     def test_sample_pairs_bit_identical_to_nested_loop(self, internet):
         """The 2-D pair draw must replay the historical per-server loop."""
@@ -396,21 +338,6 @@ class TestPipelineBatchFlagEquivalence:
                         continue
                     expected.add((min(server, other), max(server, other)))
         assert got == sorted(expected)
-
-    def test_azureus_study_identical_with_and_without_batching(self, internet):
-        batched = AzureusStudy(
-            internet, config=AzureusStudyConfig(batch_true_latencies=True), seed=6
-        ).run()
-        scalar = AzureusStudy(
-            internet, config=AzureusStudyConfig(batch_true_latencies=False), seed=6
-        ).run()
-        assert batched.peers_retained == scalar.peers_retained
-        assert [c.peer_ids for c in batched.pruned_clusters] == [
-            c.peer_ids for c in scalar.pruned_clusters
-        ]
-        assert [c.hub_latency_ms for c in batched.unpruned_clusters] == [
-            c.hub_latency_ms for c in scalar.unpruned_clusters
-        ]
 
 
 class TestOffDiagonal:

@@ -14,6 +14,7 @@ from repro.harness import (
     list_scenarios,
     register_scenario,
     score_batch,
+    score_epochs,
     score_single,
 )
 from repro.latency.builder import build_clustered_oracle
@@ -143,6 +144,27 @@ class TestScoring:
             np.array([], dtype=int),
         )
         assert exact.size == 0 and cluster.size == 0
+
+    def test_no_answer_is_a_miss(self):
+        """The no-answer id -1 must not wrap around to host n-1: on a
+        two-cluster world hosts n-2 and n-1 share a cluster, so reading
+        ``host_cluster[-1]`` would score the miss as a cluster hit.  All
+        three scorers agree."""
+        world = build_clustered_oracle(
+            ClusteredConfig(n_clusters=2, end_networks_per_cluster=4), seed=1
+        )
+        topology = world.topology
+        n = topology.n_nodes
+        host_cluster = topology.host_cluster
+        assert host_cluster[n - 2] == host_cluster[n - 1]
+        members, targets, found = np.arange(n - 1), [n - 2], [-1]
+        batch = score_batch(topology, members, targets, found, host_cluster)
+        epochs = score_epochs(topology, [members], [0], targets, found, host_cluster)
+        assert batch[0].tolist() == batch[1].tolist() == [False]
+        assert [a.tolist() for a in batch] == [a.tolist() for a in epochs]
+        assert score_single(
+            world.matrix.values, members, n - 2, -1, host_cluster
+        ) == (False, False)
 
     def test_mismatched_shapes_rejected(self, small_world):
         with pytest.raises(DataError):

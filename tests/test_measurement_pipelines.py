@@ -5,11 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.measurement.azureus_pipeline import (
-    AzureusStudy,
-    AzureusStudyConfig,
-    _largest_within_factor,
-)
+from repro.measurement.azureus_pipeline import AzureusStudy, _largest_within_factor
 from repro.measurement.dns_pipeline import DnsStudy, DnsStudyConfig
 from repro.topology.internet import InternetConfig, SyntheticInternet
 
@@ -150,17 +146,3 @@ class TestAzureusStudy:
     def test_hub_latencies_positive(self, result):
         for cluster in result.pruned_clusters:
             assert all(v > 0 for v in cluster.latencies())
-
-    def test_batched_routes_bit_identical(self, study_internet, result):
-        """Per-vantage ``routes_from`` sweeps replace per-trace routing
-        without moving a draw: the whole study is unchanged."""
-        scalar = AzureusStudy(
-            study_internet, AzureusStudyConfig(batch_routes=False), seed=11
-        ).run()
-        assert scalar.peers_retained == result.peers_retained
-        assert [c.peer_ids for c in scalar.pruned_clusters] == [
-            c.peer_ids for c in result.pruned_clusters
-        ]
-        assert [c.hub_latency_ms for c in scalar.unpruned_clusters] == [
-            c.hub_latency_ms for c in result.unpruned_clusters
-        ]
