@@ -2,7 +2,8 @@
 
 The offline environment lacks the ``wheel`` package, so PEP 660 editable
 installs cannot build; this shim lets ``pip install -e .`` fall back to the
-classic ``setup.py develop`` path.  All metadata lives in ``pyproject.toml``.
+classic ``setup.py develop`` path.  The package metadata lives here; there
+is no ``pyproject.toml``.
 """
 
 from setuptools import find_packages, setup

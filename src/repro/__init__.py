@@ -43,8 +43,6 @@ from repro.harness import (
 from repro.latency.builder import ClusteredWorld, build_clustered_oracle
 from repro.latency.matrix import LatencyMatrix
 from repro.meridian.overlay import MeridianConfig, MeridianOverlay
-from repro.meridian.query import closest_node_query
-from repro.meridian.simulator import run_meridian_trial
 from repro.topology.clustered import ClusteredConfig, ClusteredTopology
 from repro.topology.internet import InternetConfig, SyntheticInternet
 from repro.topology.oracle import (
@@ -70,8 +68,6 @@ __all__ = [
     "CountingOracle",
     "MeridianConfig",
     "MeridianOverlay",
-    "closest_node_query",
-    "run_meridian_trial",
     "NearestPeerFinder",
     "detect_clusters",
     "ClusterReport",

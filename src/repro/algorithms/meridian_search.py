@@ -144,11 +144,12 @@ class MeridianSearch(NearestPeerAlgorithm):
     def _plan(self, target: int, rng: np.random.Generator):
         """Native stepwise plan: one round per ring-descent hop.
 
-        Replays :func:`repro.meridian.query.closest_node_query` probe for
-        probe (same rng draw for the start node, same scalar first probe,
-        same batched ring sweeps through the counted channel), with a
-        ``yield`` between hops so a latency-faithful driver can hold each
-        hop until its slowest candidate probe completes.
+        Meridian's closest-node descent: a uniformly random start member
+        (one rng draw) probes the target, then each hop sweeps the ring
+        members within ``(1 ± beta) * d`` of the current node in one
+        batched counted round and forwards only on a ``beta``-fraction
+        improvement.  A ``yield`` between hops lets a latency-faithful
+        driver hold each hop until its slowest candidate probe completes.
         """
         assert self._overlay is not None
         overlay = self._overlay

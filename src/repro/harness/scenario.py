@@ -196,9 +196,26 @@ class FaultSpec:
         if self.retransmit_backoff < 1.0 or self.query_retry_backoff < 1.0:
             raise ConfigurationError("backoff factors must be >= 1")
         for window in self.outages:
-            start, end, _clusters = window
+            try:
+                start, end, clusters = window
+            except (TypeError, ValueError):
+                raise ConfigurationError(
+                    f"outage window {window!r} is not (start_ms, end_ms, "
+                    "clusters)"
+                ) from None
             if not 0.0 <= float(start) < float(end):
                 raise ConfigurationError(f"bad outage window {window!r}")
+            ids = np.asarray(clusters)
+            if (
+                ids.ndim != 1
+                or ids.size == 0
+                or ids.dtype.kind not in "iu"
+                or ids.min() < 0
+            ):
+                raise ConfigurationError(
+                    f"outage window {window!r} needs a non-empty sequence "
+                    "of cluster ids >= 0"
+                )
 
     def build_model(
         self, host_cluster: np.ndarray, rng: np.random.Generator
@@ -216,6 +233,12 @@ class FaultSpec:
         host_cluster = np.asarray(host_cluster, dtype=np.int64)
         n = host_cluster.size
         n_clusters = int(host_cluster.max()) + 1
+        for window in self.outages:
+            if max(window[2]) >= n_clusters:
+                raise ConfigurationError(
+                    f"outage window {window!r} names a cluster the "
+                    f"{n_clusters}-cluster world does not have"
+                )
         loss = np.full((n_clusters, n_clusters), self.base_loss_rate)
         if self.intra_cluster_loss_rate is not None:
             np.fill_diagonal(loss, self.intra_cluster_loss_rate)

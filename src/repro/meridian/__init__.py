@@ -12,7 +12,8 @@ faithful Python reimplementation of that algorithm:
 * a **closest-node query** measures the current node's distance ``d`` to the
   target, asks ring members within ``(1 - beta) d .. (1 + beta) d`` to probe
   the target, and forwards the query to the best prober only if it improves
-  on ``beta * d`` — the paper runs ``beta = 0.5``.
+  on ``beta * d`` — the paper runs ``beta = 0.5``.  The query runs as
+  :class:`repro.algorithms.meridian_search.MeridianSearch`.
 
 Under the clustering condition the ring-member diversity machinery buys
 nothing — "any set of randomly chosen peers from the cluster has about the
@@ -20,25 +21,14 @@ same hypervolume" — which is exactly the failure the simulations exhibit.
 """
 
 from repro.meridian.overlay import MeridianConfig, MeridianNode, MeridianOverlay
-from repro.meridian.query import QueryResult, closest_node_query
 from repro.meridian.rings import RingStructure
 from repro.meridian.selection import select_hypervolume, select_maxmin
-from repro.meridian.simulator import (
-    MeridianTrialResult,
-    run_meridian_trial,
-    summarize_trials,
-)
 
 __all__ = [
     "MeridianConfig",
     "MeridianNode",
     "MeridianOverlay",
     "RingStructure",
-    "QueryResult",
-    "closest_node_query",
     "select_maxmin",
     "select_hypervolume",
-    "MeridianTrialResult",
-    "run_meridian_trial",
-    "summarize_trials",
 ]

@@ -1,135 +1,25 @@
-"""Gossip-based Meridian ring maintenance on the event simulator.
+"""Gossip-style Meridian ring repair under churn.
 
-The direct overlay constructor in :mod:`repro.meridian.overlay` reproduces
-Meridian's *converged* state; this module runs the actual protocol dynamics:
-each node periodically picks a random acquaintance, requests a sample of its
-ring members, probes the returned nodes and files them into rings.  Used by
-tests (to show the direct construction approximates the protocol's fixed
-point) and by the quickstart example.
-
-The same ``ring_request``/``ring_reply`` exchange, collapsed off the event
-loop, powers the churn-time **ring-repair pass**
-(:func:`repair_overlay_rings`): after departures thin an overlay's rings,
-each underfull node pulls candidate samples from its surviving ring
-neighbours (free metadata, as a gossip reply is), probes the unknown ones
-through the caller's counted-maintenance channel and files them back into
-rings — which is how a live deployment re-fattens rings without waiting for
-fresh arrivals.
+Departures only ever evict ring entries, so under sustained churn an
+overlay's rings thin out.  :func:`repair_overlay_rings` runs Meridian's
+gossip exchange off any event loop: each underfull node pulls
+:func:`sample_ring_members` payloads from its surviving ring neighbours
+(free metadata, as a gossip reply is), probes the unknown candidates
+through the caller's counted-maintenance channel and files them back
+into rings — which is how a live deployment re-fattens rings without
+waiting for fresh arrivals.  :class:`PeriodicRepair` re-drives that pass
+on a simulated clock.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from repro.meridian.overlay import MeridianConfig, MeridianNode, MeridianOverlay
+from repro.meridian.overlay import MeridianNode, MeridianOverlay, insert_with_cap
 from repro.netsim.engine import EventHandle, EventLoop
-from repro.netsim.network import Message, Network, SimNode
-from repro.topology.oracle import LatencyOracle, oracle_probe_many
 from repro.util.errors import DataError
-from repro.util.rng import make_rng
-
-
-@dataclass(frozen=True)
-class GossipConfig:
-    """Protocol timing and sizing."""
-
-    period_ms: float = 2_000.0  # ring-maintenance interval
-    exchange_size: int = 16  # members shared per gossip exchange
-    initial_contacts: int = 8  # bootstrap acquaintances per node
-    jitter_ms: float = 500.0  # desynchronises the periodic timers
-
-
-class GossipMeridianNode(SimNode):
-    """A Meridian node whose rings are fed by gossip exchanges."""
-
-    def __init__(
-        self,
-        node_id: int,
-        meridian_config: MeridianConfig,
-        gossip_config: GossipConfig,
-        probe_oracle: LatencyOracle,
-        rng: np.random.Generator,
-    ) -> None:
-        super().__init__(node_id)
-        self.state = MeridianNode(node_id, meridian_config)
-        self._gossip = gossip_config
-        self._probe_oracle = probe_oracle
-        self._probe_many = oracle_probe_many(probe_oracle)
-        self._rng = rng
-
-    # -- protocol ----------------------------------------------------------
-
-    def attached(self, network: Network) -> None:
-        delay = float(self._rng.uniform(0.0, self._gossip.jitter_ms))
-        self.set_timer(delay, "tick")
-
-    def _learn(self, member: int) -> None:
-        if member == self.node_id:
-            return
-        if member in self.state.all_members():
-            return
-        latency = float(self._probe_many(self.node_id, [member])[0])
-        self.state.insert(member, latency)
-        self._cap_ring(self.state.ring_of(latency))
-
-    def _learn_many(self, members) -> None:
-        """Probe and file a whole gossip exchange as one batched round.
-
-        One ``probe_many`` call over the payload's distinct ids
-        replaces the per-member scalar probes of :meth:`_learn`; the
-        filing loop then replays the scalar discipline exactly —
-        re-checking membership *per item*, so an id evicted by a ring cap
-        earlier in the same payload is re-inserted just as the scalar
-        loop would.  For noise-free oracles the resulting rings are
-        identical; only the probe access pattern changes (the batch may
-        measure ids that turn out to be already known).
-        """
-        distinct = [
-            m
-            for m in dict.fromkeys(int(m) for m in members)
-            if m != self.node_id
-        ]
-        if not distinct:
-            return
-        values = dict(zip(distinct, self._probe_many(self.node_id, distinct)))
-        for member in (int(m) for m in members):
-            if member == self.node_id or member in self.state.all_members():
-                continue
-            latency = float(values[member])
-            self.state.insert(member, latency)
-            self._cap_ring(self.state.ring_of(latency))
-
-    def _cap_ring(self, ring_index: int) -> None:
-        """Evict a random member when a ring overflows.
-
-        Random eviction (rather than full diversity re-selection on every
-        insert) matches Meridian's incremental behaviour; the periodic
-        re-selection happens in :func:`run_gossip_overlay`'s final pass.
-        """
-        ring = self.state.rings[ring_index]
-        limit = 2 * self.state.config.ring_size
-        if len(ring) > limit:
-            victim = self._rng.choice(list(ring))
-            del ring[int(victim)]
-
-    def _sample_members(self, count: int) -> list[int]:
-        return sample_ring_members(self.state, count, self._rng)
-
-    def on_message(self, message: Message) -> None:
-        if message.kind == "tick":
-            members = list(self.state.all_members())
-            if members:
-                partner = int(self._rng.choice(members))
-                self.send(partner, "ring_request")
-            self.set_timer(self._gossip.period_ms, "tick")
-        elif message.kind == "ring_request":
-            sample = self._sample_members(self._gossip.exchange_size)
-            self.send(message.src, "ring_reply", payload=sample)
-        elif message.kind == "ring_reply":
-            self._learn_many(message.payload)
 
 
 #: Exchange rounds one repair pass may spend per underfull node before
@@ -143,8 +33,7 @@ def sample_ring_members(
 ) -> list[int]:
     """A gossip reply: a uniform sample of ``state``'s ring members.
 
-    The one exchange payload of the protocol, shared by the live
-    simulator's ``ring_request`` handler and the collapsed repair pass.
+    The one exchange payload the repair pass pulls from each partner.
     """
     members = list(state.all_members())
     if not members:
@@ -169,8 +58,7 @@ def repair_overlay_rings(
 
     1. the node asks surviving ring members for a
        :func:`sample_ring_members` payload each — candidate *identities*
-       are gossip metadata and cost nothing, exactly as a ``ring_reply``
-       does on the event loop;
+       are gossip metadata and cost nothing, as in a gossip reply;
     2. previously unknown candidates are probed through ``probe_many``
        (``(node_id, candidates) -> latencies``) — the caller supplies the
        counted-maintenance channel, so every repair measurement is billed;
@@ -191,8 +79,6 @@ def repair_overlay_rings(
     A node with no surviving acquaintances bootstraps from uniformly
     random live members, as a rejoining node would.
     """
-    from repro.meridian.overlay import insert_with_cap
-
     n = overlay.n_members
     if n < 2:
         return 0
@@ -316,68 +202,3 @@ class PeriodicRepair:
         if self._handle is not None:
             self._handle.cancel()
 
-
-def run_gossip_overlay(
-    oracle: LatencyOracle,
-    member_ids: np.ndarray | list[int],
-    meridian_config: MeridianConfig | None = None,
-    gossip_config: GossipConfig | None = None,
-    rounds: int = 12,
-    seed: int | np.random.Generator | None = None,
-) -> MeridianOverlay:
-    """Run the gossip protocol and return the resulting overlay.
-
-    The event simulation runs for ``rounds`` maintenance periods, after
-    which each over-full ring is reduced by the configured diversity
-    selection — Meridian's periodic ring re-selection.
-    """
-    meridian_config = meridian_config or MeridianConfig()
-    gossip_config = gossip_config or GossipConfig()
-    rng = make_rng(seed)
-    members = np.asarray(member_ids, dtype=int)
-    if members.size < 2:
-        raise DataError("an overlay needs at least two members")
-
-    loop = EventLoop()
-    network = Network(loop, oracle, seed=rng)
-    nodes: dict[int, GossipMeridianNode] = {}
-    for node_id in members:
-        node = GossipMeridianNode(
-            int(node_id), meridian_config, gossip_config, oracle, rng
-        )
-        nodes[int(node_id)] = node
-        network.attach(node)
-    # Bootstrap: everyone knows a few random contacts (one batched probe
-    # round per node instead of a scalar probe per contact).
-    for node_id, node in nodes.items():
-        others = members[members != node_id]
-        contacts = rng.choice(
-            others,
-            size=min(gossip_config.initial_contacts, others.size),
-            replace=False,
-        )
-        node._learn_many(contacts)
-
-    loop.run_until(rounds * gossip_config.period_ms)
-
-    # Final diversity pass, then freeze into a plain overlay.
-    from repro.meridian.overlay import _select_ring_members
-    from repro.topology.oracle import oracle_pairwise
-
-    pairwise = oracle_pairwise(oracle)
-    frozen: dict[int, MeridianNode] = {}
-    for node_id, node in nodes.items():
-        state = node.state
-        for index, ring in enumerate(state.rings):
-            if len(ring) <= meridian_config.ring_size:
-                continue
-            candidates = np.fromiter(ring.keys(), dtype=int)
-            keep = _select_ring_members(
-                candidates,
-                meridian_config,
-                pairwise,
-            )
-            kept = {int(candidates[i]) for i in keep}
-            state.rings[index] = {m: lat for m, lat in ring.items() if m in kept}
-        frozen[node_id] = state
-    return MeridianOverlay(config=meridian_config, member_ids=members, nodes=frozen)

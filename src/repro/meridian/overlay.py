@@ -13,9 +13,9 @@ reproduces that converged state directly:
   reduced to ``ring_size`` members by diversity selection
   (:mod:`repro.meridian.selection`).
 
-A live gossip protocol on the event simulator lives in
-:mod:`repro.meridian.gossip`; it converges toward the same structure and is
-exercised by tests and examples.
+Churn-time upkeep of that structure — the gossip-style ring-repair pass
+that re-fattens rings after departures — lives in
+:mod:`repro.meridian.gossip`.
 """
 
 from __future__ import annotations

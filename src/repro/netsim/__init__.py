@@ -1,14 +1,14 @@
-"""A small discrete-event network simulator.
+"""A small discrete-event simulator: the query daemon's clock and wire.
 
-Protocol components that need *time* — gossip-based overlay maintenance,
-Chord stabilisation, expanding-ring multicast searches — run on this engine.
-Messages between simulated nodes are delivered after half the oracle RTT
-(one-way delay); timers fire on the same clock.  The engine is deliberately
-minimal: a binary-heap event queue with deterministic tie-breaking, which is
-all the paper's protocols require.
+:class:`EventLoop` is a binary-heap event queue with deterministic
+tie-breaking; the query daemon (:mod:`repro.service.daemon`) schedules
+query arrivals, probe-round completions, membership events and periodic
+ring repair on it.  :class:`Network` prices a round's path RTTs and runs
+its probes through the :class:`FaultModel` (loss, outages, NAT relays,
+clock skew).
 """
 
 from repro.netsim.engine import EventLoop
-from repro.netsim.network import FaultModel, Message, Network, SimNode
+from repro.netsim.network import FaultModel, Network
 
-__all__ = ["EventLoop", "FaultModel", "Network", "SimNode", "Message"]
+__all__ = ["EventLoop", "FaultModel", "Network"]

@@ -193,17 +193,3 @@ class EventLoop:
                 )
             if self._pop_and_run():
                 executed += 1
-
-    def run_until(self, time_ms: float) -> None:
-        """Run all events with firing time <= ``time_ms``, then set the clock.
-
-        The clock ends at ``time_ms`` even if the queue drains earlier, so
-        periodic protocols can resume cleanly.
-        """
-        if time_ms < self._now:
-            raise SimulationError(
-                f"cannot run backwards: now={self._now}, requested {time_ms}"
-            )
-        while self._queue and self._queue[0].time <= time_ms:
-            self._pop_and_run()
-        self._now = time_ms

@@ -1,26 +1,14 @@
-"""Simulated nodes and latency-faithful message delivery."""
+"""The daemon's simulated network path: path RTTs and the fault layer."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.netsim.engine import EventHandle, EventLoop
+from repro.netsim.engine import EventLoop
 from repro.topology.oracle import LatencyOracle
 from repro.util.errors import SimulationError
-from repro.util.rng import make_rng
-
-
-@dataclass(frozen=True)
-class Message:
-    """A message in flight between two simulated nodes."""
-
-    src: int
-    dst: int
-    kind: str
-    payload: Any = None
 
 
 class FaultModel:
@@ -43,7 +31,6 @@ class FaultModel:
       place of the direct path time;
     * **clock skew** — retransmit timers are armed on the *prober's*
       clock, so its timeout waits are scaled by the per-node skew factor.
-      Local timer deliveries on the network are scaled the same way.
 
     Lost attempts are retransmitted with exponential backoff up to
     ``max_retransmits`` times; a probe whose every attempt is lost *times
@@ -114,12 +101,6 @@ class FaultModel:
         )
 
     # -- per-mechanism pieces -----------------------------------------------
-
-    def timer_scale(self, node_id: int) -> float:
-        """Clock-skew factor for timers armed by ``node_id`` (1.0 off-host)."""
-        if 0 <= node_id < self.skew.size:
-            return float(self.skew[node_id])
-        return 1.0
 
     def _relay_detours(
         self, oracle: LatencyOracle, srcs: np.ndarray, dsts: np.ndarray
@@ -239,174 +220,37 @@ class FaultModel:
         return delays, answered, stats
 
 
-class SimNode:
-    """Base class for protocol participants.
-
-    Subclasses override :meth:`on_message`; they send through
-    :attr:`network` and schedule timers via :meth:`set_timer`.
-    """
-
-    def __init__(self, node_id: int) -> None:
-        self.node_id = node_id
-        self.network: "Network | None" = None
-
-    # -- wiring -------------------------------------------------------------
-
-    def attached(self, network: "Network") -> None:
-        """Called when the node joins a network (override for setup)."""
-
-    def on_message(self, message: Message) -> None:
-        """Handle a delivered message (override)."""
-
-    # -- conveniences ---------------------------------------------------------
-
-    def send(self, dst: int, kind: str, payload: Any = None) -> None:
-        """Send a message; it arrives after the one-way delay to ``dst``."""
-        if self.network is None:
-            raise SimulationError(f"node {self.node_id} is not attached to a network")
-        self.network.send(Message(src=self.node_id, dst=dst, kind=kind, payload=payload))
-
-    def set_timer(self, delay_ms: float, kind: str, payload: Any = None) -> EventHandle:
-        """Deliver a message to *self* after ``delay_ms`` (a local timer)."""
-        if self.network is None:
-            raise SimulationError(f"node {self.node_id} is not attached to a network")
-        return self.network.deliver_later(
-            Message(src=self.node_id, dst=self.node_id, kind=kind, payload=payload),
-            delay_ms,
-        )
-
-
 class Network:
-    """Delivers messages between :class:`SimNode` s using oracle latencies.
+    """The daemon's wire: one simulated clock, one oracle, one fault model.
 
-    One-way delay is half the oracle RTT; optional loss models flaky links.
-    Local timer deliveries bypass the loss model.
+    :meth:`path_rtts` prices the coordination hop a round trip costs;
+    :meth:`apply_faults` runs a probe fan-out through the fault model and
+    keeps the run's relay-detour total.  Per-probe drop, retransmit,
+    timeout and relay counts are billed to each query job, not here.
     """
 
     def __init__(
         self,
         loop: EventLoop,
         oracle: LatencyOracle,
-        loss_rate: float = 0.0,
-        seed: int | np.random.Generator | None = None,
         fault_model: FaultModel | None = None,
     ) -> None:
-        if not 0.0 <= loss_rate < 1.0:
-            raise SimulationError(f"loss_rate must be in [0, 1), got {loss_rate}")
         self.loop = loop
         self.oracle = oracle
-        self.loss_rate = loss_rate
         self.fault_model = fault_model
-        self._rng = make_rng(seed)
-        self._nodes: dict[int, SimNode] = {}
-        self.messages_sent = 0
-        self.messages_delivered = 0
-        self.messages_lost = 0
-        # Fault-path probe accounting (filled by the daemon's round stepper
-        # through apply_faults; silent losses are undebuggable).
-        self.probes_dropped = 0
-        self.probes_retransmitted = 0
-        self.probes_timed_out = 0
-        self.probes_relayed = 0
+        #: Extra path time NAT relays added over the run (ms).
         self.relay_extra_ms = 0.0
-
-    def attach(self, node: SimNode) -> None:
-        """Register a node; its id must be unique on this network."""
-        if node.node_id in self._nodes:
-            raise SimulationError(f"duplicate node id {node.node_id}")
-        node.network = self
-        self._nodes[node.node_id] = node
-        node.attached(self)
-
-    def node(self, node_id: int) -> SimNode:
-        return self._nodes[node_id]
-
-    @property
-    def node_ids(self) -> list[int]:
-        return list(self._nodes)
-
-    def send(self, message: Message) -> None:
-        """Queue a message for delivery after the one-way delay."""
-        if message.dst not in self._nodes:
-            raise SimulationError(f"unknown destination node {message.dst}")
-        self.messages_sent += 1
-        if self.loss_rate and self._rng.random() < self.loss_rate:
-            self.messages_lost += 1
-            return
-        delay = self.oracle.latency_ms(message.src, message.dst) / 2.0
-        self.loop.schedule(delay, self._deliver, message)
-
-    def send_many(
-        self,
-        src: int,
-        dsts: np.ndarray | Sequence[int],
-        kind: str,
-        payloads: Sequence[Any] | None = None,
-    ) -> None:
-        """Fan one message out from ``src`` to every node in ``dsts``.
-
-        The batched counterpart of N :meth:`send` calls: the loss decisions
-        come first as one vectorised draw (the same generator stream, so
-        the drop pattern is bit-identical to the scalar loop), then the
-        *surviving* destinations' latencies come from one
-        ``latencies_from`` draw (:meth:`path_rtts`) instead of N scalar
-        ``latency_ms`` calls — exactly the probes the scalar loop would
-        have made, so counting/noisy oracle accounting stays exact (a lost
-        message never consumes an oracle draw, scalar or batched).
-        """
-        dsts = np.asarray(dsts, dtype=int)
-        if payloads is not None and len(payloads) != dsts.size:
-            raise SimulationError(
-                f"send_many got {dsts.size} destinations but "
-                f"{len(payloads)} payloads"
-            )
-        unknown = [int(d) for d in dsts if int(d) not in self._nodes]
-        if unknown:
-            raise SimulationError(f"unknown destination nodes {unknown[:8]}")
-        self.messages_sent += int(dsts.size)
-        if dsts.size == 0:
-            return
-        if self.loss_rate:
-            kept = self._rng.random(size=dsts.size) >= self.loss_rate
-            self.messages_lost += int(dsts.size - kept.sum())
-            if payloads is not None:
-                payloads = [p for p, keep in zip(payloads, kept) if keep]
-            dsts = dsts[kept]
-            if dsts.size == 0:
-                return
-        delays = self.path_rtts(src, dsts) / 2.0
-        for i, (dst, delay) in enumerate(zip(dsts, delays)):
-            message = Message(
-                src=int(src),
-                dst=int(dst),
-                kind=kind,
-                payload=payloads[i] if payloads is not None else None,
-            )
-            self.loop.schedule(float(delay), self._deliver, message)
 
     def path_rtts(
         self, src: int, dsts: np.ndarray | Sequence[int]
     ) -> np.ndarray:
         """One vectorised RTT draw along the ``src -> dst`` network paths.
 
-        One ``latencies_from`` call on the oracle: the same draw
-        :meth:`send_many` halves into one-way delays, exposed for callers
-        that bill whole round trips — the daemon's dispatch-RTT charging
-        prices the coordination hop (entry node asking peer *p* to probe)
-        through here.
+        One ``latencies_from`` call on the oracle.  The daemon's
+        dispatch-RTT charging prices the coordination hop (entry node
+        asking peer *p* to probe) through here.
         """
         return self.oracle.latencies_from(int(src), np.asarray(dsts, dtype=int))
-
-    def deliver_later(self, message: Message, delay_ms: float) -> EventHandle:
-        """Schedule a direct (loss-free) delivery; used for timers.
-
-        Self-addressed messages are local timers: under an active fault
-        model they run on the arming node's skewed clock.
-        """
-        fm = self.fault_model
-        if fm is not None and fm.active and message.src == message.dst:
-            delay_ms = delay_ms * fm.timer_scale(message.src)
-        return self.loop.schedule(delay_ms, self._deliver, message)
 
     def apply_faults(
         self,
@@ -415,21 +259,10 @@ class Network:
         dsts: np.ndarray,
         base_delays: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, dict[str, float]]:
-        """Run one fan-out through the fault model and book the counters."""
+        """Run one fan-out through the fault model at the loop's clock."""
         assert self.fault_model is not None
         delays, answered, stats = self.fault_model.apply(
             rng, self.oracle, srcs, dsts, base_delays, self.loop.now
         )
-        self.probes_dropped += int(stats["dropped"])
-        self.probes_retransmitted += int(stats["retransmitted"])
-        self.probes_timed_out += int(stats["timed_out"])
-        self.probes_relayed += int(stats["relayed"])
         self.relay_extra_ms += float(stats["relay_extra_ms"])
         return delays, answered, stats
-
-    def _deliver(self, message: Message) -> None:
-        node = self._nodes.get(message.dst)
-        if node is None:  # node departed after the message was sent
-            return
-        self.messages_delivered += 1
-        node.on_message(message)

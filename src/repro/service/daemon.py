@@ -130,13 +130,9 @@ class DaemonRun:
     #: Maintenance probes with no membership-event cause (ring repair)
     #: spent during this run.
     maintenance_background_probes: int = 0
-    #: Fault-path totals (zero without an active fault model).
-    probes_dropped: int = 0
-    probes_retransmitted: int = 0
-    probes_timed_out: int = 0
-    probes_relayed: int = 0
+    #: Extra path time NAT relays added (zero without an active fault
+    #: model); per-probe fault counts live on the jobs.
     relay_extra_ms: float = 0.0
-    query_retries: int = 0
     #: Event-loop internals surfaced for diagnostics: live events still
     #: queued when the loop drained (0 for a clean run), the largest raw
     #: heap ever held, and the lifetime cancellation count (compaction
@@ -237,7 +233,6 @@ class QueryDaemon:
         self._flush_timer: EventHandle | None = None
         self._repair: PeriodicRepair | None = None
         self.forced_flushes = 0
-        self.query_retries = 0
         # Tracing is strictly opt-in: with ``spec.trace`` unset the hot
         # path carries one ``is None`` check per hook and nothing else.
         self.tracer: Tracer | None = (
@@ -344,12 +339,7 @@ class QueryDaemon:
             ring_repair_probes=repair.probes_spent if repair else 0,
             forced_flushes=self.forced_flushes,
             loop_events=self.loop.processed,
-            probes_dropped=self.network.probes_dropped,
-            probes_retransmitted=self.network.probes_retransmitted,
-            probes_timed_out=self.network.probes_timed_out,
-            probes_relayed=self.network.probes_relayed,
             relay_extra_ms=self.network.relay_extra_ms,
-            query_retries=self.query_retries,
             loop_pending_at_drain=self.loop.pending,
             loop_queue_peak=self.loop.peak_queue_size,
             loop_cancelled_events=self.loop.cancelled_total,
@@ -489,7 +479,6 @@ class QueryDaemon:
         job._carry_probes += result.probes
         job._carry_aux += result.aux_probes
         job.retries += 1
-        self.query_retries += 1
         if job.retries > self.MAX_QUERY_RETRIES:
             raise SimulationError(
                 f"query {job.index} retried {self.MAX_QUERY_RETRIES} times "

@@ -62,7 +62,7 @@ def round_outcome(
     answer arrival (after losses, retransmit waits and relay detours) or
     its timeout exhaustion, the per-probe answered mask is stashed on the
     job for the next plan resume, and the drop/retransmit/timeout/relay
-    counters are billed to both the job and the network.
+    counters are billed to the job.
 
     Because the job's fault stream is consumed strictly in the job's own
     round order, the outcome is invariant to cross-job interleaving.

@@ -7,6 +7,7 @@ only their most robust claims asserted.
 
 import pytest
 
+from repro.algorithms.meridian_search import MeridianSearch
 from repro.experiments import (
     fig3_prediction_cdf,
     fig4_prediction_bins,
@@ -18,6 +19,7 @@ from repro.experiments import (
     table1_vantage,
 )
 from repro.experiments.config import ExperimentScale
+from repro.harness import QueryEngine, SamplingSpec
 
 SCALE = ExperimentScale()  # default seed => shared across this module
 
@@ -45,13 +47,23 @@ class TestMeasurementFigures:
             assert check.evaluate(), f"{check.experiment}: {check.claim}"
 
 
+def meridian_trial(world, n_targets, n_queries, seed):
+    """One Section 4 trial: a Meridian overlay over the non-target hosts."""
+    return QueryEngine().run_world_trial(
+        world,
+        MeridianSearch(),
+        sampling=SamplingSpec(n_targets=n_targets),
+        n_queries=n_queries,
+        seed=seed,
+    )
+
+
 class TestMeridianFigures:
     def test_fig8_collapse_reduced_scale(self):
         """The robust Fig 8 claim at small scale: accuracy at 25 EN/cluster
         clearly beats accuracy at 250."""
         from repro.experiments.config import FIG8_CLUSTER_COUNTS
         from repro.latency.builder import build_clustered_oracle
-        from repro.meridian.simulator import run_meridian_trial
         from repro.topology.clustered import ClusteredConfig
 
         rates = {}
@@ -64,13 +76,12 @@ class TestMeridianFigures:
                 ),
                 seed=17,
             )
-            trial = run_meridian_trial(world, n_targets=60, n_queries=250, seed=17)
-            rates[en] = trial.correct_closest_rate
+            trial = meridian_trial(world, n_targets=60, n_queries=250, seed=17)
+            rates[en] = trial.exact_rate
         assert rates[25] > 2 * rates[250]
 
     def test_fig9_delta_improvement_reduced_scale(self):
         from repro.latency.builder import build_clustered_oracle
-        from repro.meridian.simulator import run_meridian_trial
         from repro.topology.clustered import ClusteredConfig
 
         rates = {}
@@ -81,8 +92,8 @@ class TestMeridianFigures:
                 ),
                 seed=23,
             )
-            trial = run_meridian_trial(world, n_targets=60, n_queries=250, seed=23)
-            rates[delta] = trial.correct_closest_rate
+            trial = meridian_trial(world, n_targets=60, n_queries=250, seed=23)
+            rates[delta] = trial.exact_rate
         assert rates[1.0] > rates[0.0]
 
 

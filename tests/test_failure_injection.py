@@ -1,8 +1,8 @@
 """Failure-injection tests: the system under churn, loss and noise.
 
-A deployable nearest-peer service must tolerate DHT node crashes, lossy
-links during gossip, widespread measurement refusal, heavy probe noise —
-and, on the query daemon's simulated network path, packet loss with
+A deployable nearest-peer service must tolerate DHT node crashes,
+widespread measurement refusal, heavy probe noise — and, on the query
+daemon's simulated network path, packet loss with
 timeouts and retransmits, NAT-ed peers reachable only through relays,
 regional partitions and clock skew; these tests inject each failure and
 assert graceful degradation rather than collapse.
@@ -19,12 +19,9 @@ from repro.dht.kvstore import DhtKeyValueStore
 from repro.harness import DaemonSpec, FaultSpec, QueryEngine, SamplingSpec
 from repro.latency.builder import build_clustered_oracle
 from repro.mechanisms.ucl import UclMap, compute_ucl
-from repro.meridian.gossip import GossipConfig
 from repro.meridian.overlay import MeridianConfig
-from repro.meridian.query import closest_node_query
-from repro.meridian.simulator import run_meridian_trial
 from repro.netsim.engine import EventLoop
-from repro.netsim.network import FaultModel, Network
+from repro.netsim.network import FaultModel
 from repro.topology.clustered import ClusteredConfig
 from repro.topology.oracle import MatrixOracle, NoisyOracle
 from repro.util.errors import ConfigurationError, SimulationError
@@ -67,36 +64,6 @@ class TestDhtChurn:
         assert ring.size == 4
 
 
-class TestLossyGossip:
-    def test_gossip_converges_despite_loss(self, uniform_matrix):
-        """30% message loss slows but does not break ring population."""
-        oracle = MatrixOracle(uniform_matrix)
-        members = np.arange(50)
-
-        # Patch in loss by replacing the network the overlay builder uses:
-        # run the protocol manually with a lossy network.
-        from repro.meridian.gossip import GossipMeridianNode
-
-        loop = EventLoop()
-        network = Network(loop, oracle, loss_rate=0.3, seed=3)
-        rng = np.random.default_rng(3)
-        config = MeridianConfig()
-        gossip = GossipConfig(initial_contacts=4)
-        nodes = {}
-        for node_id in members:
-            node = GossipMeridianNode(int(node_id), config, gossip, oracle, rng)
-            nodes[int(node_id)] = node
-            network.attach(node)
-        for node_id, node in nodes.items():
-            for contact in rng.choice(members[members != node_id], size=4, replace=False):
-                node._learn(int(contact))
-        loop.run_until(14 * gossip.period_ms)
-
-        counts = [node.state.member_count() for node in nodes.values()]
-        assert np.mean(counts) > 6
-        assert network.messages_lost > 0
-
-
 class TestMeasurementRefusal:
     def test_pipeline_handles_total_tcp_refusal(self):
         from repro.measurement.azureus_pipeline import AzureusStudy
@@ -123,25 +90,36 @@ class TestHeavyProbeNoise:
     def test_meridian_accuracy_degrades_gracefully(self):
         """50% probe noise halves accuracy-ish; it must not zero it in a
         benign world nor crash."""
+        from repro.algorithms import MeridianSearch
+
         world = build_clustered_oracle(
             ClusteredConfig(n_clusters=6, end_networks_per_cluster=10), seed=11
         )
-        clean = run_meridian_trial(world, n_targets=40, n_queries=150, seed=11)
-        noisy_oracle = NoisyOracle(world.oracle, sigma=0.5, seed=11)
-        noisy = run_meridian_trial(
-            world, n_targets=40, n_queries=150, seed=11, probe_oracle=noisy_oracle
-        )
-        assert noisy.correct_closest_rate <= clean.correct_closest_rate + 0.05
-        assert noisy.correct_cluster_rate > 0.3
+
+        def trial(probe_oracle=None):
+            return QueryEngine().run_world_trial(
+                world,
+                MeridianSearch(),
+                sampling=SamplingSpec(n_targets=40),
+                n_queries=150,
+                seed=11,
+                probe_oracle=probe_oracle,
+            )
+
+        clean = trial()
+        noisy = trial(NoisyOracle(world.oracle, sigma=0.5, seed=11))
+        assert noisy.exact_rate <= clean.exact_rate + 0.05
+        assert noisy.cluster_rate > 0.3
 
     def test_query_terminates_under_adversarial_noise(self, uniform_matrix):
-        from repro.meridian.overlay import MeridianOverlay
+        from repro.algorithms import MeridianSearch
 
         oracle = MatrixOracle(uniform_matrix)
-        overlay = MeridianOverlay.build(oracle, np.arange(60), seed=12)
         wild = NoisyOracle(oracle, sigma=1.5, additive_ms=5.0, seed=12)
-        result = closest_node_query(overlay, wild, 80, seed=12)
-        assert result.hops <= overlay.config.max_hops
+        search = MeridianSearch()
+        search.build(oracle, np.arange(60), seed=12, probe_oracle=wild)
+        result = search.query(80, seed=12)
+        assert result.hops <= MeridianConfig().max_hops
 
 
 # -- the daemon's broken network path ---------------------------------------
@@ -358,6 +336,49 @@ class TestDaemonNatRelay:
 
 class TestDaemonPartition:
     """A mid-run regional outage: queries ride it out and still answer."""
+
+    @pytest.mark.parametrize(
+        "window",
+        [
+            (0.0, 100.0),
+            5,
+            (0.0, 100.0, (0,), 1),
+            (0.0, 100.0, 2),
+            (0.0, 100.0, ()),
+            (0.0, 100.0, []),
+            (0.0, 100.0, (0, -1)),
+            (0.0, 100.0, (0.5,)),
+            (0.0, 100.0, "01"),
+            (0.0, 100.0, ((0, 1),)),
+        ],
+        ids=[
+            "pair", "int", "quad", "int-clusters", "empty", "empty-list",
+            "negative", "float", "str", "nested",
+        ],
+    )
+    def test_malformed_outage_window_rejected(self, window):
+        with pytest.raises(ConfigurationError, match="outage window"):
+            FaultSpec(outages=(window,))
+
+    @pytest.mark.parametrize("cluster", [6, 99])
+    def test_outage_cluster_outside_the_world_rejected(
+        self, fault_world, cluster
+    ):
+        """An outage over a cluster the world lacks would cut nothing; it
+        fails when the model is built, before any query is served."""
+        from repro.algorithms import RandomProbeSearch
+
+        faults = FaultSpec(outages=((0.0, 100.0, (0, cluster)),))
+        with pytest.raises(ConfigurationError, match="6-cluster world"):
+            faults.build_model(
+                fault_world.topology.host_cluster, np.random.default_rng(0)
+            )
+        with pytest.raises(ConfigurationError, match="6-cluster world"):
+            run_fault_daemon(
+                fault_world,
+                RandomProbeSearch,
+                dataclasses.replace(FAULT_DAEMON, faults=faults),
+            )
 
     def test_outage_times_out_retries_and_recovers(self, fault_world):
         from repro.algorithms import KargerRuhlSearch

@@ -39,6 +39,7 @@ from repro.harness import (
     QueryEngine,
     SamplingSpec,
     Scenario,
+    ServicePhase,
     get_scenario,
     list_scenarios,
     register_scenario,
@@ -539,6 +540,116 @@ class TestChurnProtocol:
         )
         # Node 2 is wrong while node 1 is alive, right after it left.
         assert exact.tolist() == [False, True]
+
+
+EDGE_SCHEMES = pytest.mark.parametrize(
+    "factory",
+    [lambda: RandomProbeSearch(budget=8), MeridianSearch],
+    ids=["random-probe", "meridian"],
+)
+
+
+class TestDegenerateEdges:
+    """Valid specs at the edge of the spec space run to completion, hold
+    the membership floor and keep the ledger whole."""
+
+    FLOOR = 16
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        return build_clustered_oracle(SMALL, seed=7)
+
+    def _run(self, world, factory, spec):
+        algorithm = factory()
+        record = QueryEngine().run_daemon_trial(
+            world,
+            algorithm,
+            spec,
+            sampling=SamplingSpec(n_targets=10),
+            n_queries=40,
+            seed=7,
+        )
+        assert record.n_queries == 40
+        assert record.membership_size.min() >= spec.min_members
+        assert (
+            record.total_maintenance_probes
+            == algorithm.maintenance_probes_total
+        )
+        return record
+
+    @EDGE_SCHEMES
+    def test_membership_pinned_at_floor(self, world, factory):
+        spec = churn_spec(
+            initial_fraction=0.0,
+            arrival_rate=0.0,
+            departure_rate=1.0,
+            min_members=self.FLOOR,
+        )
+        record = self._run(world, factory, spec)
+        # The floor blocks every departure and nothing arrives.
+        assert (record.membership_size == self.FLOOR).all()
+        assert record.n_churn_events == 0
+
+    @EDGE_SCHEMES
+    def test_floor_blocked_session_expiries(self, world, factory):
+        """Sessions far shorter than a tick expire while random departures
+        hold the membership at its floor; blocked expiries wait a tick."""
+        spec = churn_spec(
+            initial_fraction=0.0,
+            arrival_rate=1.0,
+            departure_rate=1.0,
+            session_length_ms=20.0,
+            min_members=self.FLOOR,
+        )
+        record = self._run(world, factory, spec)
+        assert record.n_churn_events > 0
+        assert record.membership_size.min() == self.FLOOR
+
+    @EDGE_SCHEMES
+    def test_service_phase_without_membership_events(self, world, factory):
+        algorithms = []
+
+        def build():
+            algorithms.append(factory())
+            return algorithms[-1]
+
+        scenario = Scenario(
+            name="test-quiet-phase",
+            topology=SMALL,
+            sampling=SamplingSpec(n_targets=10),
+            protocol="daemon",
+            phases=(
+                ServicePhase(
+                    "churn",
+                    churn_spec(
+                        arrival_rate=0.8,
+                        departure_rate=0.8,
+                        min_members=self.FLOOR,
+                    ),
+                    n_queries=20,
+                ),
+                ServicePhase(
+                    "quiet",
+                    churn_spec(
+                        mean_event_interval_ms=None, min_members=self.FLOOR
+                    ),
+                    n_queries=20,
+                ),
+            ),
+            seed=7,
+        )
+        churned, quiet = QueryEngine().run_scenario(scenario, build).records
+        assert churned.n_churn_events > 0
+        assert quiet.n_queries == 20
+        assert quiet.n_churn_events == 0
+        assert quiet.maintenance_by_event.shape == (0,)
+        assert np.unique(quiet.membership_size).size == 1
+        assert quiet.membership_size.min() >= self.FLOOR
+        (algorithm,) = algorithms
+        assert (
+            churned.total_maintenance_probes + quiet.total_maintenance_probes
+            == algorithm.maintenance_probes_total
+        )
 
 
 class TestRegistryHygiene:

@@ -1,93 +1,22 @@
-"""Tests for the gossip overlay builder and the batch simulator."""
+"""Tests for the Section 4 Meridian trial: ``MeridianSearch`` on the harness."""
 
-import numpy as np
 import pytest
 
+from repro.algorithms.meridian_search import MeridianSearch
+from repro.harness import QueryEngine, SamplingSpec
 from repro.latency.builder import build_clustered_oracle
-from repro.meridian.gossip import GossipConfig, run_gossip_overlay
-from repro.meridian.overlay import MeridianConfig
-from repro.meridian.query import closest_node_query
-from repro.meridian.simulator import (
-    run_meridian_trial,
-    summarize_trials,
-)
 from repro.topology.clustered import ClusteredConfig
-from repro.topology.oracle import MatrixOracle
-from repro.util.errors import DataError
+from repro.util.errors import ConfigurationError
 
 
-class TestGossip:
-    def test_gossip_populates_rings(self, uniform_matrix):
-        oracle = MatrixOracle(uniform_matrix)
-        overlay = run_gossip_overlay(
-            oracle,
-            np.arange(60),
-            gossip_config=GossipConfig(initial_contacts=4),
-            rounds=10,
-            seed=0,
-        )
-        counts = [node.member_count() for node in overlay.nodes.values()]
-        assert np.mean(counts) > 8  # grew beyond the initial contacts
-
-    def test_gossip_ring_caps(self, uniform_matrix):
-        config = MeridianConfig(ring_size=4, candidate_pool=16)
-        overlay = run_gossip_overlay(
-            MatrixOracle(uniform_matrix),
-            np.arange(60),
-            meridian_config=config,
-            rounds=8,
-            seed=0,
-        )
-        for node in overlay.nodes.values():
-            for ring in node.rings:
-                assert len(ring) <= 4
-
-    def test_gossip_overlay_answers_queries(self, uniform_matrix):
-        oracle = MatrixOracle(uniform_matrix)
-        overlay = run_gossip_overlay(oracle, np.arange(60), rounds=10, seed=1)
-        result = closest_node_query(overlay, oracle, 80, seed=2)
-        assert result.found in set(range(60))
-
-    def test_too_few_members(self, uniform_matrix):
-        with pytest.raises(DataError):
-            run_gossip_overlay(MatrixOracle(uniform_matrix), [3], seed=0)
-
-    @pytest.mark.parametrize(
-        "ring_size,payload",
-        [
-            (2, [5, 9, 5, 9, 17, 0, 23, 42, 42, 17, 8]),
-            # ring_size=1 with >2*ring_size same-ring ids (1, 5, 6, 8, 13
-            # all land in node 0's ring 5) plus repeats forces
-            # evict-then-reappear: an id capped out of a ring earlier in
-            # the payload must be re-inserted exactly as the scalar loop
-            # re-inserts it.
-            (1, [1, 5, 6, 8, 13, 1, 5, 6, 8, 13, 1, 5, 6, 8, 13]),
-        ],
+def meridian_trial(world, n_targets, n_queries, seed):
+    return QueryEngine().run_world_trial(
+        world,
+        MeridianSearch(),
+        sampling=SamplingSpec(n_targets=n_targets),
+        n_queries=n_queries,
+        seed=seed,
     )
-    def test_batched_learn_matches_scalar_loop(
-        self, uniform_matrix, ring_size, payload
-    ):
-        """Regression for the batched gossip exchange: ``_learn_many``
-        must produce the same rings as the historical per-member
-        ``_learn`` loop (noise-free oracle, identical rng stream)."""
-        from repro.meridian.gossip import GossipMeridianNode
-
-        oracle = MatrixOracle(uniform_matrix)
-
-        def build_node(seed):
-            return GossipMeridianNode(
-                0, MeridianConfig(ring_size=ring_size), GossipConfig(), oracle,
-                np.random.default_rng(seed),
-            )
-
-        batched = build_node(3)
-        batched._learn_many(payload)
-        scalar = build_node(3)
-        for member in payload:
-            scalar._learn(int(member))
-        assert batched.state.all_members() == scalar.state.all_members()
-        for ring_b, ring_s in zip(batched.state.rings, scalar.state.rings):
-            assert ring_b == ring_s
 
 
 class TestSimulator:
@@ -95,18 +24,18 @@ class TestSimulator:
         world = build_clustered_oracle(
             ClusteredConfig(n_clusters=4, end_networks_per_cluster=8), seed=3
         )
-        trial = run_meridian_trial(world, n_targets=10, n_queries=60, seed=3)
+        trial = meridian_trial(world, n_targets=10, n_queries=60, seed=3)
         assert trial.n_queries == 60
-        assert 0.0 <= trial.correct_closest_rate <= 1.0
-        assert trial.correct_closest_rate <= trial.correct_cluster_rate + 1e-9
+        assert 0.0 <= trial.exact_rate <= 1.0
+        assert trial.exact_rate <= trial.cluster_rate + 1e-9
         assert trial.mean_probes_per_query > 0
 
     def test_targets_must_fit_population(self):
         world = build_clustered_oracle(
             ClusteredConfig(n_clusters=2, end_networks_per_cluster=3), seed=3
         )
-        with pytest.raises(DataError):
-            run_meridian_trial(world, n_targets=1000, n_queries=5, seed=0)
+        with pytest.raises(ConfigurationError):
+            meridian_trial(world, n_targets=1000, n_queries=5, seed=0)
 
     def test_cluster_size_degradation_trend(self):
         """Fig 8's collapse, in miniature: accuracy at 8 EN/cluster beats
@@ -117,16 +46,6 @@ class TestSimulator:
         large = build_clustered_oracle(
             ClusteredConfig(n_clusters=1, end_networks_per_cluster=64), seed=5
         )
-        trial_small = run_meridian_trial(small, n_targets=30, n_queries=150, seed=5)
-        trial_large = run_meridian_trial(large, n_targets=30, n_queries=150, seed=5)
-        assert trial_small.correct_closest_rate > trial_large.correct_closest_rate
-
-    def test_summarize_trials(self):
-        summary = summarize_trials([0.3, 0.1, 0.2])
-        assert summary.median == pytest.approx(0.2)
-        assert summary.minimum == pytest.approx(0.1)
-        assert summary.maximum == pytest.approx(0.3)
-
-    def test_summarize_empty_rejected(self):
-        with pytest.raises(DataError):
-            summarize_trials([])
+        trial_small = meridian_trial(small, n_targets=30, n_queries=150, seed=5)
+        trial_large = meridian_trial(large, n_targets=30, n_queries=150, seed=5)
+        assert trial_small.exact_rate > trial_large.exact_rate

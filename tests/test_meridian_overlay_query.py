@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.algorithms.meridian_search import MeridianSearch
 from repro.meridian.overlay import MeridianConfig, MeridianNode, MeridianOverlay
-from repro.meridian.query import closest_node_query
 from repro.topology.oracle import CountingOracle, MatrixOracle
 from repro.util.errors import ConfigurationError, DataError
 
@@ -101,60 +101,46 @@ class TestOverlayBuild:
 
 
 class TestQuery:
+    """The closest-node descent, run as :class:`MeridianSearch`."""
+
     def test_finds_true_nearest_in_benign_space(self, uniform_matrix):
         """With full knowledge in a uniform 2-D world, Meridian should find
         the exact nearest member for most targets."""
         oracle = MatrixOracle(uniform_matrix)
         n = uniform_matrix.shape[0]
         members = np.arange(n - 20)
-        overlay = MeridianOverlay.build(
-            oracle,
-            members,
-            config=MeridianConfig(knowledge_fraction=None),
-            seed=1,
-        )
+        search = MeridianSearch(MeridianConfig(knowledge_fraction=None))
+        search.build(oracle, members, seed=1)
         hits = 0
         for target in range(n - 20, n):
-            result = closest_node_query(overlay, oracle, target, seed=target)
-            truth = members[np.argmin(uniform_matrix[target, members])]
+            result = search.query(target, seed=target)
             true_best = uniform_matrix[target, members].min()
             hits += uniform_matrix[target, result.found] <= 2.0 * true_best + 1e-9
         assert hits >= 16  # at least 80% within 2x of optimal
 
     def test_probe_counting(self, uniform_matrix):
-        oracle = CountingOracle(MatrixOracle(uniform_matrix))
-        members = np.arange(60)
-        overlay = MeridianOverlay.build(
-            MatrixOracle(uniform_matrix), members, seed=1
+        counting = CountingOracle(MatrixOracle(uniform_matrix))
+        search = MeridianSearch()
+        search.build(
+            MatrixOracle(uniform_matrix), np.arange(60), seed=1,
+            probe_oracle=counting,
         )
-        result = closest_node_query(overlay, oracle, 70, seed=3)
-        assert result.probe_count == oracle.total_probes
-        assert result.probe_count >= 1
-
-    def test_invalid_start_rejected(self, uniform_matrix):
-        oracle = MatrixOracle(uniform_matrix)
-        overlay = MeridianOverlay.build(oracle, np.arange(30), seed=1)
-        with pytest.raises(DataError):
-            closest_node_query(overlay, oracle, 40, start=999)
-
-    def test_path_starts_at_start(self, uniform_matrix):
-        oracle = MatrixOracle(uniform_matrix)
-        overlay = MeridianOverlay.build(oracle, np.arange(30), seed=1)
-        result = closest_node_query(overlay, oracle, 40, start=5, seed=1)
-        assert result.path[0] == 5
+        result = search.query(70, seed=3)
+        assert result.probes == counting.total_probes
+        assert result.probes >= 1
         assert result.hops == len(result.path) - 1
 
     def test_degrades_under_clustering(self, clustered_world):
         """The paper's core claim: same-EN mates are rarely found when the
         cluster has many end-networks."""
         world = clustered_world
-        oracle = world.oracle
         n = world.topology.n_nodes
         members = np.arange(n - 30)
-        overlay = MeridianOverlay.build(oracle, members, seed=2)
+        search = MeridianSearch()
+        search.build(world.oracle, members, seed=2)
         exact = 0
         for target in range(n - 30, n):
-            result = closest_node_query(overlay, oracle, target, seed=target)
+            result = search.query(target, seed=target)
             row = world.matrix.values[target, members]
             exact += row[result.found] <= row.min() + 1e-12
         # 20 end-networks per cluster: success well below certainty.

@@ -1,10 +1,10 @@
-"""Tests for the discrete-event engine and latency-faithful network."""
+"""Tests for the discrete-event engine and the daemon's network wire."""
 
 import numpy as np
 import pytest
 
 from repro.netsim.engine import EventLoop
-from repro.netsim.network import Message, Network, SimNode
+from repro.netsim.network import FaultModel, Network
 from repro.topology.oracle import MatrixOracle
 from repro.util.errors import SimulationError
 
@@ -46,23 +46,6 @@ class TestEventLoop:
         handle.cancel()
         loop.run()
         assert fired == []
-
-    def test_run_until_stops_at_boundary(self):
-        loop = EventLoop()
-        fired = []
-        loop.schedule(1.0, fired.append, "early")
-        loop.schedule(10.0, fired.append, "late")
-        loop.run_until(5.0)
-        assert fired == ["early"]
-        assert loop.now == 5.0
-        loop.run()
-        assert fired == ["early", "late"]
-
-    def test_run_until_backwards_rejected(self):
-        loop = EventLoop()
-        loop.run_until(5.0)
-        with pytest.raises(SimulationError):
-            loop.run_until(1.0)
 
     def test_events_scheduled_during_run(self):
         loop = EventLoop()
@@ -172,138 +155,29 @@ class TestEventLoop:
         assert not other.active
 
 
-class _Echo(SimNode):
-    def __init__(self, node_id):
-        super().__init__(node_id)
-        self.received = []
-
-    def on_message(self, message: Message):
-        self.received.append((message.kind, self.network.loop.now))
-        if message.kind == "ping":
-            self.send(message.src, "pong")
-
-
-def two_node_net(latency_ms=10.0, loss=0.0):
-    loop = EventLoop()
-    oracle = MatrixOracle(np.array([[0.0, latency_ms], [latency_ms, 0.0]]))
-    net = Network(loop, oracle, loss_rate=loss, seed=0)
-    nodes = [_Echo(0), _Echo(1)]
-    for node in nodes:
-        net.attach(node)
-    return loop, net, nodes
-
-
 class TestNetwork:
-    def test_one_way_delay_is_half_rtt(self):
-        loop, net, nodes = two_node_net(latency_ms=10.0)
-        nodes[0].send(1, "ping")
-        loop.run()
-        assert nodes[1].received[0] == ("ping", 5.0)
-        # Reply arrives after a full RTT at the originator.
-        assert nodes[0].received[0] == ("pong", 10.0)
+    """The daemon's wire: path RTTs and the fault layer's relay total."""
 
-    def test_duplicate_node_rejected(self):
-        loop, net, nodes = two_node_net()
-        with pytest.raises(SimulationError):
-            net.attach(_Echo(0))
+    def test_path_rtts_are_one_oracle_row(self, uniform_matrix):
+        net = Network(EventLoop(), MatrixOracle(uniform_matrix))
+        dsts = [3, 9, 1]
+        assert np.array_equal(net.path_rtts(0, dsts), uniform_matrix[0, dsts])
 
-    def test_unknown_destination(self):
-        loop, net, nodes = two_node_net()
-        with pytest.raises(SimulationError):
-            nodes[0].send(99, "ping")
-
-    def test_loss_drops_messages(self):
-        loop, net, nodes = two_node_net(loss=0.999)
-        for _ in range(50):
-            nodes[0].send(1, "ping")
-        loop.run()
-        assert net.messages_lost > 40
-
-    def test_timers_bypass_loss(self):
-        loop, net, nodes = two_node_net(loss=0.999)
-        nodes[0].set_timer(3.0, "tick")
-        loop.run()
-        assert nodes[0].received == [("tick", 3.0)]
-
-    def test_detached_node_cannot_send(self):
-        node = _Echo(7)
-        with pytest.raises(SimulationError):
-            node.send(0, "ping")
-
-    def test_counters(self):
-        loop, net, nodes = two_node_net()
-        nodes[0].send(1, "ping")
-        loop.run()
-        assert net.messages_sent == 2  # ping + pong
-        assert net.messages_delivered == 2
-
-
-def fan_out_net(n=8, loss=0.0, seed=0):
-    rng = np.random.default_rng(42)
-    matrix = rng.uniform(5.0, 50.0, size=(n, n))
-    matrix = (matrix + matrix.T) / 2.0
-    np.fill_diagonal(matrix, 0.0)
-    loop = EventLoop()
-    net = Network(loop, MatrixOracle(matrix), loss_rate=loss, seed=seed)
-    nodes = [_Echo(i) for i in range(n)]
-    for node in nodes:
-        net.attach(node)
-    return loop, net, nodes
-
-
-class TestSendMany:
-    def test_matches_scalar_sends_bit_for_bit(self):
-        """Same seed: identical delivery times and loss pattern as a loop."""
-        for loss in (0.0, 0.4):
-            loop_a, net_a, nodes_a = fan_out_net(loss=loss, seed=7)
-            loop_b, net_b, nodes_b = fan_out_net(loss=loss, seed=7)
-            dsts = list(range(1, 8))
-            for dst in dsts:
-                nodes_a[0].send(dst, "probe")
-            net_b.send_many(0, dsts, "probe")
-            loop_a.run()
-            loop_b.run()
-            assert net_a.messages_sent == net_b.messages_sent
-            assert net_a.messages_lost == net_b.messages_lost
-            for a, b in zip(nodes_a[1:], nodes_b[1:]):
-                assert a.received == b.received
-
-    def test_payloads_follow_their_destinations_through_loss(self):
-        class _Recorder(SimNode):
-            def __init__(self, node_id):
-                super().__init__(node_id)
-                self.payloads = []
-
-            def on_message(self, message):
-                self.payloads.append(message.payload)
-
-        rng = np.random.default_rng(42)
-        matrix = rng.uniform(5.0, 50.0, size=(8, 8))
-        matrix = (matrix + matrix.T) / 2.0
-        np.fill_diagonal(matrix, 0.0)
-        loop = EventLoop()
-        net = Network(loop, MatrixOracle(matrix), loss_rate=0.5, seed=3)
-        nodes = [_Recorder(i) for i in range(8)]
-        for node in nodes:
-            net.attach(node)
-        dsts = list(range(1, 8))
-        net.send_many(0, dsts, "tag", payloads=[f"p{d}" for d in dsts])
-        loop.run()
-        assert net.messages_lost > 0  # loss actually exercised the filter
-        for dst in dsts:
-            # Either lost, or delivered with *its own* payload.
-            assert nodes[dst].payloads in ([], [f"p{dst}"])
-        assert sum(len(n.payloads) for n in nodes) + net.messages_lost == 7
-
-    def test_rejects_unknown_destination_and_bad_payloads(self):
-        loop, net, nodes = fan_out_net()
-        with pytest.raises(SimulationError):
-            net.send_many(0, [1, 99], "x")
-        with pytest.raises(SimulationError):
-            net.send_many(0, [1, 2], "x", payloads=["only-one"])
-
-    def test_empty_fan_out_is_a_no_op(self):
-        loop, net, nodes = fan_out_net()
-        net.send_many(0, [], "x")
-        assert net.messages_sent == 0
-        assert loop.pending == 0
+    def test_apply_faults_books_relay_detours(self, uniform_matrix):
+        n = uniform_matrix.shape[0]
+        natted = np.zeros(n, dtype=bool)
+        natted[5] = True
+        relay_of = np.arange(n)
+        relay_of[5] = 40
+        model = FaultModel(np.zeros(n), natted=natted, relay_of=relay_of)
+        net = Network(EventLoop(), MatrixOracle(uniform_matrix), model)
+        srcs = np.array([0, 1, 2])
+        dsts = np.array([5, 5, 7])
+        base = uniform_matrix[srcs, dsts]
+        rng = np.random.default_rng(0)
+        _, answered, stats = net.apply_faults(rng, srcs, dsts, base)
+        assert answered.all()
+        assert stats["relayed"] == 2
+        assert net.relay_extra_ms == stats["relay_extra_ms"] > 0.0
+        net.apply_faults(rng, srcs, dsts, base)
+        assert net.relay_extra_ms == 2 * stats["relay_extra_ms"]
