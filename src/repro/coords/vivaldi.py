@@ -84,15 +84,6 @@ class VivaldiSystem:
             return euclid + float(self.heights[ia] + self.heights[ib])
         return euclid
 
-    def distances_to_point(
-        self, position: np.ndarray, height: float = 0.0
-    ) -> np.ndarray:
-        """Predicted RTTs from every node to an arbitrary coordinate."""
-        euclid = np.linalg.norm(self.positions - position[None, :], axis=1)
-        if self.config.use_height:
-            return euclid + self.heights + height
-        return euclid
-
     # -- learning ------------------------------------------------------------
 
     def observe(self, a: int, b: int, rtt_ms: float) -> None:

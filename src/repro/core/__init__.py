@@ -21,7 +21,6 @@
 """
 
 from repro.core.assumptions import (
-    AssumptionReport,
     doubling_constant,
     growth_ratios,
     intrinsic_dimension,
@@ -42,7 +41,6 @@ __all__ = [
     "growth_ratios",
     "doubling_constant",
     "intrinsic_dimension",
-    "AssumptionReport",
     "expected_probes_with_replacement",
     "expected_probes_without_replacement",
     "phase_transition_probes",

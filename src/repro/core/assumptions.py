@@ -19,22 +19,10 @@ the clustering condition breaks it:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.util.errors import DataError
 from repro.util.rng import make_rng
-
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    """Summary of all three diagnostics over one latency space."""
-
-    max_growth_ratio: float
-    median_growth_ratio: float
-    doubling_constant: float
-    intrinsic_dimension: float
 
 
 def growth_ratios(
@@ -134,25 +122,4 @@ def intrinsic_dimension(
         raise DataError("no pairs inside the requested radii — widen the range")
     return float(
         (np.log(c_high) - np.log(c_low)) / (np.log(r_high_ms) - np.log(r_low_ms))
-    )
-
-
-def assumption_report(
-    matrix: np.ndarray,
-    hub_scale_ms: float = 10.0,
-    seed: int = 0,
-) -> AssumptionReport:
-    """All three diagnostics at the cluster (hub) scale."""
-    ratios = growth_ratios(matrix, [hub_scale_ms / 2.0], seed=seed)[
-        hub_scale_ms / 2.0
-    ]
-    if ratios.size == 0:
-        raise DataError("no peers had neighbours at the half-hub scale")
-    return AssumptionReport(
-        max_growth_ratio=float(ratios.max()),
-        median_growth_ratio=float(np.median(ratios)),
-        doubling_constant=doubling_constant(matrix, hub_scale_ms, seed=seed),
-        intrinsic_dimension=intrinsic_dimension(
-            matrix, hub_scale_ms / 4.0, hub_scale_ms, seed=seed
-        ),
     )

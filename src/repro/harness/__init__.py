@@ -14,7 +14,7 @@ probe-cost.  This package is that loop, written once:
   mode is a daemon scenario with :class:`ServicePhase` phases;
 * :class:`QueryEngine` — executes scenarios: builds worlds, fans trials out
   across seeds (optionally over a :mod:`concurrent.futures` process pool),
-  runs query batches and scores them with one vectorised matrix slice;
+  runs query batches and scores them against an exact ground-truth index;
 * :class:`TrialRecord` / :class:`DaemonTrialRecord` /
   :class:`AggregateStats` — typed per-trial and cross-trial results,
   consumed by :mod:`repro.analysis.compare`;
@@ -49,7 +49,7 @@ from repro.harness.scenario import (
     temporary_scenario,
     unregister_scenario,
 )
-from repro.harness.scoring import score_batch, score_epochs, score_single
+from repro.harness.scoring import score_epochs, score_single
 
 __all__ = [
     "AggregateStats",
@@ -69,7 +69,6 @@ __all__ = [
     "get_scenario",
     "list_scenarios",
     "register_scenario",
-    "score_batch",
     "score_epochs",
     "score_single",
     "temporary_scenario",

@@ -3,7 +3,8 @@
 The engine owns the lifecycle every experiment/benchmark used to hand-roll:
 build a world, sample members and targets, build a
 :class:`~repro.algorithms.base.NearestPeerAlgorithm`, run a query batch,
-score it with the vectorised matrix slice, and aggregate across trials —
+score it against the exact ground-truth index
+(:func:`~repro.harness.scoring.score_epochs`), and aggregate across trials —
 optionally fanning independent trials out over a
 :class:`~concurrent.futures.ProcessPoolExecutor`.
 
@@ -31,7 +32,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.algorithms.base import NearestPeerAlgorithm
-from repro.harness.results import DaemonTrialRecord, ScenarioResult, TrialRecord
+from repro.harness.results import (
+    DaemonTrialRecord,
+    MembershipLog,
+    ScenarioResult,
+    TrialRecord,
+)
 from repro.harness.scenario import (
     DaemonSpec,
     NoiseSpec,
@@ -39,7 +45,7 @@ from repro.harness.scenario import (
     Scenario,
     check_member_floor,
 )
-from repro.harness.scoring import score_batch, score_epochs
+from repro.harness.scoring import score_epochs
 from repro.latency.builder import ClusteredWorld, build_clustered_oracle
 from repro.topology.oracle import LatencyOracle
 from repro.util.errors import ConfigurationError
@@ -552,9 +558,11 @@ class QueryEngine:
         seed: int | np.random.Generator | None,
     ) -> TrialRecord:
         found = np.array([r.found for r in results], dtype=int)
-        exact_hit, cluster_hit = score_batch(
+        # A static trial is one membership epoch.
+        exact_hit, cluster_hit = score_epochs(
             world.topology,
-            members,
+            MembershipLog(members),
+            np.zeros(found.size, dtype=int),
             query_targets,
             found,
             host_cluster=world.topology.host_cluster,

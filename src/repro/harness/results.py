@@ -30,9 +30,8 @@ class MembershipLog:
     Recording an event stores only the changed ids — O(changes) per event
     rather than the O(|M|) full-array copy the engine used to take — so a
     long trial over a large membership costs O(events + total changes)
-    memory.  Epoch member arrays are reconstructed on demand
-    (:meth:`membership`, or the sequential :meth:`walk`);
-    :func:`repro.harness.scoring.score_epochs` on a clustered world
+    memory.  An epoch's member array is reconstructed on demand
+    (:meth:`membership`); :func:`repro.harness.scoring.score_epochs`
     replays :attr:`initial` and the :meth:`diffs` into an incremental
     ground-truth index instead.
     """
@@ -98,27 +97,6 @@ class MembershipLog:
         for e in range(1, epoch + 1):
             members = self._apply(members, e)
         return members
-
-    def walk(self, epochs: np.ndarray | Sequence[int]):
-        """Yield the member array of each requested epoch, in order.
-
-        ``epochs`` must be sorted ascending; the diffs are applied once in
-        a single forward pass.
-        """
-        members = self._initial
-        cursor = 0
-        for epoch in epochs:
-            epoch = int(epoch)
-            if epoch < cursor:
-                raise DataError("walk() epochs must be sorted ascending")
-            if epoch >= self.n_epochs:
-                raise DataError(
-                    f"epoch {epoch} out of range [0, {self.n_epochs})"
-                )
-            while cursor < epoch:
-                cursor += 1
-                members = self._apply(members, cursor)
-            yield members
 
 
 @dataclass(frozen=True)

@@ -233,12 +233,6 @@ class FaultSpec:
         host_cluster = np.asarray(host_cluster, dtype=np.int64)
         n = host_cluster.size
         n_clusters = int(host_cluster.max()) + 1
-        for window in self.outages:
-            if max(window[2]) >= n_clusters:
-                raise ConfigurationError(
-                    f"outage window {window!r} names a cluster the "
-                    f"{n_clusters}-cluster world does not have"
-                )
         loss = np.full((n_clusters, n_clusters), self.base_loss_rate)
         if self.intra_cluster_loss_rate is not None:
             np.fill_diagonal(loss, self.intra_cluster_loss_rate)

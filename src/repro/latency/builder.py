@@ -27,8 +27,9 @@ class ClusteredWorld:
     """A clustered topology together with its latency oracle.
 
     ``matrix`` is ``None`` for matrix-free (sparse) worlds, where the
-    oracle is the topology itself; scoring paths that need full row
-    scans fall back to :meth:`ClusteredTopology.latencies_from`.
+    oracle is the topology itself.  Scoring never reads ``matrix``: it
+    reads ground truth off the topology's cluster structure
+    (:class:`~repro.topology.clustered.GroundTruthIndex`) on every world.
     """
 
     topology: ClusteredTopology

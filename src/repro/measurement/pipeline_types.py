@@ -42,10 +42,6 @@ class TracerouteResult:
     destination_responded: bool
     destination_rtt_ms: float | None
 
-    def valid_hops(self) -> list[TracerouteHop]:
-        """Hops whose router responded."""
-        return [h for h in self.hops if h.responded]
-
     def last_valid_router(self) -> int | None:
         """The closest upstream router of the destination.
 

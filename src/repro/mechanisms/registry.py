@@ -56,9 +56,6 @@ class EndNetworkRegistry:
                 self._deployed.add(en_id)
                 self._members[en_id] = set()
 
-    def has_registry(self, en_id: int) -> bool:
-        return en_id in self._deployed
-
     def join(self, peer_id: int) -> bool:
         """Register a peer; returns False when its network has no registry."""
         en_id = self._internet.host(peer_id).en_id

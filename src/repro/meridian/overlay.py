@@ -279,16 +279,6 @@ class MeridianOverlay:
             for x in departed:
                 node.evict(x)
 
-    def average_ring_occupancy(self) -> float:
-        """Mean members per non-empty ring (diagnostic)."""
-        counts = [
-            len(ring)
-            for node in self.nodes.values()
-            for ring in node.rings
-            if ring
-        ]
-        return float(np.mean(counts)) if counts else 0.0
-
 
 def populate_node_rings(
     node: MeridianNode,

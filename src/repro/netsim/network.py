@@ -8,7 +8,7 @@ import numpy as np
 
 from repro.netsim.engine import EventLoop
 from repro.topology.oracle import LatencyOracle
-from repro.util.errors import SimulationError
+from repro.util.errors import ConfigurationError, SimulationError
 
 
 class FaultModel:
@@ -66,9 +66,16 @@ class FaultModel:
             (float(start), float(end), tuple(int(c) for c in clusters))
             for start, end, clusters in outages
         )
-        for start, end, _ in self.outages:
+        n_clusters = int(self.host_cluster.max()) + 1 if self.outages else 0
+        for window in self.outages:
+            start, end, clusters = window
             if not 0.0 <= start < end:
                 raise SimulationError(f"bad outage window [{start}, {end})")
+            if not all(0 <= c < n_clusters for c in clusters):
+                raise ConfigurationError(
+                    f"outage window {window!r} names a cluster the "
+                    f"{n_clusters}-cluster world does not have"
+                )
         if natted is not None:
             natted = np.asarray(natted, dtype=bool)
             if natted.size != n:

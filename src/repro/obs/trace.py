@@ -114,11 +114,6 @@ class Tracer:
 
     # -- per-query spans ---------------------------------------------------
 
-    def _next_seq(self, query: int) -> int:
-        seq = self._job_seq.get(query, 1)
-        self._job_seq[query] = seq + 1
-        return seq
-
     def emit(
         self, name: str, query: int, start_ms: float, end_ms: float, **attrs
     ) -> None:

@@ -209,10 +209,8 @@ class QueryDaemon:
         for node, remaining in sorted((sessions or {}).items()):
             self._open_session(int(node), float(remaining))
         self.jobs: list[QueryJob] = []
-        # Hot per-node state, struct-of-arrays (admission + liveness).
-        self.state = MemberStateArrays(
-            int(algorithm.oracle.n_nodes), algorithm.members
-        )
+        # Hot per-node admission state, struct-of-arrays.
+        self.state = MemberStateArrays(int(algorithm.oracle.n_nodes))
         self._fifo: dict[int, deque[QueryJob]] = {}
         # Time-weighted queue accounting (breakpoints feed the traced
         # queue-depth gauge).
@@ -635,13 +633,9 @@ class QueryDaemon:
                 )
                 for node, life in zip(arriving, lifetimes):
                     self._open_session(node, float(life))
-        # Log the applied event and mirror it into the SoA.
-        self.state.apply_leave(departing)
-        self.state.apply_join(arriving)
         if departing or arriving:
             self.memberships.append_event(arriving, departing)
             self.n_events += (1 if departing else 0) + (1 if arriving else 0)
-            self.state.epoch = self.memberships.n_epochs - 1
         if tracer is not None:
             self._trace_eager_maintenance(ids_before, arriving, departing)
         self._membership_timer = self.loop.schedule(

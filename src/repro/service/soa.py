@@ -1,77 +1,46 @@
-"""Struct-of-arrays storage for the daemon's hot per-member state.
+"""Struct-of-arrays storage for the daemon's hot per-node admission state.
 
 The scalar daemon kept per-node admission state in dicts keyed by node id
 — fine at n=2,000, ruinous at n=1,000,000 where every query pays hashing
 and boxing on the hot path.  :class:`MemberStateArrays` flattens that
-state into parallel numpy arrays over the oracle's id space: liveness,
-the membership epoch, and per-node in-service / queued counters, each
-updated in O(1) per admission event and O(changes) per membership event.
+state into parallel numpy arrays over the oracle's id space: per-node
+in-service and queued counters and their peaks, each updated in O(1) per
+admission event.
 
 The arrays are bookkeeping only — admission *decisions* read them, but
 the values mirror what the historical dict bookkeeping would hold at
 every instant (the SoA regression test reconstructs the dict from job
-timelines and compares).
+timelines and compares).  Liveness is not kept here: the algorithm's
+member set and the daemon's membership log hold it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.util.errors import ConfigurationError
-
 
 class MemberStateArrays:
-    """Flat per-node daemon state over the oracle id space ``0..n_nodes-1``.
+    """Flat per-node admission state over the oracle id space ``0..n_nodes-1``.
 
-    ``alive`` mirrors the algorithm's member set (maintained by the daemon
-    on build and on every membership tick); ``active`` / ``queued`` count
-    each entry node's in-service and FIFO-queued queries; the ``*_peak``
-    arrays record each node's high-water marks.  ``epoch`` mirrors the
-    latest membership-log epoch.
+    ``active`` / ``queued`` count each entry node's in-service and
+    FIFO-queued queries; the ``*_peak`` arrays record each node's
+    high-water marks.
     """
 
     __slots__ = (
         "n_nodes",
-        "alive",
-        "n_live",
-        "epoch",
         "active",
         "active_peak",
         "queued",
         "queued_peak",
     )
 
-    def __init__(self, n_nodes: int, members: np.ndarray) -> None:
-        members = np.asarray(members, dtype=int)
-        if members.size and (members.min() < 0 or members.max() >= n_nodes):
-            raise ConfigurationError(
-                f"member ids outside oracle range [0, {n_nodes})"
-            )
+    def __init__(self, n_nodes: int) -> None:
         self.n_nodes = int(n_nodes)
-        self.alive = np.zeros(self.n_nodes, dtype=bool)
-        self.alive[members] = True
-        self.n_live = int(members.size)
-        self.epoch = 0
         self.active = np.zeros(self.n_nodes, dtype=np.int32)
         self.active_peak = np.zeros(self.n_nodes, dtype=np.int32)
         self.queued = np.zeros(self.n_nodes, dtype=np.int32)
         self.queued_peak = np.zeros(self.n_nodes, dtype=np.int32)
-
-    # -- membership ---------------------------------------------------------
-
-    def apply_join(self, node_ids: np.ndarray | list[int]) -> None:
-        """Mark arrivals live (O(changes))."""
-        ids = np.asarray(node_ids, dtype=int)
-        if ids.size:
-            self.alive[ids] = True
-            self.n_live += int(ids.size)
-
-    def apply_leave(self, node_ids: np.ndarray | list[int]) -> None:
-        """Mark departures dead (O(changes))."""
-        ids = np.asarray(node_ids, dtype=int)
-        if ids.size:
-            self.alive[ids] = False
-            self.n_live -= int(ids.size)
 
     # -- admission ----------------------------------------------------------
 

@@ -21,7 +21,6 @@ intra-EN ≪ intra-cluster < inter-cluster.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -91,6 +90,8 @@ class ClusteredTopology:
             )
         if not np.allclose(np.diag(core_ms), 0.0):
             raise DataError("core matrix must have a zero diagonal")
+        if (core_ms < 0.0).any() or (en_hub_latency_ms < 0.0).any():
+            raise DataError("core and hub latencies must be non-negative")
         self.config = config
         self.en_cluster = en_cluster
         self.en_hub_latency_ms = en_hub_latency_ms
@@ -205,28 +206,6 @@ class ClusteredTopology:
 
     # -- ground-truth helpers ----------------------------------------------
 
-    @cached_property
-    def en_separated(self) -> bool:
-        """True when an end-network mate is never farther than a cross-EN host.
-
-        Every cross-EN RTT is ``(hub(a) + hub(b)) + core`` with
-        ``core >= 0``; float ``+`` is monotone, so it is at least
-        ``2 * min(hub)``.  When ``intra_en_latency_ms`` does not exceed
-        that, a live EN-mate *is* a target's nearest member and
-        :class:`GroundTruthIndex` is exact.  Hubs near zero (``delta``
-        near 1) can break this.
-        """
-        return bool(
-            self.config.intra_en_latency_ms <= 2.0 * self.en_hub_latency_ms.min()
-            and (self.core_ms >= 0.0).all()
-        )
-
-    def truth_index(self, members: np.ndarray) -> "GroundTruthIndex | None":
-        """A :class:`GroundTruthIndex` over ``members``, or ``None`` when
-        the world is not :attr:`en_separated` and the index would not be
-        exact."""
-        return GroundTruthIndex(self, members) if self.en_separated else None
-
     def same_end_network(self, a: int, b: int) -> bool:
         """True if two hosts share an end-network (the 'exact-closest' case)."""
         return bool(self.host_en[a] == self.host_en[b])
@@ -262,21 +241,24 @@ class ClusteredTopology:
 class GroundTruthIndex:
     """Incremental nearest-live-member ground truth for a clustered world.
 
-    A target's nearest member under the Section 4 path model is the target
-    itself (RTT 0) when it is live, else a live end-network mate
-    (``intra_en_latency_ms``) when one exists — exact only on an
-    :attr:`~ClusteredTopology.en_separated` world — else
-    ``min_c (hub(t) + min_hub[c]) + core[c_t, c]``, where ``min_hub[c]`` is
-    the smallest hub latency among cluster ``c``'s live members.  Float
-    ``+`` is monotone and the operands are added in
-    :meth:`ClusteredTopology.latency_block`'s order, so each cluster's
-    min-hub member yields the very float a full row scan would: the index
-    is bit-identical to ``latency_block(targets, members).min(axis=1)``
-    in O(clusters) per target instead of O(members).
+    Under the Section 4 path model a target's nearest live member is the
+    target itself (RTT 0) when it is live; otherwise the RTT is the smaller
+    of ``intra_en_latency_ms``, when a live end-network mate exists, and
+    the hub path ``min_c (hub(t) + h_c) + core[c_t, c]``.  ``h_c`` is the
+    smallest hub latency among cluster ``c``'s live end-networks other than
+    the target's own: each cluster's smallest live hub latency, or for the
+    target's own cluster the second-smallest when the smallest sits in the
+    target's end-network.  Float ``+`` is monotone and the operands are
+    added in :meth:`ClusteredTopology.latency_block`'s order, so each term
+    is the very float a full row scan would see: the index is bit-identical
+    to ``latency_block(targets, members).min(axis=1)`` on every world, in
+    O(clusters) per target instead of O(members).
 
     The index holds a live mask over hosts, per-end-network live counts
-    and ``min_hub``; :meth:`apply` advances it by one membership diff and
-    rescans only the end-networks of the clusters the diff touches.
+    and, per cluster, the smallest and second-smallest live end-network hub
+    latency and which end-network holds the smallest; :meth:`apply`
+    advances it by one membership diff and rescans only the end-networks
+    of the clusters the diff touches.
     """
 
     def __init__(self, topology: ClusteredTopology, members: np.ndarray) -> None:
@@ -291,12 +273,27 @@ class GroundTruthIndex:
         # End-networks grouped by cluster: cluster c's are
         # _cluster_ens[_bounds[c]:_bounds[c + 1]].
         self._cluster_ens = np.argsort(topology.en_cluster, kind="stable")
+        n_clusters = topology.config.n_clusters
         self._bounds = np.searchsorted(
-            topology.en_cluster[self._cluster_ens],
-            np.arange(topology.config.n_clusters + 1),
+            topology.en_cluster[self._cluster_ens], np.arange(n_clusters + 1)
         )
-        self.min_hub = np.full(topology.config.n_clusters, np.inf)
-        np.minimum.at(self.min_hub, topology.en_cluster, self._hub_live)
+        self.min_hub = np.full(n_clusters, np.inf)
+        self._second_hub = np.full(n_clusters, np.inf)
+        self._min_en = np.full(n_clusters, -1)
+        for c in range(n_clusters):
+            self._rescan(c)
+
+    def _rescan(self, c: int) -> None:
+        """Recompute cluster ``c``'s smallest and second-smallest live hub."""
+        ens = self._cluster_ens[self._bounds[c] : self._bounds[c + 1]]
+        if ens.size == 0:
+            return
+        hubs = self._hub_live[ens]
+        k = int(hubs.argmin())
+        self._min_en[c] = ens[k]
+        self.min_hub[c] = hubs[k]
+        hubs[k] = np.inf
+        self._second_hub[c] = hubs.min()
 
     def apply(self, joined: np.ndarray, left: np.ndarray) -> None:
         """Advance by one membership diff: ``left`` leave, then ``joined`` join."""
@@ -314,19 +311,27 @@ class GroundTruthIndex:
             self._en_live[ens] > 0, self.topology.en_hub_latency_ms[ens], np.inf
         )
         for c in np.unique(self.topology.en_cluster[ens]):
-            cluster_ens = self._cluster_ens[self._bounds[c] : self._bounds[c + 1]]
-            self.min_hub[c] = self._hub_live[cluster_ens].min()
+            self._rescan(c)
 
     def nearest_rtt(self, targets: np.ndarray) -> np.ndarray:
         """True RTT from each target to its nearest live member (inf if none)."""
         topo = self.topology
         targets = np.asarray(targets, dtype=int)
-        best = topo.host_hub_latency_ms[targets][:, None] + self.min_hub[None, :]
-        best += topo.core_ms[topo.host_cluster[targets]]
+        own_cluster = topo.host_cluster[targets]
+        own_en = topo.host_en[targets]
+        hub = topo.host_hub_latency_ms[targets]
+        best = hub[:, None] + self.min_hub[None, :]
+        best += topo.core_ms[own_cluster]
+        # The target's own end-network is reached without its hub: where it
+        # holds its cluster's smallest live hub, the hub path into that
+        # cluster runs through the second-smallest instead.
+        rows = np.flatnonzero(self._min_en[own_cluster] == own_en)
+        cols = own_cluster[rows]
+        best[rows, cols] = hub[rows] + self._second_hub[cols]
+        best[rows, cols] += topo.core_ms[cols, cols]
         best = best.min(axis=1)
-        best[self._en_live[topo.host_en[targets]] > 0] = (
-            topo.config.intra_en_latency_ms
-        )
+        mate = self._en_live[own_en] > 0
+        best[mate] = np.minimum(best[mate], topo.config.intra_en_latency_ms)
         best[self.live[targets]] = 0.0
         return best
 

@@ -34,7 +34,6 @@ import numpy as np
 
 from repro.topology.elements import (
     EndNetworkRecord,
-    HostKind,
     HostRecord,
     IspRecord,
     PopRecord,
@@ -159,10 +158,6 @@ class RouterLevelTopology:
 
     def pop(self, pop_id: int) -> PopRecord:
         return self.pops[pop_id]
-
-    def hosts_of_kind(self, kind: HostKind) -> list[HostRecord]:
-        """All hosts of a given kind (peers, DNS servers, ...)."""
-        return [h for h in self.hosts if h.kind == kind]
 
     def upward_chain(self, host_id: int) -> tuple[tuple[int, float], ...]:
         """(router_id, cumulative RTT) pairs from ``host_id`` to its PoP router."""
@@ -535,11 +530,3 @@ class RouterLevelTopology:
 
     def same_pop(self, a: int, b: int) -> bool:
         return self.hosts[a].pop_id == self.hosts[b].pop_id
-
-    def peers_in_pop(self, pop_id: int) -> list[int]:
-        """Peer host ids whose end-networks hang off ``pop_id``."""
-        return [
-            h.host_id
-            for h in self.hosts
-            if h.pop_id == pop_id and h.kind == HostKind.PEER
-        ]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.latency.builder import ClusteredWorld, build_clustered_oracle
-from repro.topology.clustered import ClusteredConfig
+from repro.topology.clustered import ClusteredConfig, ClusteredTopology
 from repro.topology.internet import InternetConfig, SyntheticInternet
 
 
@@ -29,6 +29,25 @@ def clustered_world() -> ClusteredWorld:
     return build_clustered_oracle(
         ClusteredConfig(n_clusters=6, end_networks_per_cluster=20, delta=0.2),
         seed=99,
+    )
+
+
+@pytest.fixture(scope="session")
+def three_host_world() -> ClusteredTopology:
+    """Host 0 and two peers: host 1 at 1.5 ms from it, host 2 at 2.5 ms.
+
+    One cluster of three single-peer end-networks with hub latencies
+    0.5, 1.0 and 2.0 ms: host 1 is host 0's nearest peer, host 2 the next.
+    """
+    config = ClusteredConfig(
+        n_clusters=1, end_networks_per_cluster=3, peers_per_end_network=1
+    )
+    return ClusteredTopology(
+        config,
+        en_cluster=np.zeros(3, dtype=int),
+        en_hub_latency_ms=np.array([0.5, 1.0, 2.0]),
+        host_en=np.arange(3),
+        core_ms=np.zeros((1, 1)),
     )
 
 

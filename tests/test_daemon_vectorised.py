@@ -252,11 +252,6 @@ class TestSoAState:
         # All admissions released, all queues drained.
         assert not state.active.any()
         assert not state.queued.any()
-        # Liveness mirrors the algorithm's final member set exactly.
-        assert state.n_live == algorithm.members.size
-        assert np.array_equal(np.flatnonzero(state.alive), np.sort(algorithm.members))
-        # Epoch mirrors the membership log.
-        assert state.epoch == run.memberships.n_epochs - 1
         # Reconstruct each entry node's concurrency peak from the job
         # timelines — exactly what the historical dict would have peaked
         # at.  A finish and a start at the same instant is the FIFO

@@ -268,6 +268,15 @@ class TestFaultModelExactness:
         assert stats["dropped"] > 0
         assert stats["dropped"] == stats["retransmitted"] + stats["timed_out"]
 
+    @pytest.mark.parametrize("cluster", [7, -1])
+    def test_outage_cluster_outside_the_world_rejected(self, cluster):
+        """A model built directly, not through FaultSpec, must not go
+        active over a cluster it cannot cut."""
+        with pytest.raises(ConfigurationError, match="2-cluster world"):
+            FaultModel(
+                np.array([0, 0, 1, 1]), outages=((0.0, 1e9, (cluster,)),)
+            )
+
 
 class TestDaemonLossyFanout:
     """Per-link loss: rounds complete on answers *or* timeouts, honestly billed."""

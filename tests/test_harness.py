@@ -6,6 +6,7 @@ import pytest
 from repro.algorithms import MeridianSearch, RandomProbeSearch
 from repro.harness import (
     AggregateStats,
+    MembershipLog,
     NoiseSpec,
     QueryEngine,
     SamplingSpec,
@@ -13,7 +14,6 @@ from repro.harness import (
     get_scenario,
     list_scenarios,
     register_scenario,
-    score_batch,
     score_epochs,
     score_single,
 )
@@ -100,6 +100,15 @@ class TestSampling:
             )
 
 
+def _score_static(world, members, targets, found, host_cluster=None):
+    """Score a static batch: one epoch of ``members``."""
+    targets = np.asarray(targets)
+    return score_epochs(
+        world.topology, MembershipLog(members), np.zeros(targets.size, dtype=int),
+        targets, found, host_cluster,
+    )
+
+
 class TestScoring:
     def test_vectorized_matches_scalar_reference(self, small_world):
         """The batch scorer must agree with the per-target row-scan path."""
@@ -112,8 +121,8 @@ class TestScoring:
         # Repeat targets (sampled protocol) and pick arbitrary found members.
         query_targets = rng.choice(targets, size=40)
         found = rng.choice(members, size=40)
-        exact, cluster = score_batch(
-            matrix, members, query_targets, found, host_cluster=host_cluster
+        exact, cluster = _score_static(
+            small_world, members, query_targets, found, host_cluster
         )
         for i in range(40):
             e, c = score_single(
@@ -129,16 +138,16 @@ class TestScoring:
         targets = np.array([0, 5])
         members = np.setdiff1d(np.arange(n), targets)
         best = members[np.argmin(matrix[np.ix_(targets, members)], axis=1)]
-        exact, cluster = score_batch(
-            matrix, members, targets, best,
-            host_cluster=small_world.topology.host_cluster,
+        exact, cluster = _score_static(
+            small_world, members, targets, best,
+            small_world.topology.host_cluster,
         )
         assert exact.all()
         assert cluster.all()
 
     def test_empty_batch(self, small_world):
-        exact, cluster = score_batch(
-            small_world.matrix.values,
+        exact, cluster = _score_static(
+            small_world,
             np.arange(4),
             np.array([], dtype=int),
             np.array([], dtype=int),
@@ -148,8 +157,8 @@ class TestScoring:
     def test_no_answer_is_a_miss(self):
         """The no-answer id -1 must not wrap around to host n-1: on a
         two-cluster world hosts n-2 and n-1 share a cluster, so reading
-        ``host_cluster[-1]`` would score the miss as a cluster hit.  All
-        three scorers agree."""
+        ``host_cluster[-1]`` would score the miss as a cluster hit.  The
+        batch scorer and the scalar reference agree."""
         world = build_clustered_oracle(
             ClusteredConfig(n_clusters=2, end_networks_per_cluster=4), seed=1
         )
@@ -158,19 +167,17 @@ class TestScoring:
         host_cluster = topology.host_cluster
         assert host_cluster[n - 2] == host_cluster[n - 1]
         members, targets, found = np.arange(n - 1), [n - 2], [-1]
-        batch = score_batch(topology, members, targets, found, host_cluster)
-        epochs = score_epochs(topology, [members], [0], targets, found, host_cluster)
-        assert batch[0].tolist() == batch[1].tolist() == [False]
-        assert [a.tolist() for a in batch] == [a.tolist() for a in epochs]
+        exact, cluster = _score_static(world, members, targets, found, host_cluster)
+        assert exact.tolist() == cluster.tolist() == [False]
         assert score_single(
             world.matrix.values, members, n - 2, -1, host_cluster
         ) == (False, False)
 
     def test_mismatched_shapes_rejected(self, small_world):
         with pytest.raises(DataError):
-            score_batch(
-                small_world.matrix.values, np.arange(4),
-                np.array([1, 2]), np.array([3]),
+            score_epochs(
+                small_world.topology, MembershipLog(np.arange(4)),
+                np.array([0, 0]), np.array([1, 2]), np.array([3]),
             )
 
 

@@ -520,23 +520,16 @@ class TestChurnProtocol:
         )
         assert record.membership_size[-1] < record.membership_size[0]
 
-    def test_churn_scoring_uses_membership_at_query_time(self):
+    def test_churn_scoring_uses_membership_at_query_time(self, three_host_world):
         """score_epochs judges each query against its own epoch."""
-        from repro.harness import score_epochs
+        from repro.harness import MembershipLog, score_epochs
 
-        matrix = np.array(
-            [
-                [0.0, 1.0, 2.0, 9.0],
-                [1.0, 0.0, 3.0, 9.0],
-                [2.0, 3.0, 0.0, 9.0],
-                [9.0, 9.0, 9.0, 0.0],
-            ]
-        )
-        memberships = [np.array([1, 2]), np.array([2])]
+        memberships = MembershipLog(np.array([1, 2]))
+        memberships.append_event([], [1])
         targets = np.array([0, 0])
         found = np.array([2, 2])
         exact, _ = score_epochs(
-            matrix, memberships, np.array([0, 1]), targets, found
+            three_host_world, memberships, np.array([0, 1]), targets, found
         )
         # Node 2 is wrong while node 1 is alive, right after it left.
         assert exact.tolist() == [False, True]

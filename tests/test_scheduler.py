@@ -290,25 +290,17 @@ class TestDeferredAccounting:
 
 
 class TestStaleScoring:
-    def test_departed_found_scores_as_miss(self):
-        matrix = np.array(
-            [
-                [0.0, 1.0, 2.0, 9.0],
-                [1.0, 0.0, 3.0, 9.0],
-                [2.0, 3.0, 0.0, 9.0],
-                [9.0, 9.0, 9.0, 0.0],
-            ]
-        )
-        host_cluster = np.zeros(4, dtype=int)
+    def test_departed_found_scores_as_miss(self, three_host_world):
         # Epoch 1: node 1 has left; a stale index returned it anyway.
-        memberships = [np.array([1, 2]), np.array([2])]
+        log = MembershipLog(np.array([1, 2]))
+        log.append_event([], [1])
         exact, cluster = score_epochs(
-            matrix,
-            memberships,
+            three_host_world,
+            log,
             np.array([0, 1]),
             np.array([0, 0]),
             np.array([1, 1]),
-            host_cluster=host_cluster,
+            host_cluster=three_host_world.host_cluster,
         )
         assert exact.tolist() == [True, False]
         assert cluster.tolist() == [True, False]
@@ -391,21 +383,10 @@ class TestMembershipLog:
             log.append_event(joiners, leavers)
             snapshots.append(members.copy())
         assert log.n_epochs == len(snapshots)
-        for epoch in (0, 7, 23, len(snapshots) - 1):
+        for epoch in range(len(snapshots)):
             assert (log.membership(epoch) == snapshots[epoch]).all()
-        walked = list(log.walk(range(len(snapshots))))
-        for got, want in zip(walked, snapshots):
-            assert (got == want).all()
-
-    def test_walk_requires_sorted_epochs(self):
-        log = MembershipLog(np.arange(5))
-        log.append_event([5], [])
         with pytest.raises(DataError):
-            list(log.walk([1, 0]))
-        with pytest.raises(DataError):
-            list(log.walk([2]))
-        with pytest.raises(DataError):
-            log.membership(2)
+            log.membership(len(snapshots))
 
     def test_snapshot_cost_is_events_plus_changes(self):
         """Regression for the churn-epoch memory hotspot: recording an
@@ -424,26 +405,6 @@ class TestMembershipLog:
         assert log.stored_entries == n_members + total_changes
         # The forbidden regime: anything proportional to events x |M|.
         assert log.stored_entries < n_events * n_members / 100
-
-    def test_score_epochs_accepts_log_and_list_identically(self):
-        rng = np.random.default_rng(9)
-        matrix = rng.uniform(1.0, 10.0, size=(40, 40))
-        np.fill_diagonal(matrix, 0.0)
-        members = np.arange(20)
-        log = MembershipLog(members)
-        snapshots = [members.copy()]
-        for e in range(6):
-            members = members[members != e]
-            members = np.concatenate([members, np.array([20 + e])])
-            log.append_event([20 + e], [e])
-            snapshots.append(members.copy())
-        epoch_of_query = np.array([0, 1, 1, 3, 5, 6, 6])
-        targets = np.array([30, 31, 32, 33, 34, 35, 36])
-        found = np.array([5, 6, 0, 21, 22, 23, 2])
-        from_list = score_epochs(matrix, snapshots, epoch_of_query, targets, found)
-        from_log = score_epochs(matrix, log, epoch_of_query, targets, found)
-        assert (from_list[0] == from_log[0]).all()
-        assert (from_list[1] == from_log[1]).all()
 
 
 class TestServiceMode:

@@ -1,16 +1,17 @@
 """The clustered ground-truth index scores exactly as the member block does.
 
 :class:`~repro.topology.clustered.GroundTruthIndex` reads each target's
-nearest live member off per-cluster minimum hub latencies instead of a
+nearest live member off per-cluster hub-latency minima instead of a
 (targets x members) block.  These tests pin it, on generated Section 4
-worlds and random membership logs, against
+worlds and random membership logs — including worlds where a cross-network
+host can be nearer than an end-network mate (50 ms end-networks, or hubs
+near zero at ``delta`` = 1) — against
 
 * ``latency_block(targets, members).min(axis=1)`` bit for bit;
 * the block scorer (block minimum plus ``np.isin`` liveness) and the
   scalar :func:`~repro.harness.scoring.score_single`, per query;
 
-and pin that a separated world never builds a member block while scoring,
-while a world failing the separation guard does and still agrees.
+and pin that scoring never builds a member block.
 """
 
 import numpy as np
@@ -18,13 +19,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms import RandomProbeSearch
+from repro.algorithms import MeridianSearch, RandomProbeSearch
 from repro.harness import DaemonSpec, QueryEngine, SamplingSpec
 from repro.harness import engine as engine_module
 from repro.harness.results import MembershipLog
-from repro.harness.scoring import TIE_EPS, score_batch, score_epochs, score_single
-from repro.latency.builder import build_sparse_clustered_world
-from repro.topology.clustered import ClusteredConfig, ClusteredTopology
+from repro.harness.scoring import TIE_EPS, score_epochs, score_single
+from repro.latency.builder import build_clustered_oracle, build_sparse_clustered_world
+from repro.topology.clustered import (
+    ClusteredConfig,
+    ClusteredTopology,
+    GroundTruthIndex,
+)
 from repro.util.errors import DataError
 
 
@@ -109,55 +114,57 @@ def _reference(topology, snapshots, epoch_of_query, targets, found):
     return exact, cluster
 
 
+def _check_index_against_block(run):
+    topology, log, snapshots, *_ = run
+    index = GroundTruthIndex(topology, log.initial)
+    hosts = np.arange(topology.n_nodes)
+    diffs = log.diffs()
+    for epoch, members in enumerate(snapshots):
+        if epoch:
+            index.apply(*next(diffs))
+        best = topology.latency_block(hosts, members).min(axis=1)
+        assert np.array_equal(index.nearest_rtt(hosts), best)
+        assert np.array_equal(index.live, np.isin(hosts, members))
+
+
+def _check_scoring_against_reference(run):
+    topology, log, snapshots, epoch_of_query, targets, found = run
+    expected = _reference(topology, snapshots, epoch_of_query, targets, found)
+    exact, cluster = score_epochs(
+        topology, log, epoch_of_query, targets, found, topology.host_cluster
+    )
+    assert np.array_equal(exact, expected[0])
+    assert np.array_equal(cluster, expected[1])
+
+
 class TestIndexEqualsBlock:
     @settings(max_examples=150, deadline=None)
     @given(runs())
     def test_nearest_rtt_is_the_block_minimum_at_every_epoch(self, run):
-        topology, log, snapshots, *_ = run
-        index = topology.truth_index(log.initial)
-        if index is None:
-            assert not topology.en_separated
-            return
-        hosts = np.arange(topology.n_nodes)
-        diffs = log.diffs()
-        for epoch, members in enumerate(snapshots):
-            if epoch:
-                index.apply(*next(diffs))
-            best = topology.latency_block(hosts, members).min(axis=1)
-            assert np.array_equal(index.nearest_rtt(hosts), best)
-            assert np.array_equal(index.live, np.isin(hosts, members))
+        _check_index_against_block(run)
+
+    @settings(max_examples=100, deadline=None)
+    @given(runs(intra_en_latency_ms=50.0))
+    def test_nearest_rtt_is_the_block_minimum_with_50ms_end_networks(self, run):
+        # Hubs are at most 12 ms here: a cross-network member can be
+        # nearer than a live end-network mate.
+        _check_index_against_block(run)
 
     @settings(max_examples=150, deadline=None)
     @given(runs())
     def test_score_epochs_matches_block_and_scalar_scoring(self, run):
-        topology, log, snapshots, epoch_of_query, targets, found = run
-        expected = _reference(topology, snapshots, epoch_of_query, targets, found)
-        args = (epoch_of_query, targets, found, topology.host_cluster)
-        for memberships in (log, snapshots):
-            exact, cluster = score_epochs(topology, memberships, *args)
-            assert np.array_equal(exact, expected[0])
-            assert np.array_equal(cluster, expected[1])
+        _check_scoring_against_reference(run)
 
     @settings(max_examples=100, deadline=None)
-    @given(runs())
-    def test_score_batch_matches_dense_matrix(self, run):
-        topology, _, snapshots, _, targets, found = run
-        members = snapshots[-1]
-        found = np.where(found < 0, members[0], found)
-        on_topology = score_batch(
-            topology, members, targets, found, topology.host_cluster
-        )
-        on_matrix = score_batch(
-            topology.full_matrix(), members, targets, found, topology.host_cluster
-        )
-        assert np.array_equal(on_topology[0], on_matrix[0])
-        assert np.array_equal(on_topology[1], on_matrix[1])
+    @given(runs(intra_en_latency_ms=50.0))
+    def test_score_epochs_matches_reference_with_50ms_end_networks(self, run):
+        _check_scoring_against_reference(run)
 
     def test_two_member_world(self):
         # One end-network of two peers: each is the other's nearest member.
         config = ClusteredConfig(n_clusters=1, end_networks_per_cluster=1)
         topology = ClusteredTopology.generate(config, np.zeros((1, 1)), seed=3)
-        index = topology.truth_index(np.array([1]))
+        index = GroundTruthIndex(topology, np.array([1]))
         assert index.nearest_rtt(np.array([0, 1])).tolist() == [
             config.intra_en_latency_ms, 0.0
         ]
@@ -173,7 +180,7 @@ class TestIndexEqualsBlock:
         target, mate = 0, 1
         far = topology.hosts_in_cluster(2)
         members = np.concatenate([[mate], far])
-        index = topology.truth_index(members)
+        index = GroundTruthIndex(topology, members)
         assert index.nearest_rtt(np.array([target]))[0] == config.intra_en_latency_ms
         found = np.array([mate, far[0]])
         exact, cluster = score_epochs(
@@ -188,34 +195,59 @@ class TestIndexEqualsBlock:
         assert np.array_equal(index.nearest_rtt(np.array([target])), best)
 
 
-class TestSeparationGuard:
-    @settings(max_examples=60, deadline=None)
-    @given(runs(intra_en_latency_ms=50.0))
-    def test_unseparated_world_scores_through_the_block(self, run):
-        topology, log, snapshots, epoch_of_query, targets, found = run
-        # Hubs are at most 12 ms here, so 50 ms end-network mates fail the guard.
-        assert not topology.en_separated
-        assert topology.truth_index(log.initial) is None
-        expected = _reference(topology, snapshots, epoch_of_query, targets, found)
-        exact, cluster = score_epochs(
-            topology, log, epoch_of_query, targets, found, topology.host_cluster
+    def test_hub_path_beats_an_end_network_mate(self):
+        # Two end-networks of one cluster with 0.01 ms hubs: the target's
+        # cross-network neighbour (0.02 ms) is nearer than its mate (0.1 ms).
+        config = ClusteredConfig(n_clusters=1, end_networks_per_cluster=3)
+        topology = ClusteredTopology(
+            config,
+            en_cluster=np.zeros(3, dtype=int),
+            en_hub_latency_ms=np.array([0.01, 0.01, 5.0]),
+            host_en=np.repeat(np.arange(3), 2),
+            core_ms=np.zeros((1, 1)),
         )
-        assert np.array_equal(exact, expected[0])
-        assert np.array_equal(cluster, expected[1])
+        target, mate, neighbour, far = 0, 1, 2, 4
+        index = GroundTruthIndex(topology, np.array([mate, neighbour, far]))
+        assert index.nearest_rtt(np.array([target]))[0] == 0.01 + 0.01
+        # Without the neighbour the mate is nearest; the target's own
+        # end-network holds the smallest hub, so the hub path runs
+        # through the second-smallest.
+        index.apply(np.array([], dtype=int), np.array([neighbour]))
+        assert index.nearest_rtt(np.array([target]))[0] == config.intra_en_latency_ms
+        index.apply(np.array([], dtype=int), np.array([mate]))
+        assert index.nearest_rtt(np.array([target]))[0] == 0.01 + 5.0
 
-    def test_unseparated_world_calls_latency_block(self, monkeypatch):
+
+class TestStaticTrialOffSeparation:
+    def test_meridian_on_a_delta_one_world_matches_dense_scoring(self):
+        """A static Meridian trial at ``delta`` = 1 scores query by query
+        as the dense scalar reference does.  The world has hubs small
+        enough that two cross-network hosts sit nearer each other than two
+        end-network mates."""
         config = ClusteredConfig(
-            n_clusters=3, end_networks_per_cluster=4, intra_en_latency_ms=50.0
+            n_clusters=4, end_networks_per_cluster=40, delta=1.0
         )
-        rng = np.random.default_rng(1)
-        topology = ClusteredTopology.generate(config, _core(rng, 3), seed=rng)
-        calls = _spy_latency_block(monkeypatch)
-        members = np.arange(0, topology.n_nodes, 2)
-        score_epochs(
-            topology, MembershipLog(members), np.zeros(4, dtype=int),
-            np.arange(1, 9, 2), members[:4],
+        world = build_clustered_oracle(config, seed=4)
+        topology = world.topology
+        hubs = [
+            np.sort(topology.en_hub_latency_ms[topology.en_cluster == c])[:2].sum()
+            for c in range(config.n_clusters)
+        ]
+        assert min(hubs) < config.intra_en_latency_ms
+        sampling = SamplingSpec(n_targets=30)
+        seed = 4
+        record = QueryEngine().run_world_trial(
+            world, MeridianSearch(), sampling=sampling, n_queries=80, seed=seed
         )
-        assert calls
+        # run_world_trial samples the targets first off the trial seed.
+        targets = sampling.sample(world, np.random.default_rng(seed))
+        members = np.setdiff1d(np.arange(topology.n_nodes), targets)
+        dense = topology.full_matrix()
+        expected = [
+            score_single(dense, members, int(t), int(f), topology.host_cluster)
+            for t, f in zip(record.targets, record.found)
+        ]
+        assert list(zip(record.exact_hit, record.cluster_hit)) == expected
 
 
 def _spy_latency_block(monkeypatch) -> list:
@@ -234,11 +266,10 @@ class TestFastPathPinned:
     def test_daemon_scoring_on_sparse_world_builds_no_member_block(
         self, monkeypatch
     ):
-        """Scoring a separated sparse world never falls back to O(members)."""
+        """Scoring a sparse world never falls back to O(members)."""
         world = build_sparse_clustered_world(
             ClusteredConfig(n_clusters=6, end_networks_per_cluster=20), seed=99
         )
-        assert world.topology.en_separated
         calls = _spy_latency_block(monkeypatch)
         scoring_calls = []
         original = engine_module.score_epochs
@@ -269,13 +300,32 @@ class TestFastPathPinned:
         assert record.n_churn_events > 0
         assert scoring_calls == [0]
 
-    def test_score_batch_on_sparse_world_builds_no_member_block(self, monkeypatch):
+    def test_static_scoring_on_sparse_world_builds_no_member_block(
+        self, monkeypatch
+    ):
         world = build_sparse_clustered_world(
             ClusteredConfig(n_clusters=6, end_networks_per_cluster=20), seed=99
         )
         calls = _spy_latency_block(monkeypatch)
         members = np.arange(10, world.topology.n_nodes)
-        score_batch(world.topology, members, np.arange(10), members[:10])
+        score_epochs(
+            world.topology, MembershipLog(members), np.zeros(10, dtype=int),
+            np.arange(10), members[:10],
+        )
+        assert calls == []
+
+    def test_unseparated_world_builds_no_member_block(self, monkeypatch):
+        config = ClusteredConfig(
+            n_clusters=3, end_networks_per_cluster=4, intra_en_latency_ms=50.0
+        )
+        rng = np.random.default_rng(1)
+        topology = ClusteredTopology.generate(config, _core(rng, 3), seed=rng)
+        calls = _spy_latency_block(monkeypatch)
+        members = np.arange(0, topology.n_nodes, 2)
+        score_epochs(
+            topology, MembershipLog(members), np.zeros(4, dtype=int),
+            np.arange(1, 9, 2), members[:4],
+        )
         assert calls == []
 
 
