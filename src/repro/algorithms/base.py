@@ -257,12 +257,10 @@ class ProbeOp:
 
     #: The member issuing the measurement.
     src: int
-    #: The node measured (the query target for ``kind="probe"``).
+    #: The node measured (the query target).
     dst: int
     #: The RTT the probe observed — also its completion time.
     rtt_ms: float
-    #: ``"probe"`` (counts against the target-probe bill) or ``"aux"``.
-    kind: str = "probe"
 
 
 class ProbeRound:
@@ -276,14 +274,13 @@ class ProbeRound:
     instances.
     """
 
-    __slots__ = ("srcs", "dsts", "rtts_ms", "kind")
+    __slots__ = ("srcs", "dsts", "rtts_ms")
 
     def __init__(
         self,
         srcs: np.ndarray | Iterable[int],
         dsts: np.ndarray | Iterable[int] | int,
         rtts_ms: np.ndarray | Iterable[float],
-        kind: str = "probe",
     ) -> None:
         self.srcs = np.asarray(srcs, dtype=int)
         dst_arr = np.asarray(dsts, dtype=int)
@@ -291,7 +288,6 @@ class ProbeRound:
             dst_arr = np.full(self.srcs.shape, int(dst_arr))
         self.dsts = dst_arr
         self.rtts_ms = np.asarray(rtts_ms, dtype=float)
-        self.kind = kind
 
     def __len__(self) -> int:
         return int(self.srcs.size)
@@ -304,18 +300,16 @@ class ProbeRound:
             int(self.srcs[index]),
             int(self.dsts[index]),
             float(self.rtts_ms[index]),
-            self.kind,
         )
 
     def __iter__(self):
-        kind = self.kind
         for s, d, r in zip(
             self.srcs.tolist(), self.dsts.tolist(), self.rtts_ms.tolist()
         ):
-            yield ProbeOp(int(s), int(d), float(r), kind)
+            yield ProbeOp(int(s), int(d), float(r))
 
     def __repr__(self) -> str:
-        return f"ProbeRound(n={len(self)}, kind={self.kind!r})"
+        return f"ProbeRound(n={len(self)})"
 
 
 #: The stepwise query protocol: a generator yielding probe rounds (each a
@@ -326,13 +320,10 @@ QueryPlan = Generator  # Generator[ProbeRound, None, SearchResult]
 
 
 def probe_round(
-    nodes: Iterable[int],
-    target: int,
-    values: Iterable[float],
-    kind: str = "probe",
+    nodes: Iterable[int], target: int, values: Iterable[float]
 ) -> ProbeRound:
     """Package one fan-out (``nodes`` each probing ``target``) as a round."""
-    return ProbeRound(nodes, int(target), values, kind)
+    return ProbeRound(nodes, int(target), values)
 
 
 @dataclass
@@ -361,6 +352,20 @@ class SearchResult:
         return self.found >= 0
 
 
+def _read_block(
+    oracle: LatencyOracle | None,
+    rows: np.ndarray | Iterable[int],
+    cols: np.ndarray | Iterable[int],
+) -> np.ndarray:
+    """One ``latency_block`` read; an empty side reads nothing."""
+    rows = np.asarray(rows, dtype=int)
+    cols = np.asarray(cols, dtype=int)
+    if rows.size == 0 or cols.size == 0:
+        return np.empty((rows.size, cols.size), dtype=float)
+    assert oracle is not None
+    return oracle.latency_block(rows, cols)
+
+
 class NearestPeerAlgorithm(abc.ABC):
     """A nearest-peer search scheme over a dynamic member population.
 
@@ -368,12 +373,15 @@ class NearestPeerAlgorithm(abc.ABC):
     initial member set (this may take offline measurements — ring
     construction, coordinate embedding, hierarchy building), then
     :meth:`query` many times, interleaved with :meth:`join` /
-    :meth:`leave` membership events.  Queries must only learn about the
-    target through ``self.probe`` so the probe accounting is honest;
-    membership maintenance must measure only through the maintenance
-    helpers (:meth:`maintenance_probe_many` and friends, or — for
-    rebuild-policy schemes — the flagged :meth:`offline_distances_from`)
-    so maintenance cost is honest too.
+    :meth:`leave` membership events.  Every measurement is one counted
+    ``(rows × cols)`` block on one of three channels, so every bill is
+    honest: a query learns about the target only through the query
+    channel (:meth:`probe_block`, :meth:`probe_many`, :meth:`probe`),
+    counts other query-time traffic on the aux channel
+    (:meth:`aux_probe`), and builds or maintains its index through the
+    index channel (:meth:`offline_probe_block`), which is free during
+    :meth:`build` and billed as maintenance inside a join, leave, flush,
+    region refresh or ring repair.
 
     Each scheme declares its ``maintenance_policy`` (see
     :data:`MAINTENANCE_POLICIES`): ``incremental`` schemes patch their
@@ -546,29 +554,18 @@ class NearestPeerAlgorithm(abc.ABC):
         joined = np.unique(np.asarray(node_ids, dtype=int))
         if joined.size == 0:
             return 0
-        in_range = joined.min() >= 0 and joined.max() < self._oracle.n_nodes
-        if (
-            in_range
-            and self._member_mask is not None
-            and self._members is self._member_mask_for
-        ):
-            # O(|J|) duplicate check off the liveness mask.
-            dup_hits = self._member_mask[joined]
-            if dup_hits.any():
-                raise ConfigurationError(
-                    f"{self.name}: join() ids already members: "
-                    f"{joined[dup_hits].tolist()[:8]}"
-                )
-        else:
-            if np.isin(joined, self._members).any():
-                dup = joined[np.isin(joined, self._members)]
-                raise ConfigurationError(
-                    f"{self.name}: join() ids already members: {dup.tolist()[:8]}"
-                )
-        if not in_range:
+        if joined.min() < 0 or joined.max() >= self._oracle.n_nodes:
             raise ConfigurationError(
                 f"{self.name}: join() ids outside oracle range "
                 f"[0, {self._oracle.n_nodes})"
+            )
+        # O(|J|) duplicate check off the liveness mask, which always
+        # reflects ``self._members`` between events.
+        dup_hits = self._member_mask[joined]
+        if dup_hits.any():
+            raise ConfigurationError(
+                f"{self.name}: join() ids already members: "
+                f"{joined[dup_hits].tolist()[:8]}"
             )
         if not self._scheduler.eager:
             return self._defer_event(
@@ -595,15 +592,10 @@ class NearestPeerAlgorithm(abc.ABC):
         left = np.unique(np.asarray(node_ids, dtype=int))
         if left.size == 0:
             return 0
-        if (
-            self._member_mask is not None
-            and self._members is self._member_mask_for
-            and left.min() >= 0
-            and left.max() < self._member_mask.size
-        ):
-            missing = left[~self._member_mask[left]]
-        else:
-            missing = left[~np.isin(left, self._members)]
+        # An id outside the oracle range is no member either.
+        is_member = (left >= 0) & (left < self._member_mask.size)
+        is_member[is_member] = self._member_mask[left[is_member]]
+        missing = left[~is_member]
         if missing.size:
             raise ConfigurationError(
                 f"{self.name}: leave() ids not members: {missing.tolist()[:8]}"
@@ -628,8 +620,8 @@ class NearestPeerAlgorithm(abc.ABC):
     ) -> int:
         """Run ``work(*args)`` as maintenance and bill it; returns probes spent.
 
-        The one place a maintenance spend is measured and charged: offline
-        helpers count as maintenance while ``work`` runs, and the ledger
+        The one place a maintenance spend is measured and charged: the
+        index channel bills as maintenance while ``work`` runs, and the ledger
         splits what it spent over ``event_ids`` (no ids: background).
         """
         before = self._maintenance_probe_count
@@ -823,8 +815,8 @@ class NearestPeerAlgorithm(abc.ABC):
         """Hook: rebuild ``node``'s index region against the current view.
 
         Called under maintenance accounting; implementations measure
-        through :meth:`offline_distances_from` (or the counted maintenance
-        helpers) so the region-sized bill is honest.
+        through :meth:`offline_probe_block`, so the region-sized bill is
+        honest.
         """
         raise ConfigurationError(
             f"{self.name} does not support partial flushes"
@@ -1035,113 +1027,57 @@ class NearestPeerAlgorithm(abc.ABC):
             raise ConfigurationError(f"{self.name}: not built yet")
         return self._oracle
 
-    def probe(self, node: int, target: int) -> float:
-        """Measure RTT between a member and the target (counted, noisy)."""
-        self._probe_count += 1
-        assert self._probe_oracle is not None
-        return self._probe_oracle.latency_ms(node, target)
-
-    def probe_many(
-        self, nodes: np.ndarray | list[int], target: int
-    ) -> np.ndarray:
-        """Measure RTTs from each of ``nodes`` to the target, batched.
-
-        Accounting and measurement direction are exact: one probe per
-        element, measured as ``latency_ms(node, target)`` — identical to
-        calling :meth:`probe` in a loop even for asymmetric oracles.  One
-        ``latency_block`` call on the probe oracle.
-        """
-        nodes = np.asarray(nodes, dtype=int)
-        if nodes.size == 0:
-            return np.empty(0, dtype=float)
-        return self.probe_block(nodes, [int(target)])[:, 0]
+    # Every measurement is one (rows x cols) block read on one of three
+    # billing channels.  Each channel has one counting method — the only
+    # code that moves its counter — and every other name is a shape
+    # adapter over it.
 
     def probe_block(
         self, rows: np.ndarray | list[int], cols: np.ndarray | list[int]
     ) -> np.ndarray:
-        """Counted batched block of query-time measurements.
+        """Query channel: a block of probe-oracle measurements, one probe
+        per element on the plan's bill."""
+        block = _read_block(self._probe_oracle, rows, cols)
+        self._probe_count += block.size
+        return block
 
-        The single batch analogue of :meth:`probe`: every probe-counting
-        batch path (including the Meridian proxy oracle) funnels through
-        here, so the accounting rule lives in one place.
-        """
-        rows = np.asarray(rows, dtype=int)
-        cols = np.asarray(cols, dtype=int)
-        if rows.size == 0 or cols.size == 0:
-            return np.empty((rows.size, cols.size), dtype=float)
-        self._probe_count += int(rows.size * cols.size)
-        assert self._probe_oracle is not None
-        return self._probe_oracle.latency_block(rows, cols)
+    def probe_many(
+        self, nodes: np.ndarray | list[int], target: int
+    ) -> np.ndarray:
+        """Counted RTTs from each of ``nodes`` to the target, measured as
+        ``latency_ms(node, target)``: one probe per element."""
+        return self.probe_block(nodes, [int(target)])[:, 0]
+
+    def probe(self, node: int, target: int) -> float:
+        """Measure RTT between a member and the target (counted, noisy)."""
+        return float(self.probe_block([int(node)], [int(target)])[0, 0])
 
     def aux_probe(self, a: int, b: int) -> float:
-        """Measure RTT between two non-target nodes at query time.
+        """Aux channel: RTT between two non-target nodes at query time.
 
         Counted separately from target probes (the paper's lower bound is
         about target measurements), e.g. beacon-to-beacon traffic a query
         triggers.
         """
-        self._aux_probe_count += 1
-        assert self._probe_oracle is not None
-        return self._probe_oracle.latency_ms(a, b)
-
-    def aux_probe_many(
-        self, a: int, nodes: np.ndarray | list[int]
-    ) -> np.ndarray:
-        """Measure RTTs from ``a`` to each of ``nodes``, batched.
-
-        The aux counterpart of :meth:`probe_many`: one aux probe counted
-        per element.
-        """
-        nodes = np.asarray(nodes, dtype=int)
-        if nodes.size == 0:
-            return np.empty(0, dtype=float)
-        self._aux_probe_count += int(nodes.size)
-        assert self._probe_oracle is not None
-        return self._probe_oracle.latencies_from(int(a), nodes)
-
-    def offline_distances_from(self, node: int) -> np.ndarray:
-        """RTTs from ``node`` to every member, for *build/maintenance* use.
-
-        One ``latencies_from`` call on the oracle.  Not counted as query
-        probes — index construction is the offline phase.
-        During a :meth:`join` / :meth:`leave` event the same measurements
-        are billed as maintenance, which is how the counted-rebuild
-        fallback prices a full rebuild.
-        """
-        if self._in_maintenance:
-            self._maintenance_probe_count += int(self.members.size)
-        return self.oracle.latencies_from(int(node), self.members)
-
-    def offline_probe_many(
-        self, node: int, nodes: np.ndarray | list[int]
-    ) -> np.ndarray:
-        """Build/maintenance RTTs from ``node`` to arbitrary ``nodes``.
-
-        The free-target sibling of :meth:`offline_distances_from`: offline
-        during :meth:`build`, billed as maintenance when the same code
-        re-runs inside a join/leave/flush.  Build-path helpers (e.g. the
-        Meridian overlay constructor) take this as their probe callable so
-        their measurements stay on the books.
-        """
-        nodes = np.asarray(nodes, dtype=int)
-        if nodes.size == 0:
-            return np.empty(0, dtype=float)
-        if self._in_maintenance:
-            self._maintenance_probe_count += int(nodes.size)
-        return self.oracle.latencies_from(int(node), nodes)
+        block = _read_block(self._probe_oracle, [int(a)], [int(b)])
+        self._aux_probe_count += block.size
+        return float(block[0, 0])
 
     def offline_probe_block(
         self, rows: np.ndarray | list[int], cols: np.ndarray | list[int]
     ) -> np.ndarray:
-        """Build/maintenance RTT block — the batched form of
-        :meth:`offline_probe_many`, billed under the same rule."""
-        rows = np.asarray(rows, dtype=int)
-        cols = np.asarray(cols, dtype=int)
-        if rows.size == 0 or cols.size == 0:
-            return np.empty((rows.size, cols.size), dtype=float)
+        """Index channel: a block of build-oracle RTTs (one probe per element).
+
+        Offline during :meth:`build`; billed as maintenance when the same
+        code runs inside :meth:`_maintain` — a join, leave, flush, region
+        refresh or ring repair.  Substrates that build an index (the
+        Meridian overlay, the GNP embedding) take this as their
+        ``measure`` callable, so their measurements stay on the books.
+        """
+        block = _read_block(self.oracle, rows, cols)
         if self._in_maintenance:
-            self._maintenance_probe_count += int(rows.size * cols.size)
-        return self.oracle.latency_block(rows, cols)
+            self._maintenance_probe_count += block.size
+        return block
 
     # -- maintenance accounting ----------------------------------------------
 
@@ -1172,45 +1108,7 @@ class NearestPeerAlgorithm(abc.ABC):
         """Maintenance probes with no membership-event cause (e.g. ring repair)."""
         return self._scheduler.ledger.background
 
-    def maintenance_probe(self, a: int, b: int) -> float:
-        """One counted maintenance measurement (overlay-internal RTT).
-
-        Maintenance measures through the *build* oracle — ring repair and
-        index splicing are overlay-internal traffic, like construction —
-        but unlike construction every measurement is billed, because churn
-        maintenance is an online, recurring cost.
-        """
-        self._maintenance_probe_count += 1
-        return self.oracle.latency_ms(int(a), int(b))
-
-    def maintenance_probe_many(
-        self, a: int, nodes: np.ndarray | list[int]
-    ) -> np.ndarray:
-        """Counted maintenance RTTs from ``a`` to each of ``nodes``, batched."""
-        nodes = np.asarray(nodes, dtype=int)
-        if nodes.size == 0:
-            return np.empty(0, dtype=float)
-        self._maintenance_probe_count += int(nodes.size)
-        return self.oracle.latencies_from(int(a), nodes)
-
-    def maintenance_probe_block(
-        self, rows: np.ndarray | list[int], cols: np.ndarray | list[int]
-    ) -> np.ndarray:
-        """Counted maintenance RTT block (one probe per element)."""
-        rows = np.asarray(rows, dtype=int)
-        cols = np.asarray(cols, dtype=int)
-        if rows.size == 0 or cols.size == 0:
-            return np.empty((rows.size, cols.size), dtype=float)
-        self._maintenance_probe_count += int(rows.size * cols.size)
-        return self.oracle.latency_block(rows, cols)
-
-    def _offer_round(
-        self,
-        nodes,
-        target: int,
-        values,
-        kind: str = "probe",
-    ):
+    def _offer_round(self, nodes, target: int, values):
         """Yield one probe fan-out and apply the driver's outcome mask.
 
         Native plans use this as
@@ -1225,7 +1123,7 @@ class NearestPeerAlgorithm(abc.ABC):
         actually learned.
         """
         values = np.asarray(values, dtype=float)
-        mask = yield probe_round(nodes, target, values, kind)
+        mask = yield probe_round(nodes, target, values)
         node_list = [int(n) for n in nodes]
         if mask is None:
             return node_list, values, np.arange(len(node_list))

@@ -53,9 +53,7 @@ class BeaconSearch(NearestPeerAlgorithm):
         members = self.members
         count = min(self._n_beacons, members.size)
         self._beacons = rng.choice(members, size=count, replace=False)
-        self._beacon_to_member = np.stack(
-            [self.offline_distances_from(int(b)) for b in self._beacons]
-        )
+        self._beacon_to_member = self.offline_probe_block(self._beacons, members)
 
     def _recruit_beacons(self, rng: np.random.Generator) -> None:
         """Top the beacon set back up to ``n_beacons`` (counted probes)."""
@@ -66,7 +64,7 @@ class BeaconSearch(NearestPeerAlgorithm):
             if pool.size == 0:
                 break
             recruit = int(rng.choice(pool))
-            row = self.maintenance_probe_many(recruit, self.members)
+            row = self.offline_probe_block([recruit], self.members)
             self._beacons = np.append(self._beacons, recruit)
             self._beacon_to_member = np.vstack([self._beacon_to_member, row])
 
@@ -74,7 +72,7 @@ class BeaconSearch(NearestPeerAlgorithm):
         assert self._beacons is not None and self._beacon_to_member is not None
         # New columns first (beacon -> arrival RTTs), then top up beacons if
         # the initial build was starved for members.
-        block = self.maintenance_probe_block(self._beacons, joined)
+        block = self.offline_probe_block(self._beacons, joined)
         self._beacon_to_member = np.hstack([self._beacon_to_member, block])
         self._recruit_beacons(rng)
 

@@ -101,7 +101,7 @@ class KargerRuhlSearch(NearestPeerAlgorithm):
         rng = np.random.default_rng(
             (self._region_base, self.maintenance_generation, node)
         )
-        distances = self.offline_distances_from(node)
+        distances = self.offline_probe_block([node], members)[0]
         per_scale: list[np.ndarray] = []
         for radius in self._scales:
             inside = members[(distances <= radius) & (members != node)]

@@ -52,15 +52,10 @@ class MeridianSearch(NearestPeerAlgorithm):
         self._overlay: MeridianOverlay | None = None
 
     def _build(self, rng: np.random.Generator) -> None:
-        # Probe through the counted offline channel so a build re-run
+        # Measure through the counted index channel so a build re-run
         # inside a flush bills its measurements as maintenance.
         self._overlay = MeridianOverlay.build(
-            self.oracle,
-            self.members,
-            config=self._config,
-            seed=rng,
-            probe_many=self.offline_probe_many,
-            pairwise=lambda c: self.offline_probe_block(c, c),
+            self.offline_probe_block, self.members, config=self._config, seed=rng
         )
 
     # -- incremental maintenance ---------------------------------------------
@@ -81,9 +76,9 @@ class MeridianSearch(NearestPeerAlgorithm):
             populate_node_rings(
                 node,
                 others,
-                self.maintenance_probe_many(node_id, others),
+                self.offline_probe_block([node_id], others)[0],
                 rng,
-                lambda c: self.maintenance_probe_block(c, c),
+                self.offline_probe_block,
             )
             # Advertise the arrival to a bounded set of existing nodes
             # (drawn before admission, so every host has a node object).
@@ -92,7 +87,7 @@ class MeridianSearch(NearestPeerAlgorithm):
                 pool, size=min(config.ring_size, pool.size), replace=False
             )
             self._overlay.add_node(node)
-            host_lat = self.maintenance_probe_block(hosts, [node_id])[:, 0]
+            host_lat = self.offline_probe_block(hosts, [node_id])[:, 0]
             for host, lat in zip(hosts, host_lat):
                 insert_with_cap(
                     self._overlay.node(int(host)), node_id, float(lat), rng
@@ -108,7 +103,7 @@ class MeridianSearch(NearestPeerAlgorithm):
         if self._ring_repair:
             repair_overlay_rings(
                 self._overlay,
-                self.maintenance_probe_many,
+                self.offline_probe_block,
                 rng,
                 exchange_size=self._repair_exchange_size,
             )
@@ -131,7 +126,7 @@ class MeridianSearch(NearestPeerAlgorithm):
             nonlocal repaired
             repaired = repair_overlay_rings(
                 self._overlay,
-                self.maintenance_probe_many,
+                self.offline_probe_block,
                 make_rng(seed),
                 exchange_size=self._repair_exchange_size,
             )

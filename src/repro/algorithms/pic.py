@@ -224,7 +224,10 @@ class PicSearch(_CoordinateGreedyBase):
 
     def _embed_members(self, rng: np.random.Generator) -> dict[int, np.ndarray]:
         self._embedding = GnpEmbedding.build(
-            self.oracle, self.members, config=self._gnp_config, seed=rng
+            self.offline_probe_block,
+            self.members,
+            config=self._gnp_config,
+            seed=rng,
         )
         return {int(m): self._embedding.position(int(m)) for m in self.members}
 
@@ -265,9 +268,7 @@ class PicSearch(_CoordinateGreedyBase):
 
     def _place_member(self, node: int, rng: np.random.Generator) -> np.ndarray:
         assert self._embedding is not None
-        rtts = self.maintenance_probe_block(self._embedding.landmark_ids, [node])[
-            :, 0
-        ]
+        rtts = self.offline_probe_block(self._embedding.landmark_ids, [node])[:, 0]
         return self._embedding.place_external(rtts)
 
     def _leave(
@@ -291,8 +292,8 @@ class PicSearch(_CoordinateGreedyBase):
             return
         # Landmark set depleted: one counted full re-embedding.  GNP
         # measures every landmark pair plus each other member against the
-        # landmarks — billed up front, since the embedding itself probes
-        # through the raw oracle.  Extreme churn can shrink the membership
+        # landmarks through the index channel, which bills it as
+        # maintenance.  Extreme churn can shrink the membership
         # below the configured landmark count; the embedding then degrades
         # to what the survivors can support rather than crashing
         # mid-trial: fewer landmarks, and a dimensionality capped at
@@ -301,7 +302,7 @@ class PicSearch(_CoordinateGreedyBase):
         if self.members.size == 2:
             # Two survivors: the exact 1-D embedding (0 and their RTT).
             a, b = (int(m) for m in self.members)
-            rtt = self.maintenance_probe(a, b)
+            rtt = float(self.offline_probe_block([a], [b])[0, 0])
             self._gnp_config = GnpConfig(dimensions=1, n_landmarks=2)
             self._embedding = GnpEmbedding(
                 config=self._gnp_config,
@@ -323,9 +324,6 @@ class PicSearch(_CoordinateGreedyBase):
             self._gnp_config = GnpConfig(
                 dimensions=dimensions, n_landmarks=n_landmarks
             )
-        self._maintenance_probe_count += n_landmarks * n_landmarks + (
-            self.members.size - n_landmarks
-        ) * n_landmarks
         self.rebuild_count += 1
         self._build(rng)
 
@@ -408,7 +406,7 @@ class VivaldiGreedySearch(_CoordinateGreedyBase):
             size=min(self._placement_probes, self._anchor_pool.size),
             replace=False,
         )
-        rtts = self.maintenance_probe_block(anchors, [node])[:, 0]
+        rtts = self.offline_probe_block(anchors, [node])[:, 0]
         return self._spring_fit(anchors, rtts, rng)
 
     def _spring_fit(

@@ -126,7 +126,7 @@ class TapestrySearch(NearestPeerAlgorithm):
         members = self.members
         ids = self._ids_matrix(members)
         node_id = np.asarray(self._id_of(node), dtype=np.int8)
-        distances = self.offline_distances_from(node)
+        distances = self.offline_probe_block([node], members)[0]
         not_self = members != node
         # Length of the common prefix with the node, for every member at
         # once: digit-wise equality, zeroed from the first mismatch on.

@@ -66,7 +66,9 @@ class TiersSearch(NearestPeerAlgorithm):
             return {0: nodes}
         # Farthest-point leader selection over build-time distances.
         leaders = [int(rng.choice(nodes))]
-        leader_distances = [self.offline_distances_from(leaders[0])]
+        leader_distances = [
+            self.offline_probe_block([leaders[0]], self.members)[0]
+        ]
         node_index = {int(m): i for i, m in enumerate(self.members)}
         rows = np.array([node_index[int(n)] for n in nodes])
         while len(leaders) < n_clusters:
@@ -77,7 +79,9 @@ class TiersSearch(NearestPeerAlgorithm):
             if next_leader in leaders:
                 break
             leaders.append(next_leader)
-            leader_distances.append(self.offline_distances_from(next_leader))
+            leader_distances.append(
+                self.offline_probe_block([next_leader], self.members)[0]
+            )
         assignment = np.argmin(
             np.stack([d[rows] for d in leader_distances]), axis=0
         )
@@ -121,7 +125,7 @@ class TiersSearch(NearestPeerAlgorithm):
         cluster_id = next(iter(self._levels[level_index].clusters))
         while level_index > 0:
             members = self._levels[level_index].clusters[cluster_id]
-            distances = self.maintenance_probe_many(node, members)
+            distances = self.offline_probe_block([node], members)[0]
             best = int(members[int(np.argmin(distances))])
             below = self._levels[level_index - 1].represents.get(best)
             if below is None:  # stale representative: fall back to any cluster

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.topology.oracle import LatencyOracle
+from repro.topology.oracle import Measure
 from repro.util.errors import DataError
 from repro.util.rng import make_rng
 from repro.util.validate import require_positive
@@ -134,12 +134,18 @@ class GnpEmbedding:
     @classmethod
     def build(
         cls,
-        oracle: LatencyOracle,
+        measure: Measure,
         member_ids: np.ndarray | list[int],
         config: GnpConfig | None = None,
         seed: int | np.random.Generator | None = None,
     ) -> "GnpEmbedding":
-        """Embed all ``member_ids`` (landmarks drawn from among them)."""
+        """Embed all ``member_ids`` (landmarks drawn from among them).
+
+        Measures two ``measure(rows, cols)`` RTT blocks: landmarks ×
+        landmarks, then the other members × landmarks.  A standalone
+        caller passes ``oracle.latency_block``; PIC passes its counted
+        index channel, so a re-embedding under churn is billed exactly.
+        """
         config = config or GnpConfig()
         rng = make_rng(seed)
         members = np.asarray(member_ids, dtype=int)
@@ -151,12 +157,7 @@ class GnpEmbedding:
         landmarks = rng.choice(members, size=config.n_landmarks, replace=False)
 
         # Stage 1: landmark-landmark embedding (joint least squares).
-        lm_rtts = np.array(
-            [
-                [oracle.latency_ms(int(a), int(b)) for b in landmarks]
-                for a in landmarks
-            ]
-        )
+        lm_rtts = np.asarray(measure(landmarks, landmarks), dtype=float)
         L, d = config.n_landmarks, config.dimensions
         x0 = rng.normal(0.0, np.median(lm_rtts) / 2.0 + 1e-3, size=L * d)
 
@@ -187,18 +188,15 @@ class GnpEmbedding:
             landmark_residuals, landmark_jacobian, x0, max_iter=200
         ).reshape(L, d)
 
-        # Stage 2: every member against the fixed landmarks.
+        # Stage 2: every other member against the fixed landmarks.
         positions: dict[int, np.ndarray] = {}
-        landmark_set = {int(l) for l in landmarks}
         for i, lm in enumerate(landmarks):
             positions[int(lm)] = lm_positions[i]
         centroid = lm_positions.mean(axis=0)
-        for node in members:
-            node = int(node)
-            if node in landmark_set:
-                continue
-            rtts = np.array([oracle.latency_ms(node, int(l)) for l in landmarks])
-            positions[node] = _solve_point(lm_positions, rtts, centroid)
+        others = members[~np.isin(members, landmarks)]
+        rtts = np.asarray(measure(others, landmarks), dtype=float)
+        for node, row in zip(others.tolist(), rtts):
+            positions[node] = _solve_point(lm_positions, row, centroid)
         return cls(
             config=config,
             landmark_ids=landmarks,

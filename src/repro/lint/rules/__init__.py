@@ -86,6 +86,21 @@ def attr_name(node: ast.expr) -> str | None:
     return None
 
 
+#: Every counted measurement method of
+#: :class:`~repro.algorithms.base.NearestPeerAlgorithm`, with its billing
+#: channel: ``query`` probes the target (the paper's cost axis), ``aux``
+#: counts other query-time traffic, ``index`` builds and maintains the
+#: index (billed as maintenance under churn).  The one list the
+#: measurement rules share.
+COUNTED_CHANNELS: tuple[tuple[str, str], ...] = (
+    ("probe", "query"),
+    ("probe_many", "query"),
+    ("probe_block", "query"),
+    ("aux_probe", "aux"),
+    ("offline_probe_block", "index"),
+)
+
+
 def in_package(path: str, *packages: str) -> bool:
     """Whether ``path`` lives under ``src/repro/<pkg>/`` for any given pkg."""
     return any(path.startswith(f"src/repro/{pkg}/") for pkg in packages)

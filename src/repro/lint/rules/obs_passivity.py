@@ -10,7 +10,7 @@ oracle read would bill un-counted probes; one rng draw would shift every
 downstream draw in the stream and silently fork the timeline.
 
 This rule pins the property statically: inside ``src/repro/obs/`` no
-oracle measurement calls, no probe helpers, no stdlib ``random``, no
+oracle measurement calls, no counted-channel calls, no stdlib ``random``, no
 ``np.random`` access (including ``default_rng``) and no seeded-generator
 constructors from :mod:`repro.util.rng`.
 """
@@ -20,24 +20,19 @@ from __future__ import annotations
 import ast
 
 from repro.lint.findings import Finding
-from repro.lint.rules import FileContext, Rule, attr_name, call_name
+from repro.lint.rules import (
+    COUNTED_CHANNELS,
+    FileContext,
+    Rule,
+    attr_name,
+    call_name,
+)
 
-#: Oracle measurement surface + counted probe helpers: an observability
+#: Oracle measurement surface + every counted channel: an observability
 #: module has no business measuring anything.
 _MEASUREMENT_CALLS = frozenset(
-    {
-        "latency_ms",
-        "latencies_from",
-        "latency_block",
-        "probe",
-        "probe_many",
-        "probe_block",
-        "aux_probe",
-        "aux_probe_many",
-        "maintenance_probe",
-        "maintenance_probe_many",
-    }
-)
+    {"latency_ms", "latencies_from", "latency_block"}
+) | {name for name, _ in COUNTED_CHANNELS}
 
 #: Generator constructors — a passive layer needs no randomness at all.
 _RNG_CONSTRUCTORS = frozenset({"default_rng", "make_rng", "child_rng"})

@@ -4,7 +4,7 @@ The simulated-time daemon times a query by when its yielded probe rounds
 *complete*; the contract (see ``NearestPeerAlgorithm._plan``) is that every
 measurement a plan acts on was taken through the counted query channel and
 offered to the driver via ``_offer_round`` / ``yield``.  A plan body that
-reads the oracle directly — or that measures through the *maintenance*
+reads the oracle directly — or that measures through the aux or index
 channel — takes hidden probes the daemon never schedules, so the timeline
 (and under faults, the outcome mask flow) is silently wrong.
 
@@ -18,31 +18,22 @@ from __future__ import annotations
 import ast
 
 from repro.lint.findings import Finding
-from repro.lint.rules import FileContext, Rule, attr_name
+from repro.lint.rules import COUNTED_CHANNELS, FileContext, Rule, attr_name
 
 _PLAN_NAMES = frozenset({"_plan", "query_plan"})
 
-_FORBIDDEN = frozenset(
-    {
-        # raw oracle reads
-        "latency_ms",
-        "latencies_from",
-        "latency_block",
-        # offline/maintenance channels: billed to the wrong ledger and
-        # invisible to the driver's round timing
-        "maintenance_probe",
-        "maintenance_probe_many",
-        "maintenance_probe_block",
-        "offline_distances_from",
-    }
-)
+#: Raw oracle reads, plus every non-query channel: billed to the wrong
+#: counter and invisible to the driver's round timing.
+_FORBIDDEN = frozenset({"latency_ms", "latencies_from", "latency_block"}) | {
+    name for name, channel in COUNTED_CHANNELS if channel != "query"
+}
 
 
 class PlanPurityRule(Rule):
     rule_id = "plan-purity"
     description = (
-        "_plan/query_plan bodies may not read the oracle or the "
-        "maintenance channel directly"
+        "_plan/query_plan bodies may not read the oracle or measure "
+        "through a non-query channel"
     )
     invariant = (
         "the daemon's timeline sees every probe a plan takes, as a yielded "

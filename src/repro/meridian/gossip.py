@@ -4,8 +4,8 @@ Departures only ever evict ring entries, so under sustained churn an
 overlay's rings thin out.  :func:`repair_overlay_rings` runs Meridian's
 gossip exchange off any event loop: each underfull node pulls
 :func:`sample_ring_members` payloads from its surviving ring neighbours
-(free metadata, as a gossip reply is), probes the unknown candidates
-through the caller's counted-maintenance channel and files them back
+(free metadata, as a gossip reply is), measures the unknown candidates
+through the caller's ``measure`` channel and files them back
 into rings — which is how a live deployment re-fattens rings without
 waiting for fresh arrivals.  :class:`PeriodicRepair` re-drives that pass
 on a simulated clock.
@@ -19,6 +19,7 @@ import numpy as np
 
 from repro.meridian.overlay import MeridianNode, MeridianOverlay, insert_with_cap
 from repro.netsim.engine import EventHandle, EventLoop
+from repro.topology.oracle import Measure
 from repro.util.errors import DataError
 
 
@@ -44,7 +45,7 @@ def sample_ring_members(
 
 def repair_overlay_rings(
     overlay: MeridianOverlay,
-    probe_many,
+    measure: Measure,
     rng: np.random.Generator,
     exchange_size: int = 16,
     occupancy_floor: int | None = None,
@@ -59,9 +60,10 @@ def repair_overlay_rings(
     1. the node asks surviving ring members for a
        :func:`sample_ring_members` payload each — candidate *identities*
        are gossip metadata and cost nothing, as in a gossip reply;
-    2. previously unknown candidates are probed through ``probe_many``
-       (``(node_id, candidates) -> latencies``) — the caller supplies the
-       counted-maintenance channel, so every repair measurement is billed;
+    2. previously unknown candidates are measured as one
+       ``measure([node_id], candidates)`` row — the caller supplies its
+       counted index channel, so every repair measurement is billed as
+       maintenance;
     3. measured candidates are filed with the incremental random-eviction
        cap (:func:`repro.meridian.overlay.insert_with_cap`).
 
@@ -137,9 +139,7 @@ def repair_overlay_rings(
                 candidates = [candidates[int(i)] for i in sorted(pick)]
             if not candidates:
                 break  # the neighbourhood has nothing new to offer
-            latencies = probe_many(
-                node.node_id, np.asarray(candidates, dtype=int)
-            )
+            latencies = measure([node.node_id], candidates)[0]
             for member, latency in zip(candidates, latencies):
                 insert_with_cap(node, int(member), float(latency), rng)
         if node.member_count() >= floor:

@@ -1,4 +1,4 @@
-"""Meridian overlay: per-node ring membership over a latency oracle.
+"""Meridian overlay: per-node ring membership over measured latencies.
 
 The paper runs "the Meridian simulator used in the Meridian paper", which
 populates each node's rings from the full latency matrix and keeps at most
@@ -26,11 +26,7 @@ import numpy as np
 
 from repro.meridian.rings import RingStructure
 from repro.meridian.selection import select_hypervolume, select_maxmin
-from repro.topology.oracle import (
-    LatencyOracle,
-    oracle_pairwise,
-    oracle_probe_many,
-)
+from repro.topology.oracle import Measure
 from repro.util.errors import ConfigurationError, DataError
 from repro.util.rng import make_rng
 from repro.util.validate import require_in_range, require_positive
@@ -152,7 +148,7 @@ class MeridianNode:
 
 
 class MeridianOverlay:
-    """A set of Meridian nodes built over a latency oracle."""
+    """A set of Meridian nodes built from measured latencies."""
 
     def __init__(
         self,
@@ -220,30 +216,23 @@ class MeridianOverlay:
     @classmethod
     def build(
         cls,
-        oracle: LatencyOracle,
+        measure: Measure,
         member_ids: np.ndarray | list[int],
         config: MeridianConfig | None = None,
         seed: int | np.random.Generator | None = None,
-        probe_many=None,
-        pairwise=None,
     ) -> "MeridianOverlay":
         """Construct the converged overlay (see module docstring).
 
-        Measurements go through the ``probe_many(src, nodes)`` /
-        ``pairwise(nodes)`` callables, defaulting to the raw oracle
-        (standalone construction is the offline phase).  An algorithm
-        embedding the overlay passes its counted channels instead, so a
-        build re-run under maintenance accounting bills every probe.
+        Every measurement is one ``measure(rows, cols)`` RTT block: a
+        standalone caller passes ``oracle.latency_block`` (construction
+        is the offline phase), an algorithm its counted index channel, so
+        a build re-run under maintenance accounting bills every probe.
         """
         config = config or MeridianConfig()
         rng = make_rng(seed)
         members = np.asarray(member_ids, dtype=int)
         if members.size < 2:
             raise DataError("an overlay needs at least two members")
-        if probe_many is None:
-            probe_many = oracle_probe_many(oracle)
-        if pairwise is None:
-            pairwise = oracle_pairwise(oracle)
         # Ring edges for vectorised assignment: index i covers (edge[i-1], edge[i]].
         edges = np.array(config.rings.outer_edges())
 
@@ -255,15 +244,8 @@ class MeridianOverlay:
             if knowledge is not None and knowledge < others.size:
                 others = rng.choice(others, size=knowledge, replace=False)
             # One batched row per node instead of a scalar probe per member.
-            latencies = probe_many(int(node_id), others)
-            populate_node_rings(
-                node,
-                others,
-                latencies,
-                rng,
-                pairwise,
-                edges=edges,
-            )
+            latencies = measure([int(node_id)], others)[0]
+            populate_node_rings(node, others, latencies, rng, measure, edges=edges)
             nodes[int(node_id)] = node
         return cls(config=config, member_ids=members, nodes=nodes)
 
@@ -285,7 +267,7 @@ def populate_node_rings(
     others: np.ndarray,
     latencies: np.ndarray,
     rng: np.random.Generator,
-    pairwise,
+    measure: Measure,
     edges: np.ndarray | None = None,
 ) -> None:
     """File ``others`` (with measured ``latencies``) into ``node``'s rings.
@@ -293,9 +275,9 @@ def populate_node_rings(
     The one ring-population discipline shared by the converged build and
     incremental joins: vectorised ring binning, ``candidate_pool``
     subsampling of over-full rings, then diversity selection over the
-    pairwise block ``pairwise(candidates)`` — the caller chooses how that
-    block is measured (raw oracle at build time, counted maintenance
-    probes on a join), so both paths bucket and select identically.
+    pairwise block ``measure(candidates, candidates)`` — the caller's
+    channel decides how that block is billed (offline at build time,
+    maintenance on a join), so both paths bucket and select identically.
     """
     config = node.config
     ring_count = config.rings.ring_count
@@ -313,7 +295,7 @@ def populate_node_rings(
             pick = rng.choice(count, size=config.candidate_pool, replace=False)
             candidates = candidates[pick]
             cand_lat = cand_lat[pick]
-        for idx in _select_ring_members(candidates, config, pairwise):
+        for idx in _select_ring_members(candidates, config, measure):
             node.rings[ring][int(candidates[idx])] = float(cand_lat[idx])
     node.note_peak()
 
@@ -338,19 +320,17 @@ def insert_with_cap(
 def _select_ring_members(
     candidates: np.ndarray,
     config: MeridianConfig,
-    pairwise,
+    measure: Measure,
 ) -> "list[int] | range":
     """Indices (into ``candidates``) of the members a ring retains.
 
-    ``pairwise`` supplies the O(k²) pairwise measurements as one dense
-    block (callers choose the oracle and the accounting — raw build
-    probes, counted maintenance probes, or the gossip simulator's final
-    pass); both selection strategies then run on the block with numpy
-    argmax/argsort operations only.
+    The O(k²) pairwise measurements are one ``measure(candidates,
+    candidates)`` block; both selection strategies then run on it with
+    numpy argmax/argsort operations only.
     """
     if candidates.size <= config.ring_size:
         return range(candidates.size)
-    block = np.asarray(pairwise(candidates), dtype=float)
+    block = np.asarray(measure(candidates, candidates), dtype=float)
     if config.selection == "maxmin":
         return select_maxmin(block, config.ring_size)
     return select_hypervolume(block, config.ring_size)

@@ -30,7 +30,7 @@ oracle missing any member with a typed error (see
 
 from __future__ import annotations
 
-from typing import Protocol, runtime_checkable
+from typing import Callable, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -77,36 +77,15 @@ def missing_oracle_members(oracle: object) -> list[str]:
     return [name for name in _ORACLE_MEMBERS if not hasattr(oracle, name)]
 
 
-def oracle_probe_many(oracle: LatencyOracle):
-    """An uncounted ``(src, nodes) -> RTTs`` probe callable over ``oracle``.
-
-    The substrate-level default for probe-callable parameters (the
-    Meridian overlay/gossip builders take ``probe_many=``): standalone
-    callers measure straight off the oracle, while an algorithm passes
-    its counted channel instead so the same code path bills its probes.
-    Keeping the raw oracle access here — outside the probe-accounting
-    packages — is what lets the ``counted-probes`` lint rule gate every
-    direct oracle call inside them.
-    """
-
-    def probe_many(src: int, nodes: np.ndarray | list[int]) -> np.ndarray:
-        return oracle.latencies_from(int(src), nodes)
-
-    return probe_many
-
-
-def oracle_pairwise(oracle: LatencyOracle):
-    """An uncounted ``(nodes) -> RTT block`` pairwise callable over ``oracle``.
-
-    The block-shaped sibling of :func:`oracle_probe_many`, for
-    diversity-selection passes that need all-pairs RTTs of a candidate
-    set.
-    """
-
-    def pairwise(nodes: np.ndarray | list[int]) -> np.ndarray:
-        return oracle.latency_block(nodes, nodes)
-
-    return pairwise
+#: The one measurement callable the index substrates take (the Meridian
+#: overlay and ring repair, the GNP embedding): ``measure(rows, cols)``
+#: returns the ``len(rows) × len(cols)`` RTT block, row-major.  A
+#: standalone caller passes ``oracle.latency_block``; an algorithm passes
+#: its counted index channel
+#: (:meth:`~repro.algorithms.base.NearestPeerAlgorithm.offline_probe_block`),
+#: so the same substrate code bills its probes as maintenance when it
+#: re-runs under churn.
+Measure = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 class MatrixOracle:

@@ -14,3 +14,8 @@ class SneakyScheme:
 
     def free_block(self, rows, cols):
         return self._oracle.latency_block(rows, cols)  # LINT: counted-probes
+
+    def hand_bills(self, n: int) -> None:
+        self._probe_count += n  # LINT: counted-probes
+        self._aux_probe_count = 0  # LINT: counted-probes
+        self._maintenance_probe_count += n * n  # LINT: counted-probes

@@ -1,5 +1,6 @@
 # Fixture: the clean counterpart of counted_probes_bad.py — zero findings.
-# Every measurement flows through the counted channels of the base class.
+# Every measurement flows through the counted channels of the base class,
+# and probe counters are only read.
 
 
 class HonestScheme:
@@ -9,8 +10,11 @@ class HonestScheme:
     def query_block(self, rows, cols):
         return self.probe_block(rows, cols)
 
-    def churn_probes(self, a, nodes):
-        return self.maintenance_probe_many(a, nodes)
+    def side_probe(self, a, b):
+        return self.aux_probe(a, b)
 
-    def build_probes(self, node):
-        return self.offline_distances_from(node)
+    def index_row(self, node):
+        return self.offline_probe_block([node], self.members)[0]
+
+    def bill_so_far(self):
+        return self._probe_count + self._maintenance_probe_count

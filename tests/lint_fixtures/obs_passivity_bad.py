@@ -10,4 +10,6 @@ def leaky_span_builder(oracle, nodes, seed):
     jitter = np.random.random()  # LINT: obs-passivity
     one = oracle.latency_ms(nodes[0], nodes[1])  # LINT: obs-passivity
     block = oracle.probe_many(nodes)  # LINT: obs-passivity
-    return rng, jitter, one, block, random, choice, make_rng
+    side = oracle.aux_probe(nodes[0], nodes[1])  # LINT: obs-passivity
+    index = oracle.offline_probe_block(nodes, nodes)  # LINT: obs-passivity
+    return rng, jitter, one, block, side, index, random, choice, make_rng

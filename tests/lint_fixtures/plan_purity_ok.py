@@ -1,7 +1,7 @@
 # Fixture: the clean counterpart of plan_purity_bad.py — zero findings.
 # Plans measure through the counted query channel and offer every round
 # to the driver via _offer_round / yield; helpers outside the plan may
-# use the maintenance channel (billed by R3's package scope, not R4).
+# use the index channel (billed by R3's package scope, not R4).
 
 
 class PurePlanScheme:
@@ -9,8 +9,10 @@ class PurePlanScheme:
         picks = list(self.members)
         values = self.probe_many(picks, target)
         picks, values, _ = yield from self._offer_round(picks, target, values)
-        return self.result(target, dict(zip(picks, values)))
+        first = self.probe(picks[0], target)
+        block = self.probe_block(picks, [target])
+        return self.result(target, dict(zip(picks, values))), first, block
 
     def _place_member(self, node: int):
-        # Not a plan: the maintenance channel is the right one here.
-        return self.maintenance_probe_many(node, list(self.members))
+        # Not a plan: the index channel is the right one here.
+        return self.offline_probe_block(list(self.members), [node])[:, 0]

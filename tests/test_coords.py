@@ -88,7 +88,7 @@ class TestVivaldi:
 class TestGnp:
     def test_low_error_on_euclidean_data(self, euclidean_world):
         embedding = GnpEmbedding.build(
-            euclidean_world,
+            euclidean_world.latency_block,
             np.arange(60),
             GnpConfig(dimensions=2, n_landmarks=8),
             seed=1,
@@ -102,7 +102,7 @@ class TestGnp:
 
     def test_place_external_near_original(self, euclidean_world):
         embedding = GnpEmbedding.build(
-            euclidean_world,
+            euclidean_world.latency_block,
             np.arange(60),
             GnpConfig(dimensions=2, n_landmarks=8),
             seed=1,
@@ -125,12 +125,14 @@ class TestGnp:
     def test_population_must_cover_landmarks(self, euclidean_world):
         with pytest.raises(DataError):
             GnpEmbedding.build(
-                euclidean_world, np.arange(5), GnpConfig(dimensions=2, n_landmarks=8)
+                euclidean_world.latency_block,
+                np.arange(5),
+                GnpConfig(dimensions=2, n_landmarks=8),
             )
 
     def test_unknown_node_rejected(self, euclidean_world):
         embedding = GnpEmbedding.build(
-            euclidean_world,
+            euclidean_world.latency_block,
             np.arange(30),
             GnpConfig(dimensions=2, n_landmarks=6),
             seed=0,

@@ -32,7 +32,7 @@ from repro.algorithms import (
     TiersSearch,
     VivaldiGreedySearch,
 )
-from repro.algorithms.base import MAINTENANCE_POLICIES
+from repro.algorithms.base import MAINTENANCE_DISCIPLINES, MAINTENANCE_POLICIES
 from repro.harness import (
     DaemonSpec,
     NoiseSpec,
@@ -50,7 +50,7 @@ from repro.harness import (
 from repro.harness.scenario import CHURN_STEP_MS
 from repro.latency.builder import build_clustered_oracle
 from repro.topology.clustered import ClusteredConfig
-from repro.topology.oracle import MatrixOracle
+from repro.topology.oracle import CountingOracle, MatrixOracle
 from repro.util.errors import ConfigurationError
 
 ALL_ALGORITHMS = [
@@ -113,6 +113,13 @@ class TestLifecycleContract:
         algorithm.build(oracle, initial, seed=1)
         with pytest.raises(ConfigurationError, match="oracle range"):
             algorithm.join([oracle.n_nodes + 5])
+
+    def test_leave_out_of_range_rejected(self, lifecycle_setup):
+        oracle, initial, *_ = lifecycle_setup
+        algorithm = RandomProbeSearch()
+        algorithm.build(oracle, initial, seed=1)
+        with pytest.raises(ConfigurationError, match="not members"):
+            algorithm.leave([oracle.n_nodes + 5])
 
     def test_leave_non_member_rejected(self, lifecycle_setup):
         oracle, initial, joiners, *_ = lifecycle_setup
@@ -238,11 +245,14 @@ class TestIncrementalTolerance:
         the surviving membership was smaller than the configured landmark
         count; it must degrade the embedding instead."""
         oracle, *_ = lifecycle_setup
+        counting = CountingOracle(oracle)
         algorithm = PicSearch()
-        algorithm.build(oracle, np.arange(14), seed=3)
+        algorithm.build(counting, np.arange(14), seed=3)
+        built = counting.total_probes
         landmarks = algorithm._embedding.landmark_ids.copy()
         spent = algorithm.leave(landmarks[:9], seed=4)
-        assert spent > 0  # the re-embedding was billed
+        # The re-embedding billed exactly the pairs it measured.
+        assert spent == counting.total_probes - built > 0
         assert algorithm.rebuild_count == 1
         result = algorithm.query(150, seed=5)
         assert result.found in set(int(m) for m in algorithm.members)
@@ -299,6 +309,52 @@ class TestMaintenanceAccounting:
         result = algorithm.query(int(targets[0]), seed=3)
         assert result.probes == 9
         assert algorithm.maintenance_probes_total == 0
+
+
+class TestEveryBillIsMeasured:
+    """Every maintenance bill equals the oracle pairs it measured."""
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        return build_clustered_oracle(
+            ClusteredConfig(n_clusters=4, end_networks_per_cluster=15, delta=0.2),
+            seed=9,
+        )
+
+    @pytest.mark.parametrize("discipline", MAINTENANCE_DISCIPLINES)
+    @pytest.mark.parametrize("algorithm_class", ALL_ALGORITHMS)
+    def test_bills_equal_counted_pairs(self, world, algorithm_class, discipline):
+        # Only the build oracle counts: queries read the raw probe oracle,
+        # so every counted pair after build() is index maintenance.
+        counting = CountingOracle(world.oracle)
+        n = counting.n_nodes
+        algorithm = algorithm_class(maintenance=discipline)
+        algorithm.build(counting, np.arange(60), seed=1, probe_oracle=world.oracle)
+        built = counting.total_probes
+        rng = np.random.default_rng(30)
+        for step in range(30):
+            members = algorithm.members
+            action = int(rng.integers(3))
+            if action == 0:
+                pool = np.setdiff1d(np.arange(n - 20), members)
+                algorithm.join(rng.choice(pool, size=2, replace=False), seed=step)
+            elif action == 1 and members.size > 40:
+                algorithm.leave(rng.choice(members, size=2, replace=False), seed=step)
+            else:
+                algorithm.query(int(rng.integers(n - 20, n)), seed=step)
+        # A drain: Meridian repairs its rings, PIC loses its landmarks.
+        algorithm.leave(algorithm.members[16:], seed=30)
+        algorithm.query(n - 1, seed=31)
+        algorithm.flush_maintenance(seed=32)
+        if isinstance(algorithm, MeridianSearch):
+            algorithm.repair_rings(seed=33)
+        measured = counting.total_probes - built
+        assert algorithm.maintenance_probes_total == measured
+        assert (
+            int(algorithm.maintenance_by_event.sum())
+            + algorithm.maintenance_background_probes
+            == measured
+        )
 
 
 class TestBitIdentityRegression:

@@ -64,7 +64,10 @@ class TestOverlayBuild:
     def test_ring_caps_respected(self, uniform_matrix):
         config = MeridianConfig(ring_size=4, candidate_pool=16)
         overlay = MeridianOverlay.build(
-            MatrixOracle(uniform_matrix), np.arange(80), config=config, seed=0
+            MatrixOracle(uniform_matrix).latency_block,
+            np.arange(80),
+            config=config,
+            seed=0,
         )
         for node in overlay.nodes.values():
             for ring in node.rings:
@@ -72,7 +75,7 @@ class TestOverlayBuild:
 
     def test_ring_latencies_are_true(self, uniform_matrix):
         overlay = MeridianOverlay.build(
-            MatrixOracle(uniform_matrix), np.arange(40), seed=0
+            MatrixOracle(uniform_matrix).latency_block, np.arange(40), seed=0
         )
         for node_id, node in list(overlay.nodes.items())[:5]:
             for member, latency in node.all_members().items():
@@ -80,17 +83,19 @@ class TestOverlayBuild:
 
     def test_too_few_members_rejected(self, uniform_matrix):
         with pytest.raises(DataError):
-            MeridianOverlay.build(MatrixOracle(uniform_matrix), [1], seed=0)
+            MeridianOverlay.build(
+                MatrixOracle(uniform_matrix).latency_block, [1], seed=0
+            )
 
     def test_knowledge_fraction_limits_membership(self, uniform_matrix):
         full = MeridianOverlay.build(
-            MatrixOracle(uniform_matrix),
+            MatrixOracle(uniform_matrix).latency_block,
             np.arange(100),
             config=MeridianConfig(knowledge_fraction=None, candidate_pool=128),
             seed=0,
         )
         partial = MeridianOverlay.build(
-            MatrixOracle(uniform_matrix),
+            MatrixOracle(uniform_matrix).latency_block,
             np.arange(100),
             config=MeridianConfig(knowledge_fraction=0.1, candidate_pool=128),
             seed=0,

@@ -125,7 +125,6 @@ class TestPlanStructure:
                 for op in batch:
                     assert isinstance(op, ProbeOp)
                     assert op.dst == target
-                    assert op.kind == "probe"
                     assert op.rtt_ms > 0
             # The first round is the start node's own probe.
             assert len(rounds[0]) == 1

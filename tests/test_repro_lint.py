@@ -17,11 +17,13 @@ from pathlib import Path
 
 import pytest
 
+from repro.algorithms.base import NearestPeerAlgorithm
 from repro.lint import Baseline, Finding, all_rules, lint_source, run_paths
 from repro.lint.baseline import BaselineMatch
 from repro.lint.cli import main as lint_main
 from repro.lint.engine import Suppressions
 from repro.lint.reporters import render_json
+from repro.lint.rules import COUNTED_CHANNELS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).resolve().parent / "lint_fixtures"
@@ -120,6 +122,17 @@ def test_rules_respect_path_scope():
         ).findings
         == []
     )
+
+
+def test_counted_channels_name_the_base_class_methods():
+    """The measurement rules share one list; it must name real methods."""
+    for name, _ in COUNTED_CHANNELS:
+        assert callable(getattr(NearestPeerAlgorithm, name)), name
+    assert {channel for _, channel in COUNTED_CHANNELS} == {
+        "query",
+        "aux",
+        "index",
+    }
 
 
 def test_unseeded_default_rng_allowed_only_in_util_rng():
