@@ -73,10 +73,6 @@ SCHEMES = (
     ("pic", PicSearch),
 )
 
-#: Generous simulated-time guard: a run that passes it is livelocked.
-MAX_SIM_MS = 600_000.0
-
-
 def bench_scheme(name: str, factory, scenario, world) -> tuple[dict, object]:
     engine = QueryEngine()
     start = time.perf_counter()
@@ -87,7 +83,6 @@ def bench_scheme(name: str, factory, scenario, world) -> tuple[dict, object]:
         sampling=scenario.sampling,
         n_queries=scenario.n_queries,
         seed=scenario.seed,
-        max_sim_ms=MAX_SIM_MS,
     )
     elapsed = time.perf_counter() - start
     row = {

@@ -11,8 +11,9 @@ with it on or off.  This example:
 2. dumps the span stream to a JSONL trace file
    (the ``repro-trace`` console script renders the same file);
 3. renders the slowest query's timeline — an ASCII critical-path view
-   whose phase durations tile the query's time to answer exactly — and
-   the run's phase-breakdown table.
+   whose phase durations tile the query's time to answer exactly — then
+   the first query the deadline ended, and the run's phase-breakdown
+   table.
 
 Run:  python examples/trace_a_query.py
 """
@@ -32,7 +33,9 @@ WORLD = ClusteredConfig(n_clusters=6, end_networks_per_cluster=20, delta=0.2)
 
 #: A genuinely broken network: 10% loss everywhere, 30% of hosts behind
 #: NAT relays, and cluster 0 dark for the first 1.5 simulated seconds —
-#: enough to exhaust retransmit ladders and force whole-plan retries.
+#: enough to exhaust retransmit ladders.  A plan the outage cuts off
+#: times out at +700 ms; its retry would start at +800 ms, the deadline,
+#: so it does not start and the query ends unanswered.
 SPEC = DaemonSpec(
     mean_interarrival_ms=40.0,
     per_node_concurrency=2,
@@ -63,7 +66,6 @@ def main() -> None:
         sampling=SamplingSpec(n_targets=30),
         n_queries=30,
         seed=5,
-        max_sim_ms=300_000.0,
     )
 
     path = Path(tempfile.mkdtemp()) / "daemon-lossy.trace.jsonl"
@@ -80,10 +82,15 @@ def main() -> None:
     query = slowest_query(dump)
     print(render_timeline(dump, query=query))
     print()
+    failed = [int(i) for i in (record.found < 0).nonzero()[0]]
+    if failed:
+        print(render_timeline(dump, query=failed[0]))
+        print()
     print(render_summary([dump]))
     print()
     print(
         f"run totals: {record.total_query_retries} plan retries, "
+        f"{len(failed)} queries ended unanswered at their deadline, "
         f"{record.total_probe_retransmits} retransmits, "
         f"{record.total_relayed_probes} relayed probes, "
         f"availability {record.availability:.2f}"

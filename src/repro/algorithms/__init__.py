@@ -23,7 +23,6 @@ package holds the fixes that use extra information).
 from repro.algorithms.base import (
     MaintenanceScheduler,
     NearestPeerAlgorithm,
-    ProbeOp,
     ProbeRound,
     SearchResult,
     probe_round,
@@ -39,7 +38,6 @@ from repro.algorithms.tiers import TiersSearch
 __all__ = [
     "MaintenanceScheduler",
     "NearestPeerAlgorithm",
-    "ProbeOp",
     "ProbeRound",
     "SearchResult",
     "probe_round",

@@ -239,39 +239,22 @@ class MaintenanceScheduler:
         return self.discipline
 
 
-@dataclass(frozen=True)
-class ProbeOp:
-    """One already-measured probe whose *completion* a plan driver times.
-
-    The stepwise query protocol (:meth:`NearestPeerAlgorithm.query_plan`)
-    yields batches of these.  The measurement itself has already happened
-    through the algorithm's counted probe channel when the batch is
-    yielded — accounting, noise-stream order and rng consumption are
-    therefore identical to the blocking :meth:`~NearestPeerAlgorithm.query`
-    by construction — but the *plan generator does not act on the values
-    until the driver resumes it*, so a latency-faithful driver (the
-    simulated-time daemon) simply holds the resume until every probe's
-    ``rtt_ms`` has elapsed on its clock.  An instantaneous driver resumes
-    immediately and reproduces the blocking query bit for bit.
-    """
-
-    #: The member issuing the measurement.
-    src: int
-    #: The node measured (the query target).
-    dst: int
-    #: The RTT the probe observed — also its completion time.
-    rtt_ms: float
-
-
 class ProbeRound:
     """One probe fan-out in struct-of-arrays form.
 
-    Sequence-compatible with the historical ``list[ProbeOp]`` round —
-    ``len``, iteration and indexing materialise :class:`ProbeOp` views on
-    demand — while keeping the parallel ``srcs`` / ``dsts`` / ``rtts_ms``
-    arrays the vectorised daemon stepper reads directly, so a round of a
-    thousand probes costs one numpy slice instead of a thousand dataclass
-    instances.
+    Probe ``i`` is member ``srcs[i]`` measuring ``dsts[i]`` (the query
+    target), observing ``rtts_ms[i]`` — also its completion time.  The
+    stepwise query protocol (:meth:`NearestPeerAlgorithm.query_plan`)
+    yields these.  The measurements have already happened through the
+    algorithm's counted probe channel when the round is yielded, so
+    accounting, noise-stream order and rng consumption are identical to
+    the blocking :meth:`~NearestPeerAlgorithm.query` by construction; but
+    the plan does not act on the values until the driver resumes it.  A
+    latency-faithful driver (the simulated-time daemon) holds the resume
+    until the slowest probe's RTT has elapsed on its clock; an
+    instantaneous driver resumes at once and reproduces the blocking
+    query bit for bit.  The daemon stepper reads the parallel arrays
+    directly, so a round of a thousand probes costs one numpy slice.
     """
 
     __slots__ = ("srcs", "dsts", "rtts_ms")
@@ -294,19 +277,6 @@ class ProbeRound:
 
     def __bool__(self) -> bool:
         return self.srcs.size > 0
-
-    def __getitem__(self, index: int) -> ProbeOp:
-        return ProbeOp(
-            int(self.srcs[index]),
-            int(self.dsts[index]),
-            float(self.rtts_ms[index]),
-        )
-
-    def __iter__(self):
-        for s, d, r in zip(
-            self.srcs.tolist(), self.dsts.tolist(), self.rtts_ms.tolist()
-        ):
-            yield ProbeOp(int(s), int(d), float(r))
 
     def __repr__(self) -> str:
         return f"ProbeRound(n={len(self)})"
@@ -1140,8 +1110,10 @@ class NearestPeerAlgorithm(abc.ABC):
         """The failure sentinel: every probe this plan issued was lost.
 
         Only reachable under an active fault model (a blocking query's
-        rounds are never masked).  The daemon treats it as "retry this
-        query after a backoff" and keeps the failed attempt's probe bill.
+        rounds are never masked).  The daemon retries the query after a
+        backoff, unless the retry would start at or after the query's
+        deadline; then this is the query's final result (``found = -1``).
+        Either way the failed attempt's probe bill stays on the query.
         """
         return SearchResult(
             target=target,

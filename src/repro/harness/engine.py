@@ -346,7 +346,6 @@ class QueryEngine:
         seed: int | np.random.Generator | None = None,
         noise: NoiseSpec | None = None,
         probe_oracle: LatencyOracle | None = None,
-        max_sim_ms: float | None = None,
     ) -> DaemonTrialRecord:
         """Simulated-time service: one daemon run, scored and recorded.
 
@@ -363,8 +362,8 @@ class QueryEngine:
         from a *dedicated* stream keyed off ``spec.faults.seed`` (falling
         back to the trial seed), so enabling faults never perturbs the
         workload or algorithm draws and all schemes under one seed face
-        the identical broken network.  ``max_sim_ms`` arms the event
-        loop's livelock guard for fault runs that might fail to converge.
+        the identical broken network.  Its deadline ends every query, so
+        the run drains by construction.
         """
         if spec is None:
             raise ConfigurationError("the daemon protocol requires a DaemonSpec")
@@ -376,7 +375,6 @@ class QueryEngine:
             seed=seed,
             noise=noise,
             probe_oracle=probe_oracle,
-            max_sim_ms=max_sim_ms,
         )
         return record
 
@@ -390,7 +388,6 @@ class QueryEngine:
         seed: int | np.random.Generator | None,
         noise: NoiseSpec | None = None,
         probe_oracle: LatencyOracle | None = None,
-        max_sim_ms: float | None = None,
     ) -> list[DaemonTrialRecord]:
         """Build once, then run one daemon per ``(name, spec, n_queries)``.
 
@@ -425,7 +422,6 @@ class QueryEngine:
         for index, (name, spec, n_queries) in enumerate(phases):
             fault_model = None
             fault_key = None
-            deadline_ms = float("inf")
             if spec.faults is not None:
                 faults = spec.faults
                 base = faults.seed
@@ -437,7 +433,6 @@ class QueryEngine:
                 )
                 # Later phases get their own per-job fault streams.
                 fault_key = (base, 977002) + ((index,) if index else ())
-                deadline_ms = faults.deadline_ms
             daemon = QueryDaemon(
                 algorithm,
                 spec,
@@ -449,13 +444,11 @@ class QueryEngine:
                 fault_key=fault_key,
                 sessions=sessions,
             )
-            run = daemon.run(
-                n_queries, max_sim_ms=max_sim_ms, drain=name is not None
-            )
+            run = daemon.run(n_queries, drain=name is not None)
             standby, sessions = daemon.standby, daemon.open_sessions()
             records.append(
                 self._daemon_record(
-                    world, run, algorithm.name, world_seed, spec, deadline_ms, name
+                    world, run, algorithm.name, world_seed, spec, name
                 )
             )
         return records
@@ -467,7 +460,6 @@ class QueryEngine:
         scheme: str,
         world_seed: int | None,
         spec: DaemonSpec,
-        deadline_ms: float,
         phase: str | None,
     ) -> DaemonTrialRecord:
         """Score one daemon run against its epoch log and record it."""
@@ -506,7 +498,11 @@ class QueryEngine:
             hops=np.array([job.result.hops for job in jobs], dtype=int),
             exact_hit=exact_hit,
             cluster_hit=cluster_hit,
-            found_hub_latency_ms=world.topology.host_hub_latency_ms[found],
+            # A query that failed at its deadline found no peer: NaN, not
+            # the hub latency of host -1.
+            found_hub_latency_ms=np.where(
+                found >= 0, world.topology.host_hub_latency_ms[found], np.nan
+            ),
             membership_size=np.array(
                 [job.membership_size for job in jobs], dtype=int
             ),
@@ -539,7 +535,9 @@ class QueryEngine:
             ),
             query_retries=np.array([job.retries for job in jobs], dtype=int),
             relay_extra_ms=run.relay_extra_ms,
-            deadline_ms=deadline_ms,
+            deadline_ms=(
+                float("inf") if spec.faults is None else spec.faults.deadline_ms
+            ),
             loop_events=run.loop_events,
             loop_pending_at_drain=run.loop_pending_at_drain,
             loop_queue_peak=run.loop_queue_peak,

@@ -119,7 +119,8 @@ class TrialRecord:
     hops: np.ndarray
     exact_hit: np.ndarray
     cluster_hit: np.ndarray
-    #: Hub latency of each found peer (Fig 9's load-concentration axis).
+    #: Hub latency of each found peer (Fig 9's load-concentration axis);
+    #: NaN for a query that found none.
     found_hub_latency_ms: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -174,14 +175,16 @@ class TrialRecord:
 
     @property
     def median_wrong_hub_latency_ms(self) -> float:
-        """Median hub latency of found peers over queries that missed.
+        """Median hub latency of found peers over answered queries that missed.
 
         The Fig 9 metric: when Meridian fails, does it concentrate on peers
-        near the hub?  Zero when every query hit (or hub data is absent).
+        near the hub?  A query that found no peer has no hub latency and
+        is left out.  Zero when every answered query hit (or hub data is
+        absent).
         """
         if self.found_hub_latency_ms is None:
             return 0.0
-        wrong = self.found_hub_latency_ms[~self.exact_hit]
+        wrong = self.found_hub_latency_ms[~self.exact_hit & (self.found >= 0)]
         return float(np.median(wrong)) if wrong.size else 0.0
 
 
@@ -241,7 +244,7 @@ class DaemonTrialRecord(TrialRecord):
     query_retries: np.ndarray | None = None
     #: Total simulated ms the run's probes spent on NAT relay detours.
     relay_extra_ms: float = 0.0
-    #: Availability deadline the scenario scores against.
+    #: The deadline that ended each query (``FaultSpec.deadline_ms``).
     deadline_ms: float = float("inf")
     #: Exact per-membership-event maintenance bills from the scheduler's
     #: ledger, length ``n_churn_events``; each entry is invariant to which
@@ -380,15 +383,17 @@ class DaemonTrialRecord(TrialRecord):
 
     @property
     def availability(self) -> float:
-        """Fraction of queries answered within the scenario's deadline.
+        """Fraction of queries answered, and answered within the deadline.
 
-        1.0 when no deadline is set: every query is eventually answered
-        (the daemon retries until it hears something), so availability
-        only bites when lateness has a cost.
+        A query that failed at its deadline (``found = -1``) may still
+        have ended before it, so an answer is required as well as the
+        time.  1.0 when no deadline is set: only a spec that cannot drop
+        a probe may leave it infinite, and there every query answers.
         """
         if not np.isfinite(self.deadline_ms):
             return 1.0
-        return float((self.time_to_answer_ms <= self.deadline_ms).mean())
+        on_time = self.time_to_answer_ms <= self.deadline_ms
+        return float((on_time & (self.found >= 0)).mean())
 
     @property
     def total_probe_drops(self) -> int:

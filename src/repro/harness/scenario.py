@@ -142,11 +142,19 @@ class FaultSpec:
     faults never perturbs the workload or algorithm draws, and the same
     fault layout replays across schemes (common random numbers).
 
-    ``deadline_ms`` is a scoring knob, not a mechanism: availability is
-    the fraction of queries answered within it.  An all-zero spec builds
-    an *inert* model (``active == False``) — the daemon then runs the
-    exact fault-free code path, bit for bit (the zero-fault identity
-    tests pin this).
+    The spec also sets what the daemon does when a whole plan attempt
+    hears nothing back: it retries after ``query_retry_ms``, the gap
+    growing by ``query_retry_backoff`` per retry, until ``deadline_ms``
+    after the query's arrival.  A retry that would start at or after
+    that instant does not start: the query ends failed (``found = -1``)
+    when its last attempt fails.  So the deadline is the rule that ends a
+    query, and availability — the fraction answered within it — counts
+    those failures.  A spec that can drop a probe (any loss rate above
+    zero, or any outage) must therefore set a finite deadline; NAT relays
+    and clock skew never lose a probe, so they may keep the infinite
+    default.  An all-zero spec builds an *inert* model (``active ==
+    False``) — the daemon then runs the exact fault-free code path, bit
+    for bit (the zero-fault identity tests pin this).
     """
 
     #: Loss probability applied to every src/dst cluster pair.
@@ -166,7 +174,8 @@ class FaultSpec:
     retransmit_backoff: float = 2.0
     query_retry_ms: float = 200.0
     query_retry_backoff: float = 2.0
-    #: Availability deadline: a query answered later counts unavailable.
+    #: Simulated ms after arrival by which a query answers or fails; no
+    #: retry starts at or after it.  Finite whenever a probe can drop.
     deadline_ms: float = float("inf")
     #: Dedicated fault-stream seed; ``None`` derives it from the trial
     #: seed (same faults per trial, independent of every other stream).
@@ -216,6 +225,24 @@ class FaultSpec:
                     f"outage window {window!r} needs a non-empty sequence "
                     "of cluster ids >= 0"
                 )
+        if self.drops_probes and not np.isfinite(self.deadline_ms):
+            raise ConfigurationError(
+                "a FaultSpec that can drop a probe (loss or outages) needs a "
+                "finite deadline_ms: the deadline is what ends a query whose "
+                "attempts keep failing"
+            )
+
+    @property
+    def drops_probes(self) -> bool:
+        """Whether any link can lose a probe: a loss rate above zero on
+        some link class, or any outage window."""
+        intra = self.intra_cluster_loss_rate
+        cross = self.cross_cluster_loss_rate
+        rates = (
+            self.base_loss_rate if intra is None else intra,
+            self.base_loss_rate if cross is None else cross,
+        )
+        return max(rates) > 0.0 or bool(self.outages)
 
     def build_model(
         self, host_cluster: np.ndarray, rng: np.random.Generator
@@ -270,8 +297,6 @@ class FaultSpec:
             probe_timeout_ms=self.probe_timeout_ms,
             max_retransmits=self.max_retransmits,
             retransmit_backoff=self.retransmit_backoff,
-            query_retry_ms=self.query_retry_ms,
-            query_retry_backoff=self.query_retry_backoff,
         )
 
 
@@ -328,7 +353,10 @@ class DaemonSpec:
     for bit (the regression tests pin this).  That makes it the churn
     workload too: with a step of ``S`` ms, ``mean_event_interval_ms = S``
     and ``mean_interarrival_ms = S * k`` interleave about ``k`` membership
-    events between consecutive queries.
+    events between consecutive queries.  It takes no ``faults``:
+    simulated time never advances across zero-delay retries, so no
+    deadline could end them, and NAT detours and clock skew act only on
+    the time it does not measure.
     """
 
     mean_interarrival_ms: float = 50.0
@@ -396,6 +424,11 @@ class DaemonSpec:
             require_positive(self.flush_period_ms, "flush_period_ms")
         if self.ring_repair_period_ms is not None:
             require_positive(self.ring_repair_period_ms, "ring_repair_period_ms")
+        if self.zero_delay and self.faults is not None:
+            raise ConfigurationError(
+                "a zero_delay daemon takes no faults: its simulated clock "
+                "does not advance, so no deadline could end a retry"
+            )
 
 
 def check_member_floor(spec: DaemonSpec, pool: int) -> None:

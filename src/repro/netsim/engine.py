@@ -149,47 +149,25 @@ class EventLoop:
         heapq.heapify(self._queue)
         self._cancelled = 0
 
-    def _pop_and_run(self) -> bool:
-        """Pop the next event; return True iff it actually executed."""
-        event = heapq.heappop(self._queue)
-        if event.cancelled:
-            self._cancelled -= 1
-            return False
-        if event.time < self._now:
-            raise SimulationError(
-                f"event at t={event.time} fired after clock reached {self._now}"
-            )
-        self._now = event.time
-        self._processed += 1
-        event.fired = True
-        event.callback(*event.args)
-        return True
+    def run(self) -> None:
+        """Drain the queue: fire every live event in time order.
 
-    def run(
-        self, max_events: int | None = None, max_time_ms: float | None = None
-    ) -> None:
-        """Drain the queue, optionally stopping after ``max_events``.
-
-        Only events that actually fire count toward the budget — draining a
-        storm of cancelled events must not starve real ones.
-
-        ``max_time_ms`` is a livelock guard for fault simulations: if the
-        next live event lies *past* the cap while work is still queued, the
-        loop raises instead of running forever — a retry/backoff storm that
-        never converges fails loudly at a deterministic simulated instant
-        rather than hanging the process.
+        Cancelled entries are popped and dropped as they reach the front.
+        The loop takes no bounds: every caller schedules finitely many
+        events (the daemon's periodic timers stop at shutdown and a query
+        ends at its deadline), so draining is the only way a run ends.
         """
-        executed = 0
+        # Compaction rebinds ``self._queue``, so no local alias is kept.
         while self._queue:
-            if max_events is not None and executed >= max_events:
-                return
-            if max_time_ms is not None and self._queue[0].time > max_time_ms:
-                if self._queue[0].cancelled:
-                    self._pop_and_run()
-                    continue
+            event = heapq.heappop(self._queue)
+            if event.cancelled:
+                self._cancelled -= 1
+                continue
+            if event.time < self._now:
                 raise SimulationError(
-                    f"event loop ran past its {max_time_ms} ms guard with "
-                    f"{self.pending} events still pending"
+                    f"event at t={event.time} fired after clock reached {self._now}"
                 )
-            if self._pop_and_run():
-                executed += 1
+            self._now = event.time
+            self._processed += 1
+            event.fired = True
+            event.callback(*event.args)

@@ -38,6 +38,11 @@ class FaultModel:
     randomness comes from the generator the caller passes to
     :meth:`apply` — a dedicated fault stream, so attaching a fault model
     never perturbs workload or algorithm draws.
+
+    The model covers the per-probe wire only.  What a query does when a
+    whole plan attempt hears nothing — back off, retry, give up at its
+    deadline — is the daemon's, read from
+    :class:`~repro.harness.scenario.FaultSpec`.
     """
 
     def __init__(
@@ -52,8 +57,6 @@ class FaultModel:
         probe_timeout_ms: float = 400.0,
         max_retransmits: int = 2,
         retransmit_backoff: float = 2.0,
-        query_retry_ms: float = 200.0,
-        query_retry_backoff: float = 2.0,
     ) -> None:
         self.host_cluster = np.asarray(host_cluster, dtype=np.int64)
         n = self.host_cluster.size
@@ -89,17 +92,15 @@ class FaultModel:
         self.skew = np.ones(n) if skew is None else np.asarray(skew, dtype=float)
         if self.skew.size != n or self.skew.min() <= 0.0:
             raise SimulationError("skew factors must be positive, one per host")
-        if probe_timeout_ms <= 0 or query_retry_ms <= 0:
-            raise SimulationError("timeouts must be positive")
+        if probe_timeout_ms <= 0:
+            raise SimulationError("probe_timeout_ms must be positive")
         if max_retransmits < 0:
             raise SimulationError("max_retransmits must be >= 0")
-        if retransmit_backoff < 1.0 or query_retry_backoff < 1.0:
-            raise SimulationError("backoff factors must be >= 1")
+        if retransmit_backoff < 1.0:
+            raise SimulationError("retransmit_backoff must be >= 1")
         self.probe_timeout_ms = float(probe_timeout_ms)
         self.max_retransmits = int(max_retransmits)
         self.retransmit_backoff = float(retransmit_backoff)
-        self.query_retry_ms = float(query_retry_ms)
-        self.query_retry_backoff = float(query_retry_backoff)
         self.active = bool(
             (self.loss_matrix is not None and self.loss_matrix.max() > 0.0)
             or self.outages

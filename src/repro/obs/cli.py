@@ -104,6 +104,7 @@ def render_timeline(dump: TraceDump, query: int | None = None, width: int = 48) 
             f"{sum(s.duration_ms for s in rounds):.2f} + retry-gaps "
             f"{retry_ms:.2f}) · {len(rounds)} rounds · "
             f"{root.attrs.get('retries', 0)} retries"
+            + (" · unanswered" if root.attrs.get("found", 0) < 0 else "")
         ),
         f"t0 = {t0:.2f} ms simulated (arrival)",
         "",

@@ -31,6 +31,16 @@ target) is not billed in time — the daemon measures the scheme's
 each probe's completion, pricing the hop the real protocol pays.
 ``zero_delay`` collapses all delays; the loop then serialises queries
 and the daemon reproduces blocking ``query()`` results bit for bit.
+
+**Faults and the deadline.** Under ``DaemonSpec.faults`` a plan attempt
+whose every probe was lost returns the no-answer sentinel; the daemon
+then retries the whole plan after a growing gap.  The query's deadline
+(``FaultSpec.deadline_ms`` after its arrival) is the one rule that ends
+it: a retry that would start at or after the deadline does not start,
+and the query finishes failed (``found = -1``) with the bills of every
+attempt it made.  Each retry that does start waits at least
+``query_retry_ms > 0``, so every query ends in finitely many attempts and
+every valid spec drains by construction — the loop needs no guard.
 """
 
 from __future__ import annotations
@@ -225,7 +235,7 @@ class QueryDaemon:
         # Run bookkeeping.
         self._n_queries = 0
         self._arrived = 0
-        self._answered = 0
+        self._finished = 0
         self._done = False
         self._membership_timer: EventHandle | None = None
         self._flush_timer: EventHandle | None = None
@@ -241,20 +251,13 @@ class QueryDaemon:
 
     # -- run ---------------------------------------------------------------
 
-    def run(
-        self,
-        n_queries: int,
-        max_sim_ms: float | None = None,
-        drain: bool = False,
-    ) -> DaemonRun:
+    def run(self, n_queries: int, drain: bool = False) -> DaemonRun:
         """Serve ``n_queries`` queries to completion and collect the run.
 
-        ``max_sim_ms`` arms the event loop's livelock guard: a fault
-        configuration whose retries never converge raises at that
-        simulated instant instead of spinning forever (the no-hang tests
-        run fault scenarios under a generous guard).  ``drain`` flushes
-        any still-buffered maintenance once the last query is answered,
-        so a phase's bill cannot leak into the next phase's ledger.
+        Every query ends, answered or failed at its deadline, so the loop
+        drains.  ``drain`` flushes any still-buffered maintenance once the
+        last query ends, so a phase's bill cannot leak into the next
+        phase's ledger.
         """
         if n_queries < 1:
             raise ConfigurationError(f"n_queries must be >= 1, got {n_queries}")
@@ -280,10 +283,11 @@ class QueryDaemon:
                 lambda: repair_fn(seed=self.algo_rng),
             )
             self._repair.start()
-        self.loop.run(max_time_ms=max_sim_ms)
-        if self._answered != n_queries:
+        self.loop.run()
+        if self._finished != n_queries:
             raise SimulationError(
-                f"daemon drained with {self._answered}/{n_queries} answered"
+                f"daemon drained with {self._finished}/{n_queries} queries "
+                "finished"
             )
         algorithm = self.algorithm
         if drain:
@@ -413,11 +417,6 @@ class QueryDaemon:
 
     # -- plan driving ------------------------------------------------------
 
-    #: Whole-plan retry ceiling: with per-probe loss < 1 and outages that
-    #: end by schedule, attempts succeed almost surely long before this;
-    #: hitting it means the fault configuration cannot converge.
-    MAX_QUERY_RETRIES = 64
-
     def job_fault_rng(self, job: QueryJob) -> np.random.Generator:
         """The job's private fault stream, keyed ``(*fault_key, index)``.
 
@@ -466,29 +465,24 @@ class QueryDaemon:
     # -- whole-plan retry (fault path) ---------------------------------------
 
     def _schedule_retry(self, job: QueryJob, result: SearchResult) -> None:
-        """A plan attempt heard nothing back: bill it, back off, retry.
+        """A plan attempt heard nothing back: retry it, or fail the query.
 
-        The failed attempt's probes were really sent (and really timed
-        out), so its probe/aux bills are carried onto the final result;
-        the retry itself waits ``query_retry_ms`` scaled by
-        the fault model's backoff — long enough for a scheduled outage to
-        end before the ceiling trips.
+        The ``k``-th retry waits ``query_retry_ms * query_retry_backoff **
+        (k - 1)`` — long enough for a scheduled outage to end.  If it would
+        start at or after the query's deadline it does not start: the
+        query finishes failed now, with the no-answer result and no retry
+        gap opened.  Either way the failed attempt's probes were really
+        sent (and really timed out), so its probe/aux bills stay on the
+        query's final result.
         """
+        faults = self.spec.faults
+        delay = faults.query_retry_ms * faults.query_retry_backoff ** job.retries
+        if self.loop.now + delay >= job.arrival_ms + faults.deadline_ms:
+            self._finish(job, result)
+            return
         job._carry_probes += result.probes
         job._carry_aux += result.aux_probes
         job.retries += 1
-        if job.retries > self.MAX_QUERY_RETRIES:
-            raise SimulationError(
-                f"query {job.index} retried {self.MAX_QUERY_RETRIES} times "
-                "without an answer; the fault configuration cannot converge"
-            )
-        fault_model = self.fault_model
-        delay = 0.0
-        if not self.spec.zero_delay and fault_model is not None:
-            delay = float(
-                fault_model.query_retry_ms
-                * fault_model.query_retry_backoff ** (job.retries - 1)
-            )
         if self.tracer is not None:
             self.tracer.open(
                 job.index, "plan_retry", self.loop.now, attempt=job.retries
@@ -526,7 +520,7 @@ class QueryDaemon:
                 probes=int(result.probes),
                 found=int(result.found),
             )
-        self._answered += 1
+        self._finished += 1
         # Release the entry slot; admit the node's next queued query.
         self.state.release(job.entry)
         fifo = self._fifo.get(job.entry)
@@ -534,7 +528,7 @@ class QueryDaemon:
             self.state.dequeue(job.entry)
             self._note_queue(-1)
             self._start(fifo.popleft())
-        if self._answered == self._n_queries:
+        if self._finished == self._n_queries:
             self._shutdown()
 
     def _shutdown(self) -> None:

@@ -79,8 +79,6 @@ def round_outcome(
         job.probe_timeouts += int(stats["timed_out"])
         job.relayed_probes += int(stats["relayed"])
         job._pending_mask = answered
-        if daemon.spec.zero_delay:
-            delays = np.zeros_like(delays)
     tracer = daemon.tracer
     if tracer is not None:
         now = daemon.loop.now

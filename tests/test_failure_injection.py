@@ -20,11 +20,10 @@ from repro.harness import DaemonSpec, FaultSpec, QueryEngine, SamplingSpec
 from repro.latency.builder import build_clustered_oracle
 from repro.mechanisms.ucl import UclMap, compute_ucl
 from repro.meridian.overlay import MeridianConfig
-from repro.netsim.engine import EventLoop
 from repro.netsim.network import FaultModel
 from repro.topology.clustered import ClusteredConfig
 from repro.topology.oracle import MatrixOracle, NoisyOracle
-from repro.util.errors import ConfigurationError, SimulationError
+from repro.util.errors import ConfigurationError
 
 
 class TestDhtChurn:
@@ -143,8 +142,7 @@ def fault_world():
 
 
 def run_fault_daemon(world, factory, spec, n_queries=30, seed=5, **kwargs):
-    """One daemon trial under a generous no-hang guard (simulated ms)."""
-    kwargs.setdefault("max_sim_ms", 300_000.0)
+    """One daemon trial; every query ends by its deadline, so it drains."""
     kwargs.setdefault("sampling", SamplingSpec(n_targets=30))
     return QueryEngine().run_daemon_trial(
         world, factory(), spec, n_queries=n_queries, seed=seed, **kwargs
@@ -367,7 +365,7 @@ class TestDaemonPartition:
     )
     def test_malformed_outage_window_rejected(self, window):
         with pytest.raises(ConfigurationError, match="outage window"):
-            FaultSpec(outages=(window,))
+            FaultSpec(outages=(window,), deadline_ms=5000.0)
 
     @pytest.mark.parametrize("cluster", [6, 99])
     def test_outage_cluster_outside_the_world_rejected(
@@ -377,7 +375,9 @@ class TestDaemonPartition:
         fails when the model is built, before any query is served."""
         from repro.algorithms import RandomProbeSearch
 
-        faults = FaultSpec(outages=((0.0, 100.0, (0, cluster)),))
+        faults = FaultSpec(
+            outages=((0.0, 100.0, (0, cluster)),), deadline_ms=5000.0
+        )
         with pytest.raises(ConfigurationError, match="6-cluster world"):
             faults.build_model(
                 fault_world.topology.host_cluster, np.random.default_rng(0)
@@ -389,33 +389,65 @@ class TestDaemonPartition:
                 dataclasses.replace(FAULT_DAEMON, faults=faults),
             )
 
-    def test_outage_times_out_retries_and_recovers(self, fault_world):
+    #: Cluster 0 dark for 1.5 s under an 800 ms deadline: a probe across
+    #: the cut exhausts its 100 + 200 + 400 ms ladder at +700 ms, so a
+    #: fully cut plan's first retry would start at +800 ms — the deadline.
+    OUTAGE = dataclasses.replace(
+        FAULT_DAEMON,
+        faults=FaultSpec(
+            outages=((0.0, 1500.0, (0,)),),
+            probe_timeout_ms=100.0,
+            max_retransmits=2,
+            query_retry_ms=100.0,
+            deadline_ms=800.0,
+        ),
+    )
+
+    @staticmethod
+    def _karger_ruhl():
         from repro.algorithms import KargerRuhlSearch
 
-        spec = dataclasses.replace(
-            FAULT_DAEMON,
-            faults=FaultSpec(
-                outages=((0.0, 1500.0, (0,)),),
-                probe_timeout_ms=100.0,
-                max_retransmits=2,
-                query_retry_ms=100.0,
-                deadline_ms=800.0,
+        return KargerRuhlSearch(samples_per_scale=4, max_rounds=12)
+
+    def test_outage_times_out_retries_and_recovers(self, fault_world):
+        """Plans cut off by the outage end failed at their deadline; the
+        rest answer from the survivors of their fan-outs."""
+        record = run_fault_daemon(fault_world, self._karger_ruhl, self.OUTAGE)
+        failed = record.found < 0
+        assert failed.any() and not failed.all()
+        # Every fully cut plan timed out at +700 ms; its retry would have
+        # started at the deadline, so none started and the query ended.
+        assert record.total_query_retries == 0
+        assert np.allclose(record.time_to_answer_ms[failed], 700.0)
+        assert (record.probe_timeouts[failed] > 0).all()
+        # Answered queries rode out timeouts on some of their probes.
+        assert (record.probe_timeouts[~failed] > 0).any()
+        # A failed query ended before its deadline yet is unavailable, and
+        # it scores as a miss with no hub latency.
+        on_time = record.time_to_answer_ms <= 800.0
+        assert on_time[failed].all()
+        assert record.availability == (on_time & ~failed).mean()
+        assert 0.0 < record.availability < 1.0
+        assert not (record.exact_hit[failed] | record.cluster_hit[failed]).any()
+        assert np.isnan(record.found_hub_latency_ms[failed]).all()
+
+    def test_retry_starting_at_the_deadline_is_cut(self, fault_world):
+        """Query 0 fails its first attempt at arrival + 700 ms; its retry
+        would start at exactly arrival + 800 ms and is cut.  One ulp more
+        deadline and the same retry starts and answers."""
+        record = run_fault_daemon(fault_world, self._karger_ruhl, self.OUTAGE)
+        assert record.finish_ms[0] + 100.0 == record.arrival_ms[0] + 800.0
+        assert record.found[0] == -1
+        assert record.query_retries[0] == 0
+        later = dataclasses.replace(
+            self.OUTAGE,
+            faults=dataclasses.replace(
+                self.OUTAGE.faults, deadline_ms=float(np.nextafter(800.0, 1e9))
             ),
         )
-        record = run_fault_daemon(
-            fault_world,
-            lambda: KargerRuhlSearch(samples_per_scale=4, max_rounds=12),
-            spec,
-        )
-        # Everything answered eventually — the sentinel never escapes —
-        # but probes into the cut region exhausted their retransmits and
-        # some whole plans restarted after the blackout round.
-        assert (record.found >= 0).all()
-        assert record.total_probe_timeouts > 0
-        assert record.total_query_retries > 0
-        # With a deadline tighter than the outage, availability < 1 while
-        # the answers themselves stay complete: graceful degradation.
-        assert 0.0 < record.availability < 1.0
+        record = run_fault_daemon(fault_world, self._karger_ruhl, later)
+        assert record.query_retries[0] == 1
+        assert record.found[0] >= 0
 
     def test_failed_attempts_carry_their_probes(self):
         """A retried query's bill includes every failed attempt's probes:
@@ -432,15 +464,146 @@ class TestDaemonPartition:
         assert record.total_query_retries > 0
         assert np.array_equal(record.probes, 1 + record.query_retries)
 
-    def test_livelock_guard_raises_instead_of_hanging(self):
-        loop = EventLoop()
 
-        def respawn() -> None:
-            loop.schedule(10.0, respawn)
+class TestDeadlineEndsAQuery:
+    """The deadline is the one rule that ends a query: a retry that would
+    start at or after it does not start, so every valid spec drains."""
 
-        loop.schedule(10.0, respawn)
-        with pytest.raises(SimulationError):
-            loop.run(max_time_ms=500.0)
+    def test_near_total_loss_drains_with_counted_failures(self):
+        """Loss 0.999 on every link of a 40-host world: every query either
+        answers or ends failed, with no retry started at its deadline."""
+        from repro.algorithms import RandomProbeSearch
+        from repro.harness import TraceSpec, get_scenario
+
+        lossy = get_scenario("daemon-lossy")
+        faults = dataclasses.replace(
+            lossy.daemon.faults,
+            base_loss_rate=0.999,
+            cross_cluster_loss_rate=0.999,
+            deadline_ms=5000.0,
+        )
+        spec = dataclasses.replace(
+            lossy.daemon, min_members=8, faults=faults, trace=TraceSpec()
+        )
+        world = build_clustered_oracle(
+            ClusteredConfig(n_clusters=2, end_networks_per_cluster=10, delta=0.2),
+            seed=lossy.seed,
+        )
+        assert world.topology.n_nodes == 40
+        algorithm = RandomProbeSearch(budget=8)
+        record = QueryEngine().run_daemon_trial(
+            world,
+            algorithm,
+            spec,
+            sampling=SamplingSpec(n_targets=10),
+            n_queries=20,
+            seed=lossy.seed,
+        )
+        failed = record.found < 0
+        assert failed.any()
+        # A failed query carries the no-answer id, never another negative.
+        assert (record.found[failed] == -1).all()
+        assert record.availability == (~failed).mean()
+        deadline = record.arrival_ms + faults.deadline_ms
+        # Every retry that ran started before its query's deadline, one
+        # plan_retry span per counted retry.
+        retry_starts = {}
+        for span in record.spans:
+            if span.name == "plan_retry":
+                retry_starts.setdefault(span.query, []).append(span.end_ms)
+        assert sorted(retry_starts) == sorted(
+            np.flatnonzero(record.query_retries).tolist()
+        )
+        for query, starts in retry_starts.items():
+            assert len(starts) == record.query_retries[query]
+            assert max(starts) < deadline[query]
+        # A failed query's next retry would have started at or after it.
+        gap = faults.query_retry_ms * faults.query_retry_backoff ** (
+            record.query_retries[failed]
+        )
+        assert (record.finish_ms[failed] + gap >= deadline[failed]).all()
+        assert record.total_query_retries > 0
+        # The bills still add up: ledger conservation and, per query,
+        # drops = retransmits + timeouts.
+        assert record.total_maintenance_probes == (
+            algorithm.maintenance_probes_total
+        )
+        assert np.array_equal(
+            record.probe_drops, record.probe_retransmits + record.probe_timeouts
+        )
+        assert record.loop_pending_at_drain == 0
+
+    @pytest.mark.parametrize(
+        "faults",
+        [
+            dict(base_loss_rate=0.01),
+            dict(intra_cluster_loss_rate=0.01),
+            dict(cross_cluster_loss_rate=0.01),
+            dict(outages=((0.0, 100.0, (0,)),)),
+        ],
+        ids=["base", "intra", "cross", "outage"],
+    )
+    def test_droppy_spec_without_a_deadline_rejected(self, faults):
+        with pytest.raises(ConfigurationError, match="finite deadline_ms"):
+            FaultSpec(**faults)
+        FaultSpec(**faults, deadline_ms=1000.0)
+
+    def test_spec_that_cannot_drop_may_keep_an_infinite_deadline(self):
+        for faults in (
+            FaultSpec(),
+            FaultSpec(nat_fraction=0.3),
+            FaultSpec(clock_skew=0.05),
+            # The overrides zero every link class the base rate reached.
+            FaultSpec(
+                base_loss_rate=0.1,
+                intra_cluster_loss_rate=0.0,
+                cross_cluster_loss_rate=0.0,
+            ),
+        ):
+            assert not faults.drops_probes
+            assert faults.deadline_ms == float("inf")
+
+    @pytest.mark.parametrize(
+        "faults",
+        [
+            FaultSpec(base_loss_rate=0.1, deadline_ms=1000.0),
+            FaultSpec(nat_fraction=0.3),
+            FaultSpec(),
+        ],
+        ids=["lossy", "natted", "inert"],
+    )
+    def test_zero_delay_daemon_with_faults_rejected(self, faults):
+        with pytest.raises(ConfigurationError, match="zero_delay"):
+            DaemonSpec(zero_delay=True, faults=faults)
+
+    def test_record_with_failed_queries(self):
+        """Failed queries carry no hub latency, are never available and
+        stay out of the wrong-answer hub median."""
+        from repro.harness.results import DaemonTrialRecord
+
+        n = 5
+        record = DaemonTrialRecord(
+            scheme="stub",
+            world_seed=None,
+            targets=np.arange(n),
+            found=np.array([3, -1, 5, 7, -1]),
+            found_latency_ms=np.array([1.0, np.inf, 2.0, 3.0, np.inf]),
+            probes=np.ones(n, dtype=int),
+            aux_probes=np.zeros(n, dtype=int),
+            hops=np.zeros(n, dtype=int),
+            exact_hit=np.array([False, False, True, False, False]),
+            cluster_hit=np.array([True, False, True, False, False]),
+            found_hub_latency_ms=np.array([10.0, np.nan, 30.0, 20.0, np.nan]),
+            arrival_ms=np.zeros(n),
+            start_ms=np.zeros(n),
+            finish_ms=np.array([100.0, 200.0, 300.0, 900.0, 1200.0]),
+            deadline_ms=800.0,
+        )
+        # Misses with an answer: hub latencies 10 and 20.
+        assert record.median_wrong_hub_latency_ms == 15.0
+        # Answered within 800 ms: queries 0 and 2 (query 1 ended on time
+        # but failed; query 3 answered late).
+        assert record.availability == 2 / 5
 
 
 class TestDaemonClockSkew:
@@ -449,7 +612,9 @@ class TestDaemonClockSkew:
     def test_skew_is_deterministic_and_shifts_timelines(self, fault_world):
         from repro.algorithms import MeridianSearch
 
-        lossy = FaultSpec(base_loss_rate=0.10, probe_timeout_ms=200.0)
+        lossy = FaultSpec(
+            base_loss_rate=0.10, probe_timeout_ms=200.0, deadline_ms=60_000.0
+        )
         skewed = dataclasses.replace(lossy, clock_skew=0.3)
         spec = dataclasses.replace(FAULT_DAEMON, faults=skewed)
         once = run_fault_daemon(fault_world, MeridianSearch, spec)
@@ -492,6 +657,7 @@ class TestZeroFaultIdentity:
                 nat_fraction=0.2,
                 clock_skew=0.05,
                 probe_timeout_ms=250.0,
+                deadline_ms=60_000.0,
             ),
         )
         one = run_fault_daemon(fault_world, MeridianSearch, spec)

@@ -61,37 +61,16 @@ class TestEventLoop:
         assert fired == [0, 1, 2, 3]
         assert loop.processed == 4
 
-    def test_max_events_bound(self):
-        loop = EventLoop()
-
-        def rescheduling():
-            loop.schedule(1.0, rescheduling)
-
-        loop.schedule(0.0, rescheduling)
-        loop.run(max_events=10)
-        assert loop.processed == 10
-
-    def test_cancelled_events_do_not_consume_max_events_budget(self):
-        """Regression: a drained cancellation storm must not starve real
-        events — only events that actually fire count toward the budget."""
-        loop = EventLoop()
-        fired = []
-        handles = [loop.schedule(1.0, fired.append, i) for i in range(50)]
-        for handle in handles:
-            handle.cancel()
-        for i in range(5):
-            loop.schedule(2.0, fired.append, 100 + i)
-        loop.run(max_events=5)
-        assert fired == [100, 101, 102, 103, 104]
-        assert loop.processed == 5
-
     def test_cancelled_events_still_drain_from_queue(self):
         loop = EventLoop()
         handle = loop.schedule(1.0, lambda: None)
         handle.cancel()
         loop.schedule(2.0, lambda: None)
-        loop.run(max_events=1)
+        loop.run()
         assert loop.pending == 0
+        assert loop.queue_size == 0
+        assert loop.processed == 1
+        assert loop.now == 2.0
 
     def test_pending_excludes_cancelled_events(self):
         """Regression: ``pending`` used to count cancelled entries."""
@@ -143,6 +122,24 @@ class TestEventLoop:
             handle.cancel()
         loop.run()
         assert fired == [i for i in range(200) if i % 2 == 0]
+
+    def test_compaction_inside_a_callback_keeps_draining(self):
+        """A callback whose cancellations compact the heap mid-run: the
+        loop keeps draining the rebuilt heap, not a stale one."""
+        loop = EventLoop()
+        fired = []
+        storm = [loop.schedule(10.0, fired.append, -1) for _ in range(500)]
+        loop.schedule(20.0, fired.append, "late")
+
+        def cancel_storm():
+            fired.append("cancel")
+            for handle in storm:
+                handle.cancel()
+
+        loop.schedule(1.0, cancel_storm)
+        loop.run()
+        assert fired == ["cancel", "late"]
+        assert loop.pending == 0 == loop.queue_size
 
     def test_handle_active_property(self):
         loop = EventLoop()

@@ -80,7 +80,10 @@ TRACED_SPEC = dataclasses.replace(CHURN_SPEC, trace=TraceSpec())
 
 #: A genuinely broken network (same shape as ``examples/trace_a_query.py``):
 #: enough loss, NAT and outage to exhaust retransmit ladders, force
-#: whole-plan retries and relay detours — every fault tag appears.
+#: whole-plan retries and relay detours — every fault tag appears.  The
+#: deadline sits past the example's 800 ms: a plan the outage cuts off
+#: fails at +700 ms and retries at +800 ms, and a retry starting at the
+#: deadline would not start, so the retry chains need the later deadline.
 FAULT_SPEC = DaemonSpec(
     mean_interarrival_ms=40.0,
     per_node_concurrency=2,
@@ -96,7 +99,7 @@ FAULT_SPEC = DaemonSpec(
         probe_timeout_ms=100.0,
         max_retransmits=2,
         query_retry_ms=100.0,
-        deadline_ms=800.0,
+        deadline_ms=1000.0,
     ),
     trace=TraceSpec(),
 )
@@ -126,7 +129,6 @@ def run_fault_daemon(world, trace):
         lambda: KargerRuhlSearch(samples_per_scale=4, max_rounds=12),
         spec,
         n_queries=30,
-        max_sim_ms=300_000.0,
     )
 
 
@@ -550,6 +552,26 @@ class TestExportAndCli:
         assert "plan_retry" in rendered
         assert "attempt=" in rendered
         assert "retx=" in rendered or "tmo=" in rendered
+
+    def test_timeline_marks_queries_the_deadline_ended(self, small_world):
+        """At the example's 800 ms deadline the cut-off plans end
+        unanswered; their spans still tile [arrival, end] exactly."""
+        faults = dataclasses.replace(FAULT_SPEC.faults, deadline_ms=800.0)
+        record = run_daemon(
+            small_world,
+            lambda: KargerRuhlSearch(samples_per_scale=4, max_rounds=12),
+            dataclasses.replace(FAULT_SPEC, faults=faults),
+            n_queries=30,
+        )
+        failed = np.flatnonzero(record.found < 0)
+        assert failed.size > 0
+        dump = TraceDump(meta={"scheme": record.scheme}, spans=list(record.spans))
+        for query in failed:
+            rendered = render_timeline(dump, query=int(query))
+            assert rendered.splitlines()[0].endswith("· unanswered")
+            assert "exact tiling" in rendered
+        answered = int(np.flatnonzero(record.found >= 0)[0])
+        assert "unanswered" not in render_timeline(dump, query=answered)
 
     def test_summary_decomposes_every_phase(self, trace_file):
         dumps = load_trace_jsonl(trace_file)

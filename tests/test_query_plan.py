@@ -14,7 +14,6 @@ from repro.algorithms import (
     KargerRuhlSearch,
     MeridianSearch,
     PicSearch,
-    ProbeOp,
     RandomProbeSearch,
     TapestrySearch,
     TiersSearch,
@@ -122,13 +121,13 @@ class TestPlanStructure:
             multi_round += len(rounds) >= 2
             for batch in rounds:
                 assert batch, "plans must not yield empty rounds"
-                for op in batch:
-                    assert isinstance(op, ProbeOp)
-                    assert op.dst == target
-                    assert op.rtt_ms > 0
+                assert batch.srcs.shape == batch.dsts.shape == (len(batch),)
+                assert batch.rtts_ms.shape == (len(batch),)
+                assert (batch.dsts == target).all()
+                assert (batch.rtts_ms > 0).all()
             # The first round is the start node's own probe.
             assert len(rounds[0]) == 1
-            assert rounds[0][0].src == result.path[0]
+            assert rounds[0].srcs[0] == result.path[0]
         # The descent yields a ring sweep beyond the start probe for at
         # least some start nodes.
         assert multi_round >= 1
@@ -223,5 +222,5 @@ class TestLazyMaintenanceThroughPlans:
         blocking = direct.query(target, seed=12)
         planned, rounds = drain_plan(stepped.query_plan(target, seed=12))
         assert_results_identical(blocking, planned)
-        probed = {op.src for batch in rounds for op in batch}
+        probed = {int(src) for batch in rounds for src in batch.srcs}
         assert probed <= set(range(60))  # arrivals not yet indexed

@@ -122,7 +122,7 @@ class TestDaemonBasics:
             try:
                 while True:
                     batch = plan.send(None)
-                    critical_path += max(op.rtt_ms for op in batch)
+                    critical_path += float(batch.rtts_ms.max())
             except StopIteration:
                 pass
             expected.append(critical_path)
