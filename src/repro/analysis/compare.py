@@ -10,6 +10,7 @@ value with our measured one for EXPERIMENTS.md.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -117,14 +118,16 @@ def rank_by_time_to_answer(records: list[TrialRecord]) -> list[TrialRecord]:
 
     The daemon protocol's headline ranking: schemes are judged by how
     quickly they *answer* under load, not how few probes they issue.
-    Records without timing (non-daemon protocols) sort after all timed
-    ones, keeping their relative order.
+    Records without timing (non-daemon protocols) and records that
+    answered no query (a NaN median) sort last, keeping their relative
+    order.
     """
     def key(indexed: tuple[int, TrialRecord]) -> tuple[int, float, int]:
         index, record = indexed
-        if not _has_timing(record):
+        median = record.tta_median_ms if _has_timing(record) else math.nan
+        if math.isnan(median):
             return (1, 0.0, index)
-        return (0, float(record.tta_median_ms), index)
+        return (0, median, index)
 
     return [record for _, record in sorted(enumerate(records), key=key)]
 

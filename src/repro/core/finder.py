@@ -118,13 +118,9 @@ class NearestPeerFinder:
 
     def true_nearest(self, target: int) -> tuple[int, float]:
         """Ground truth (for evaluation): the actual nearest joined peer."""
-        best, best_latency = None, None
-        for member in self._members:
-            if member == target:
-                continue
-            latency = self._internet.route(target, member).latency_ms
-            if best_latency is None or latency < best_latency:
-                best, best_latency = member, latency
-        if best is None:
+        members = [m for m in self._members if m != target]
+        if not members:
             raise ConfigurationError("no other members to compare against")
-        return best, best_latency
+        latencies = self._internet.latencies_from(target, members)
+        best = int(np.argmin(latencies))
+        return members[best], float(latencies[best])

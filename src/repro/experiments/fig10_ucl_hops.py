@@ -90,15 +90,10 @@ def run(scale: ExperimentScale | None = None) -> Fig10Result:
     """Regenerate Figure 10."""
     scale = scale or ExperimentScale()
     internet = azureus_internet(scale.seed, scale.paper_scale)
-    # The paper's 22,796-peer set is everyone who answered either probe.
-    peers = [
-        h.host_id
-        for h in internet.hosts
-        if h.host_id in set(internet.peer_ids)
-        and (h.responds_to_tcp_ping or h.responds_to_traceroute)
-    ]
     latency, hops = hop_length_vs_latency(
-        internet, peers, max_latency_ms=CLOSE_PEER_THRESHOLD_MS, seed=scale.seed
+        internet,
+        internet.responsive_peer_ids(),
+        max_latency_ms=CLOSE_PEER_THRESHOLD_MS, seed=scale.seed
     )
     edges = np.array([0.05, 0.3, 0.8, 1.6, 3.0, 5.0, 7.0, 10.0])
     bins = binned_percentiles(latency, hops, edges, min_count=10)

@@ -120,13 +120,7 @@ def run(scale: ExperimentScale | None = None) -> Fig11Result:
     """Regenerate Figure 11."""
     scale = scale or ExperimentScale()
     internet = azureus_internet(scale.seed, scale.paper_scale)
-    peer_set = set(internet.peer_ids)
-    peers = [
-        h.host_id
-        for h in internet.hosts
-        if h.host_id in peer_set
-        and (h.responds_to_tcp_ping or h.responds_to_traceroute)
-    ]
+    peers = internet.responsive_peer_ids()
     ips = np.array([internet.host(p).ip for p in peers], dtype=np.uint64)
     close = close_pairs_from_internet(
         internet, peers, threshold_ms=CLOSE_PEER_THRESHOLD_MS, seed=scale.seed

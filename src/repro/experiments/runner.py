@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -96,8 +97,11 @@ def run_all(
     return report
 
 
-def main(argv: list[str] | None = None) -> None:
-    """CLI: python -m repro.experiments.runner (or ``repro-experiments``)."""
+def main(argv: list[str] | None = None) -> int:
+    """CLI: python -m repro.experiments.runner (or ``repro-experiments``).
+
+    Exits 1 when any shape check fails.
+    """
     import argparse
     from dataclasses import replace
 
@@ -130,7 +134,8 @@ def main(argv: list[str] | None = None) -> None:
     report = run_all(scale, only=tuple(args.only) if args.only else None)
     print(report.render())
     print(f"\nall shape checks hold: {report.all_shapes_hold}")
+    return 0 if report.all_shapes_hold else 1
 
 
 if __name__ == "__main__":  # pragma: no cover
-    main()
+    sys.exit(main())

@@ -345,21 +345,31 @@ class DaemonTrialRecord(TrialRecord):
         """Per-query in-service time (the probing critical path)."""
         return self.finish_ms - self.start_ms
 
+    def _answered_tta(self, statistic) -> float:
+        """``statistic`` over the answered queries' times (NaN if none).
+
+        A query the deadline ended unanswered (``found = -1``) has a
+        failure time, not a time to answer, so the tta summaries leave it
+        out; :attr:`availability` counts it.
+        """
+        tta = self.time_to_answer_ms[self.found >= 0]
+        return float(statistic(tta)) if tta.size else float("nan")
+
     @property
     def tta_mean_ms(self) -> float:
-        return float(self.time_to_answer_ms.mean())
+        return self._answered_tta(np.mean)
 
     @property
     def tta_median_ms(self) -> float:
-        return float(np.percentile(self.time_to_answer_ms, 50))
+        return self._answered_tta(lambda tta: np.percentile(tta, 50))
 
     @property
     def tta_p95_ms(self) -> float:
-        return float(np.percentile(self.time_to_answer_ms, 95))
+        return self._answered_tta(lambda tta: np.percentile(tta, 95))
 
     @property
     def tta_p99_ms(self) -> float:
-        return float(np.percentile(self.time_to_answer_ms, 99))
+        return self._answered_tta(lambda tta: np.percentile(tta, 99))
 
     @property
     def mean_queue_wait_ms(self) -> float:

@@ -133,12 +133,7 @@ class AzureusStudy:
         result = AzureusStudyResult(peers_total=len(internet.peer_ids))
 
         # Stage 1+2: responsiveness and upstream-router consistency.
-        responsive_peers = [
-            peer
-            for peer in internet.peer_ids
-            if internet.host(peer).responds_to_tcp_ping
-            or internet.host(peer).responds_to_traceroute
-        ]
+        responsive_peers = internet.responsive_peer_ids()
         result.peers_responsive = len(responsive_peers)
         # Bulk true RTTs for the vantage->peer TCP pings (one block instead
         # of one route() per ping; no RNG consumed, results identical).

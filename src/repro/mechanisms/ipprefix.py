@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.mechanisms.ucl import DictBackend, city_pair_latencies, probe_nearest
 from repro.topology.internet import SyntheticInternet
 from repro.topology.ip import prefixes_array
 from repro.util.errors import DataError
@@ -33,8 +34,6 @@ class PrefixMap:
     def __init__(
         self, internet: SyntheticInternet, prefix_length: int = 24, backend=None
     ) -> None:
-        from repro.mechanisms.ucl import DictBackend
-
         if not 0 < prefix_length <= 32:
             raise DataError(f"prefix_length must be in (0, 32], got {prefix_length}")
         self._internet = internet
@@ -72,17 +71,10 @@ class PrefixMap:
         rng.shuffle(candidates)
         if probe_budget is not None:
             candidates = candidates[:probe_budget]
-        best_peer, best_latency = None, None
-        probes = 0
-        for candidate in candidates:
-            true = self._internet.route(new_peer, candidate).latency_ms
-            measured = true * float(np.exp(rng.normal(0.0, 0.02))) + float(
-                rng.exponential(0.05)
-            )
-            probes += 1
-            if best_latency is None or measured < best_latency:
-                best_peer, best_latency = candidate, measured
-        return best_peer, best_latency, probes
+        best_peer, best_latency = probe_nearest(
+            self._internet, new_peer, candidates, rng
+        )
+        return best_peer, best_latency, len(candidates)
 
 
 @dataclass(frozen=True)
@@ -98,61 +90,60 @@ class PrefixErrorRates:
 
 def prefix_error_rates(
     ips: np.ndarray,
-    close_pairs: set[tuple[int, int]],
+    close_pairs: "np.ndarray | set[tuple[int, int]]",
     prefix_lengths: list[int],
 ) -> list[PrefixErrorRates]:
     """Evaluate the heuristic over a peer population.
 
     ``ips[i]`` is peer i's address; ``close_pairs`` holds index pairs
-    ``(i, j), i < j`` whose latency is under the threshold (10 ms in the
-    paper).  All other pairs count as far.  Complexity is O(peers) per
-    prefix length via prefix-group counting — no all-pairs scan.
+    ``(i, j)`` (a ``(k, 2)`` array or a set of tuples) whose latency is
+    under the threshold (10 ms in the paper).  Closeness is symmetric and
+    each pair counts once; all other pairs count as far.  Each prefix
+    length is one array pass: peers per prefix group, and close neighbours
+    sharing the prefix, counted with ``bincount`` — no all-pairs scan.
     """
     n = ips.shape[0]
     if n < 2:
         raise DataError("need at least two peers")
-    close_neighbors: dict[int, set[int]] = {i: set() for i in range(n)}
-    for i, j in close_pairs:
-        if not (0 <= i < n and 0 <= j < n) or i == j:
-            raise DataError(f"bad close pair ({i}, {j})")
-        close_neighbors[i].add(j)
-        close_neighbors[j].add(i)
+    if not isinstance(close_pairs, np.ndarray):
+        close_pairs = list(close_pairs)
+    pairs = np.asarray(close_pairs, dtype=np.int64).reshape(-1, 2)
+    low, high = pairs.min(axis=1), pairs.max(axis=1)
+    bad = (low < 0) | (high >= n) | (low == high)
+    if bad.any():
+        i, j = pairs[int(np.argmax(bad))]
+        raise DataError(f"bad close pair ({i}, {j})")
+    low, high = np.divmod(np.unique(low * n + high), n)
+    n_close = np.bincount(low, minlength=n) + np.bincount(high, minlength=n)
+    far_total = (n - 1) - n_close
+    has_far = far_total > 0
+    has_close = n_close > 0
 
     results = []
     for length in prefix_lengths:
         prefixes = prefixes_array(ips, length)
-        # Count peers per prefix group.
-        unique, inverse, counts = np.unique(
+        # Peers (other than self) sharing each peer's prefix.
+        _, inverse, counts = np.unique(
             prefixes, return_inverse=True, return_counts=True
         )
-        sharing = counts[inverse] - 1  # peers (other than self) sharing
-        false_positive_rates = []
-        false_negative_rates = []
-        peers_with_close = 0
-        for i in range(n):
-            close = close_neighbors[i]
-            n_close = len(close)
-            close_sharing = sum(
-                1 for j in close if prefixes[j] == prefixes[i]
-            )
-            far_total = (n - 1) - n_close
-            far_sharing = int(sharing[i]) - close_sharing
-            if far_total > 0:
-                false_positive_rates.append(far_sharing / far_total)
-            if n_close > 0:
-                peers_with_close += 1
-                false_negative_rates.append((n_close - close_sharing) / n_close)
+        sharing = counts[inverse] - 1
+        same = prefixes[low] == prefixes[high]
+        close_sharing = np.bincount(low[same], minlength=n) + np.bincount(
+            high[same], minlength=n
+        )
+        false_positive_rates = (sharing - close_sharing)[has_far] / far_total[has_far]
+        false_negative_rates = (n_close - close_sharing)[has_close] / n_close[has_close]
         results.append(
             PrefixErrorRates(
                 prefix_length=length,
                 median_false_positive_rate=float(np.median(false_positive_rates)),
                 median_false_negative_rate=(
                     float(np.median(false_negative_rates))
-                    if false_negative_rates
+                    if false_negative_rates.size
                     else 0.0
                 ),
                 peers_evaluated=n,
-                peers_with_close_peer=peers_with_close,
+                peers_with_close_peer=int(has_close.sum()),
             )
         )
     return results
@@ -164,33 +155,16 @@ def close_pairs_from_internet(
     threshold_ms: float = 10.0,
     max_pairs_per_city: int = 200_000,
     seed: int | np.random.Generator | None = None,
-) -> set[tuple[int, int]]:
-    """Index pairs (into ``peer_ids``) closer than ``threshold_ms``.
+) -> np.ndarray:
+    """Index pairs ``(i, j), i < j`` (into ``peer_ids``) closer than ``threshold_ms``.
 
-    Close pairs can only occur between peers whose PoPs share a city (hub
-    latencies alone exceed the threshold otherwise), so enumeration is
-    per-city.
+    A ``(k, 2)`` array from the per-city enumeration of
+    :func:`~repro.mechanisms.ucl.city_pair_latencies`.
     """
-    rng = make_rng(seed)
-    index_of = {peer: i for i, peer in enumerate(peer_ids)}
-    by_city: dict[str, list[int]] = {}
-    for peer in peer_ids:
-        city = internet.pop(internet.host(peer).pop_id).city
-        by_city.setdefault(city, []).append(peer)
-    close: set[tuple[int, int]] = set()
-    for peers in by_city.values():
-        if len(peers) < 2:
-            continue
-        pairs = [
-            (peers[i], peers[j])
-            for i in range(len(peers))
-            for j in range(i + 1, len(peers))
-        ]
-        if len(pairs) > max_pairs_per_city:
-            picks = rng.choice(len(pairs), size=max_pairs_per_city, replace=False)
-            pairs = [pairs[int(k)] for k in picks]
-        for a, b in pairs:
-            if internet.route(a, b).latency_ms < threshold_ms:
-                ia, ib = index_of[a], index_of[b]
-                close.add((min(ia, ib), max(ia, ib)))
-    return close
+    close = [
+        np.column_stack([i, j])[latency < threshold_ms]
+        for i, j, latency in city_pair_latencies(
+            internet, peer_ids, max_pairs_per_city, make_rng(seed)
+        )
+    ]
+    return np.concatenate([np.empty((0, 2), dtype=int), *close])

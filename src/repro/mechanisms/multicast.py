@@ -73,7 +73,6 @@ class MulticastSearch:
         reachable = self.reachable_peers(host_id, peer_ids)
         if not reachable:
             return None, None
-        best = min(
-            reachable, key=lambda p: self._internet.route(host_id, p).latency_ms
-        )
-        return best, self._internet.route(host_id, best).latency_ms
+        latencies = self._internet.latencies_from(host_id, reachable)
+        best = int(np.argmin(latencies))
+        return reachable[best], float(latencies[best])

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.topology.internet import SyntheticInternet
 from repro.util.errors import DataError
 from repro.util.validate import require_positive
@@ -82,10 +84,9 @@ class EndNetworkRegistry:
         members = self.lookup(peer_id)
         if not members:
             return None, None
-        best = min(
-            members, key=lambda m: self._internet.route(peer_id, m).latency_ms
-        )
-        return best, self._internet.route(peer_id, best).latency_ms
+        latencies = self._internet.latencies_from(peer_id, members)
+        best = int(np.argmin(latencies))
+        return members[best], float(latencies[best])
 
     def stats(self) -> RegistryStats:
         """Coverage of the deployment policy."""

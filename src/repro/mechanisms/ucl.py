@@ -13,6 +13,7 @@ far candidates without probing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -22,6 +23,30 @@ from repro.topology.internet import SyntheticInternet
 from repro.util.errors import DataError
 from repro.util.rng import make_rng
 from repro.util.validate import require_positive
+
+
+def probe_nearest(
+    internet: SyntheticInternet,
+    peer: int,
+    candidates: list[int],
+    rng: np.random.Generator,
+) -> tuple[int | None, float | None]:
+    """Probe each candidate in order; the one measured closest and its RTT.
+
+    Unlike ICMP ping (which NATed peers drop), peers inside the P2P system
+    measure each other over the overlay protocol itself, so every probe
+    completes; it carries small multiplicative noise.  ``(None, None)``
+    when there is no candidate.
+    """
+    best_peer, best_latency = None, None
+    true = internet.latencies_from(peer, candidates).tolist()
+    for candidate, true_ms in zip(candidates, true):
+        measured = true_ms * float(np.exp(rng.normal(0.0, 0.02))) + float(
+            rng.exponential(0.05)
+        )
+        if best_latency is None or measured < best_latency:
+            best_peer, best_latency = candidate, measured
+    return best_peer, best_latency
 
 
 @dataclass(frozen=True)
@@ -106,20 +131,6 @@ class UclMap:
             if hasattr(self._backend, "remove"):
                 self._backend.remove(entry.router_id, (peer_id, entry.latency_ms))
 
-    def probe_peer(
-        self, a: int, b: int, rng: np.random.Generator
-    ) -> float:
-        """Application-level RTT probe between two *participating* peers.
-
-        Unlike ICMP ping (which NATed peers drop), peers inside the P2P
-        system measure each other over the overlay protocol itself, so the
-        probe always completes; it carries small multiplicative noise.
-        """
-        true = self._internet.route(a, b).latency_ms
-        return true * float(np.exp(rng.normal(0.0, 0.02))) + float(
-            rng.exponential(0.05)
-        )
-
     def find_nearest(
         self,
         new_peer: int,
@@ -161,12 +172,8 @@ class UclMap:
         ranked = sorted(estimates, key=estimates.get)
         if probe_budget is not None:
             ranked = ranked[:probe_budget]
-        best_peer, best_latency = None, None
-        for candidate in ranked:
-            measured = self.probe_peer(new_peer, candidate, rng)
-            stats.probes += 1
-            if best_latency is None or measured < best_latency:
-                best_peer, best_latency = candidate, measured
+        best_peer, best_latency = probe_nearest(self._internet, new_peer, ranked, rng)
+        stats.probes = len(ranked)
         return best_peer, best_latency, stats
 
 
@@ -188,6 +195,39 @@ class DictBackend:
             values.discard(value)
 
 
+def city_pair_latencies(
+    internet: SyntheticInternet,
+    peer_ids: list[int],
+    max_pairs_per_city: int,
+    rng: np.random.Generator,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per city, peer pairs and their RTTs — Figs 10 and 11's enumerator.
+
+    Close pairs can only occur between peers whose PoPs share a city (hub
+    latencies alone exceed the 10 ms threshold otherwise), so pairs are
+    enumerated per city, cities in first-seen order.  A city's pairs are
+    its ``np.triu_indices`` pairs (row-major, ``i < j`` in ``peer_ids``
+    order); past ``max_pairs_per_city`` they are subsampled with one
+    ``rng.choice`` draw, in draw order.  Yields ``(i, j, latency_ms)``
+    with ``i`` and ``j`` indices into ``peer_ids``.
+    """
+    by_city: dict[str, list[int]] = {}
+    for index, peer in enumerate(peer_ids):
+        city = internet.pop(internet.host(peer).pop_id).city
+        by_city.setdefault(city, []).append(index)
+    hosts = np.asarray(peer_ids, dtype=int)
+    for members in by_city.values():
+        if len(members) < 2:
+            continue
+        first, second = np.triu_indices(len(members), k=1)
+        if first.size > max_pairs_per_city:
+            picks = rng.choice(first.size, size=max_pairs_per_city, replace=False)
+            first, second = first[picks], second[picks]
+        i = np.asarray(members)[first]
+        j = np.asarray(members)[second]
+        yield i, j, internet.pair_latencies(np.column_stack([hosts[i], hosts[j]]))
+
+
 def hop_length_vs_latency(
     internet: SyntheticInternet,
     peer_ids: list[int],
@@ -197,37 +237,24 @@ def hop_length_vs_latency(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(latency, hop_length) samples for close peer pairs — Fig 10's data.
 
-    Enumerates pairs within each PoP (and across PoPs in the same city,
-    which can also be close) and keeps those under ``max_latency_ms``.
-    ``hop_length`` counts links, so "the number of routers to be tracked in
-    order to discover peers at a given latency ... is half the
-    corresponding hop-length value".
+    Enumerates pairs within each city (:func:`city_pair_latencies`) and
+    keeps those under ``max_latency_ms``; only those are routed, for their
+    hop length.  ``hop_length`` counts links, so "the number of routers to
+    be tracked in order to discover peers at a given latency ... is half
+    the corresponding hop-length value".
     """
     if max_latency_ms <= 0:
         raise DataError("max_latency_ms must be positive")
-    rng = make_rng(seed)
-    by_scope: dict[str, list[int]] = {}
-    for peer in peer_ids:
-        record = internet.host(peer)
-        city = internet.pop(record.pop_id).city
-        by_scope.setdefault(city, []).append(peer)
-
+    hosts = np.asarray(peer_ids, dtype=int)
     latencies: list[float] = []
     hop_lengths: list[int] = []
-    for peers in by_scope.values():
-        if len(peers) < 2:
-            continue
-        pairs = [
-            (peers[i], peers[j])
-            for i in range(len(peers))
-            for j in range(i + 1, len(peers))
-        ]
-        if len(pairs) > max_pairs_per_pop:
-            picks = rng.choice(len(pairs), size=max_pairs_per_pop, replace=False)
-            pairs = [pairs[int(k)] for k in picks]
-        for a, b in pairs:
-            route = internet.route(a, b)
-            if route.latency_ms <= max_latency_ms:
-                latencies.append(route.latency_ms)
-                hop_lengths.append(route.hop_length)
+    for i, j, latency in city_pair_latencies(
+        internet, peer_ids, max_pairs_per_pop, make_rng(seed)
+    ):
+        close = latency <= max_latency_ms
+        latencies.extend(latency[close].tolist())
+        hop_lengths.extend(
+            internet.route(a, b).hop_length
+            for a, b in zip(hosts[i[close]].tolist(), hosts[j[close]].tolist())
+        )
     return np.asarray(latencies), np.asarray(hop_lengths, dtype=int)

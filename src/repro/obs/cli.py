@@ -7,7 +7,8 @@ Three views over files written by :func:`repro.obs.export.dump_trace_jsonl`:
   with the critical-path accounting line that proves the phases tile the
   query's time to answer;
 * ``--summary`` — the **phase breakdown** table: p50/p95/p99 simulated
-  ms per phase per scheme, across every trace block given;
+  ms per phase per scheme over the answered queries, across every trace
+  block given, plus each scheme's unanswered count;
 * ``--validate`` — the schema gate (exit 1 on any problem), the hook CI
   runs on exported artifacts.
 """
@@ -133,24 +134,39 @@ def render_timeline(dump: TraceDump, query: int | None = None, width: int = 48) 
 
 
 def render_summary(dumps: list[TraceDump]) -> str:
-    """p50/p95/p99 simulated ms per phase per scheme, one table."""
+    """p50/p95/p99 simulated ms per phase per scheme, one table.
+
+    The rows are taken over answered queries: a query the deadline ended
+    (root ``found < 0``) has a failure time, not a time to answer.  One
+    line per scheme under the table counts the unanswered queries.
+    """
     headers = ["scheme", "phase", "p50 (ms)", "p95 (ms)", "p99 (ms)", "share"]
     rows: list[list[str]] = []
+    unanswered_lines: list[str] = []
     for dump in dumps:
         scheme = dump.meta.get("scheme", "?")
         grouped = spans_by_query(dump.spans)
         if not grouped:
             continue
         ttas = []
+        unanswered = 0
         per_phase: dict[str, list[float]] = {name: [] for name in PHASES}
         for _query, group in sorted(grouped.items()):
             root = next(s for s in group if s.seq == 0)
+            if root.attrs.get("found", 0) < 0:
+                unanswered += 1
+                continue
             ttas.append(root.duration_ms)
             totals = _query_phases([s for s in group if s.seq != 0])
             for name in PHASES:
                 per_phase[name].append(totals[name])
+        unanswered_lines.append(
+            f"{scheme}: {unanswered} of {len(grouped)} queries unanswered"
+        )
+        if not ttas:
+            continue
         tta = np.asarray(ttas)
-        mean_tta = float(tta.mean()) if tta.size else 0.0
+        mean_tta = float(tta.mean())
         for name in (*PHASES, "tta"):
             values = tta if name == "tta" else np.asarray(per_phase[name])
             share = (
@@ -166,7 +182,7 @@ def render_summary(dumps: list[TraceDump]) -> str:
                     f"{share:.0%}" if name != "tta" else "100%",
                 ]
             )
-    return format_table(headers, rows)
+    return "\n".join([format_table(headers, rows), *unanswered_lines])
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -14,19 +14,28 @@ questions the measurement pipelines need:
 Within a PoP the attachment structure is a forest, so lowest-common-router
 discovery is a linear scan of the two chains (against a per-host position
 map precomputed at construction time).  Across PoPs routes use all-pairs
-core-graph shortest paths, computed once with ``scipy.sparse.csgraph`` the
-first time any cross-PoP question is asked — the core graph is small
-(PoP/IXP routers only), so the dense distance/predecessor matrices are
-cheap and make every subsequent core lookup O(1).
+core-graph shortest paths, computed once at construction with
+``scipy.sparse.csgraph`` — the core graph is small (PoP/IXP routers
+only), so the dense distance/predecessor matrices are cheap and make every
+core lookup O(1).
 
-Bulk latency questions (the measurement pipelines ask for *every* host
-pair) go through :meth:`latency_matrix`, which assembles whole RTT blocks
-from the precomputed per-host hub latencies and the core distance matrix
-instead of routing pair by pair.
+Latency questions take one of two paths, which agree bit for bit:
+
+* :meth:`latency_ms` — the scalar path for one pair: the chain scan, else
+  ``hub(a) + core + hub(b)``.  It is also the reference the kernel is
+  tested against.
+* :meth:`_latencies` — the one array kernel, over broadcastable host-id
+  arrays.  :meth:`latency_matrix`, :meth:`latency_block`,
+  :meth:`latencies_from` and :meth:`pair_latencies` all call it.
+
+On every path a router outside the core graph reads as an infinite core
+distance, like a disconnected core graph; :meth:`_core_error` names the
+cause of either when a pair needs the core.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import networkx as nx
@@ -90,16 +99,8 @@ class RouterLevelTopology:
         # host_id -> {router_id: (chain index, cumulative RTT ms)} — the
         # lookup route() used to rebuild per call.
         self._upward_pos: dict[int, dict[int, tuple[int, float]]] = {}
-        # Per-host attachment summaries (arrays indexed by host id).
-        self._host_pop_router: np.ndarray = np.empty(0, dtype=int)
-        self._host_hub_ms: np.ndarray = np.empty(0, dtype=float)
-        # All-pairs core-graph state, built lazily by _ensure_core_paths().
-        self._core_nodes: list[int] | None = None
-        self._core_index: dict[int, int] | None = None
-        self._core_dist: np.ndarray | None = None
-        self._core_pred: np.ndarray | None = None
-        self._host_core_index: np.ndarray | None = None
         self._build_upward_chains()
+        self._build_core_paths()
 
     # -- construction helpers ------------------------------------------------
 
@@ -173,10 +174,8 @@ class RouterLevelTopology:
 
     # -- core routing ----------------------------------------------------------
 
-    def _ensure_core_paths(self) -> None:
-        """All-pairs shortest paths over the (small) core graph, once."""
-        if self._core_dist is not None:
-            return
+    def _build_core_paths(self) -> None:
+        """All-pairs shortest paths over the (small) core graph."""
         import scipy.sparse
         import scipy.sparse.csgraph
 
@@ -194,17 +193,27 @@ class RouterLevelTopology:
         dist, pred = scipy.sparse.csgraph.dijkstra(
             adjacency, directed=False, return_predecessors=True
         )
-        self._core_nodes = nodes
-        self._core_index = index
-        self._core_dist = dist
+        self._core_nodes: list[int] = nodes
+        self._core_index: dict[int, int] = index
+        # Row/column ``n`` (all inf) stands for every router outside the
+        # core graph, so a missing router reads like a disconnected pair
+        # and only a query that needs that host's core position fails.
+        self._core_dist = np.pad(dist, (0, 1), constant_values=np.inf)
         self._core_pred = pred
-        # Host -> core-matrix row of its attachment PoP router; -1 marks a
-        # router absent from the core graph, surfaced as a SimulationError
-        # only when a query actually needs that host's core position (the
-        # pre-batch code was lazy in the same way).
         self._host_core_index = np.array(
-            [index.get(r, -1) for r in self._host_pop_router.tolist()], dtype=int
+            [index.get(r, n) for r in self._host_pop_router.tolist()], dtype=int
         )
+
+    def _core_row(self, router: int) -> int:
+        """Core-matrix index of a router (``n`` when outside the core graph)."""
+        return self._core_index.get(router, len(self._core_nodes))
+
+    def _core_error(self, a: int, b: int) -> SimulationError:
+        """Why PoP routers ``a`` and ``b`` have an infinite core distance."""
+        for router in (int(a), int(b)):
+            if router not in self._core_index:
+                return SimulationError(f"router {router} is not in the core graph")
+        return SimulationError(f"core graph is disconnected: {int(a)} .. {int(b)}")
 
     def core_distance_ms(self, a: int, b: int) -> float | None:
         """Shortest-path RTT between two core routers, ``None`` if unknown.
@@ -212,37 +221,17 @@ class RouterLevelTopology:
         ``None`` means ``a`` or ``b`` is not a core router, or the core
         graph does not connect them.
         """
-        self._ensure_core_paths()
-        assert self._core_index is not None and self._core_dist is not None
-        ia = self._core_index.get(a)
-        ib = self._core_index.get(b)
-        if ia is None or ib is None:
-            return None
-        distance = self._core_dist[ia, ib]
-        if np.isinf(distance):
-            return None
-        return float(distance)
+        distance = self._core_dist[self._core_row(a), self._core_row(b)]
+        return None if math.isinf(distance) else float(distance)
 
     def _core_route(self, a: int, b: int) -> tuple[float, list[int]]:
         """RTT and router path between two core-graph routers."""
         if a == b:
             return 0.0, [a]
-        self._ensure_core_paths()
-        assert (
-            self._core_index is not None
-            and self._core_dist is not None
-            and self._core_pred is not None
-            and self._core_nodes is not None
-        )
-        ia = self._core_index.get(a)
-        ib = self._core_index.get(b)
-        if ia is None:
-            raise SimulationError(f"router {a} is not in the core graph")
-        if ib is None:
-            raise SimulationError(f"router {b} is not in the core graph")
+        ia, ib = self._core_row(a), self._core_row(b)
         distance = self._core_dist[ia, ib]
-        if np.isinf(distance):
-            raise SimulationError(f"core graph is disconnected: {a} .. {b}")
+        if math.isinf(distance):
+            raise self._core_error(a, b)
         path = [b]
         j = ib
         while j != ia:
@@ -348,37 +337,11 @@ class RouterLevelTopology:
             )
         return routes
 
-    def _pair_latency_ms(self, a: int, b: int) -> float:
-        """RTT between two hosts without materialising the router path."""
-        if a == b:
-            return 0.0
-        position_b = self._upward_pos[b]
-        for router, cum_a in self._upward[a]:
-            hit = position_b.get(router)
-            if hit is not None:
-                return cum_a + hit[1]
-        self._ensure_core_paths()
-        assert self._core_dist is not None and self._host_core_index is not None
-        ia = self._host_core_index[a]
-        ib = self._host_core_index[b]
-        if ia < 0 or ib < 0:
-            missing = self._host_pop_router[a if ia < 0 else b]
-            raise SimulationError(f"router {missing} is not in the core graph")
-        distance = self._core_dist[ia, ib]
-        if np.isinf(distance):
-            raise SimulationError(
-                f"core graph is disconnected: "
-                f"{self._host_pop_router[a]} .. {self._host_pop_router[b]}"
-            )
-        return float(
-            self._host_hub_ms[a] + distance + self._host_hub_ms[b]
-        )
-
     def _lca_pair_latencies(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Vectorised RTTs for host pairs that share an attachment router.
 
         The grouped-array form of the scalar lowest-common-router scan in
-        :meth:`_pair_latency_ms`: compare the two padded chain arrays as a
+        :meth:`latency_ms`: compare the two padded chain arrays as a
         ``(pairs, depth, depth)`` match cube, take the first hit in a-chain
         order (each router appears at most once per chain, so the a-major
         ``argmax`` lands on exactly the router the scalar scan returns) and
@@ -412,8 +375,24 @@ class RouterLevelTopology:
         return out
 
     def latency_ms(self, a: int, b: int) -> float:
-        """RTT between two hosts (oracle interface)."""
-        return self._pair_latency_ms(a, b)
+        """RTT between two hosts: the scalar path (oracle interface).
+
+        The lowest shared chain router if there is one, else up to both
+        PoP routers and across the core — the same two or three floats, in
+        the same order, that :meth:`_latencies` adds, without building a
+        route or any array.
+        """
+        if a == b:
+            return 0.0
+        position_b = self._upward_pos[b]
+        for router, cum_a in self._upward[a]:
+            hit = position_b.get(router)
+            if hit is not None:
+                return cum_a + hit[1]
+        distance = self._core_dist[self._host_core_index[a], self._host_core_index[b]]
+        if math.isinf(distance):
+            raise self._core_error(self._host_pop_router[a], self._host_pop_router[b])
+        return float(self._host_hub_ms[a] + distance + self._host_hub_ms[b])
 
     @property
     def n_nodes(self) -> int:
@@ -422,94 +401,61 @@ class RouterLevelTopology:
 
     # -- bulk latency (batch oracle interface) ----------------------------------
 
+    def _latencies(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """RTTs between broadcastable host-id arrays: the one array kernel.
+
+        A pair under different PoP routers costs
+        ``(hub(a) + core(pop(a), pop(b))) + hub(b)``, the scalar path's
+        association order.  Pairs under the same PoP router may share a
+        lower router, so those cells are rewritten by the grouped-array
+        lowest-common-router scan (:meth:`_lca_pair_latencies`).  Per-host
+        lookups index ``a`` and ``b`` as given — a ``(rows, 1)`` and a
+        ``(1, cols)`` array cost ``rows + cols`` lookups — and only the
+        sums broadcast.  Equal ids yield 0.
+        """
+        a = np.asarray(a, dtype=int)
+        b = np.asarray(b, dtype=int)
+        out = (
+            self._host_hub_ms[a]
+            + self._core_dist[self._host_core_index[a], self._host_core_index[b]]
+        ) + self._host_hub_ms[b]
+        same_top = self._host_pop_router[a] == self._host_pop_router[b]
+        if same_top.any():
+            a_cells, b_cells = np.broadcast_arrays(a, b)
+            cells = np.nonzero(same_top)
+            out[cells] = self._lca_pair_latencies(a_cells[cells], b_cells[cells])
+        # Same-PoP cells never need the core, so any inf left is a pair the
+        # core graph cannot join.
+        unroutable = np.isinf(out)
+        if unroutable.any():
+            a_cells, b_cells = np.broadcast_arrays(a, b)
+            first = tuple(np.argwhere(unroutable)[0])
+            raise self._core_error(
+                self._host_pop_router[a_cells[first]],
+                self._host_pop_router[b_cells[first]],
+            )
+        return out
+
     def latency_matrix(
         self,
         host_ids: np.ndarray | list[int],
         col_host_ids: np.ndarray | list[int] | None = None,
     ) -> np.ndarray:
-        """RTT block between host id arrays, assembled without per-pair routing.
-
-        For the (overwhelmingly common) cross-PoP pairs the RTT is
-        ``hub(a) + core_distance(pop(a), pop(b)) + hub(b)``, filled in one
-        vectorised expression from the all-pairs core matrix.  Pairs whose
-        attachment chains terminate at the same PoP router may share a
-        router below the PoP, so those entries are corrected with the
-        grouped-array lowest-common-router scan
-        (:meth:`_lca_pair_latencies` — bit-identical to the scalar scan).
-        Equal ids yield 0.
-        """
+        """The ``host_ids × col_host_ids`` RTT block (square when no columns)."""
         rows = np.asarray(host_ids, dtype=int)
         cols = rows if col_host_ids is None else np.asarray(col_host_ids, dtype=int)
-        self._ensure_core_paths()
-        assert self._core_dist is not None and self._host_core_index is not None
-        core_rows = self._host_core_index[rows]
-        core_cols = self._host_core_index[cols]
-        # Same attachment PoP router: the chains may share a lower router.
-        same_top = (
-            self._host_pop_router[rows][:, None]
-            == self._host_pop_router[cols][None, :]
-        )
-        # Hosts anchored outside the core graph are an error only for the
-        # cross-PoP cells that actually need a core distance.
-        needs_core = ~same_top
-        missing = (core_rows < 0)[:, None] | (core_cols < 0)[None, :]
-        if np.any(missing & needs_core):
-            i, j = np.argwhere(missing & needs_core)[0]
-            bad_host = rows[i] if core_rows[i] < 0 else cols[j]
-            raise SimulationError(
-                f"router {self._host_pop_router[bad_host]} is not in the core graph"
-            )
-        # Association order matches the scalar path ((hub_a + core) + hub_b)
-        # so batch and per-pair results are bit-identical.  (-1 indices only
-        # occur in same-top cells, which are overwritten below.)
-        block = (
-            self._host_hub_ms[rows][:, None]
-            + self._core_dist[np.ix_(core_rows, core_cols)]
-        ) + self._host_hub_ms[cols][None, :]
-        if np.any(np.isinf(block[needs_core])):
-            raise SimulationError("core graph is disconnected")
-        if np.any(same_top):
-            i, j = np.nonzero(same_top)
-            block[i, j] = self._lca_pair_latencies(rows[i], cols[j])
-        return block
+        return self._latencies(rows[:, None], cols[None, :])
 
     def pair_latencies(
         self, pairs: "list[tuple[int, int]] | np.ndarray"
     ) -> np.ndarray:
-        """Element-wise RTTs for an explicit host-pair list.
+        """Element-wise RTTs for an explicit ``(k, 2)`` host-pair list.
 
-        The sparse counterpart of :meth:`latency_matrix`: when a pipeline
-        needs specific pairs (the DNS study's sampled cluster pairs, say)
-        rather than a dense block, this avoids materialising the full
-        cross product.  Cross-PoP pairs are vectorised; pairs sharing an
-        attachment PoP router fall back to the exact per-pair scan.
+        The sparse counterpart of :meth:`latency_matrix`, for pipelines
+        that need specific pairs rather than a dense block.
         """
-        pairs_arr = np.asarray(pairs, dtype=int)
-        if pairs_arr.size == 0:
-            return np.empty(0, dtype=float)
-        a = pairs_arr[:, 0]
-        b = pairs_arr[:, 1]
-        self._ensure_core_paths()
-        assert self._core_dist is not None and self._host_core_index is not None
-        ia = self._host_core_index[a]
-        ib = self._host_core_index[b]
-        same_top = self._host_pop_router[a] == self._host_pop_router[b]
-        missing = ((ia < 0) | (ib < 0)) & ~same_top
-        if np.any(missing):
-            k = int(np.flatnonzero(missing)[0])
-            bad_host = a[k] if ia[k] < 0 else b[k]
-            raise SimulationError(
-                f"router {self._host_pop_router[bad_host]} is not in the core graph"
-            )
-        out = (
-            self._host_hub_ms[a] + self._core_dist[ia, ib]
-        ) + self._host_hub_ms[b]
-        idx = np.flatnonzero(same_top)
-        if idx.size:
-            out[idx] = self._lca_pair_latencies(a[idx], b[idx])
-        if np.any(np.isinf(out[~same_top])):
-            raise SimulationError("core graph is disconnected")
-        return out
+        pairs_arr = np.asarray(pairs, dtype=int).reshape(-1, 2)
+        return self._latencies(pairs_arr[:, 0], pairs_arr[:, 1])
 
     def latencies_from(
         self, a: int, members: np.ndarray | None = None
@@ -517,7 +463,7 @@ class RouterLevelTopology:
         """Batch oracle interface: RTTs from host ``a`` to ``members``."""
         if members is None:
             members = np.arange(self.n_hosts)
-        return self.latency_matrix([a], members)[0]
+        return self._latencies(a, members)
 
     def latency_block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Batch oracle interface: the ``rows × cols`` RTT block."""

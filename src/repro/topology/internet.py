@@ -204,6 +204,19 @@ class SyntheticInternet(RouterLevelTopology):
         measurement = [h.host_id for h in hosts if h.kind == HostKind.MEASUREMENT]
         self.measurement_host_id = measurement[0] if measurement else None
 
+    def responsive_peer_ids(self) -> list[int]:
+        """Peers that answered either probe (TCP ping or traceroute).
+
+        The paper's 22,796-peer measurement set: the peers the Section 3.2
+        pipeline and Figs 10-11 study, in host-id order.
+        """
+        return [
+            h.host_id
+            for h in self.hosts
+            if h.kind == HostKind.PEER
+            and (h.responds_to_tcp_ping or h.responds_to_traceroute)
+        ]
+
     # ------------------------------------------------------------------ #
 
     @classmethod

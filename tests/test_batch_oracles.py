@@ -186,7 +186,7 @@ class TestTopologyLatencyMatrix:
         arr = np.asarray(pairs)
         values = small_internet._lca_pair_latencies(arr[:, 0], arr[:, 1])
         expected = np.array(
-            [small_internet._pair_latency_ms(a, b) for a, b in pairs]
+            [small_internet.latency_ms(a, b) for a, b in pairs]
         )
         assert np.array_equal(values, expected)
 

@@ -162,6 +162,18 @@ class TestRunnerFiltering:
         assert not report.all_shapes_hold
         assert "FAIL" in report.render()
 
+    def test_cli_exit_status_follows_the_shape_checks(
+        self, stubs, monkeypatch, capsys
+    ):
+        assert runner.main([]) == 0
+        assert "all shape checks hold: True" in capsys.readouterr().out
+        failing = _StubModule("F", holds=False)
+        monkeypatch.setattr(
+            runner, "ALL_EXPERIMENTS", (("A", stubs[0]), ("F", failing))
+        )
+        assert runner.main([]) == 1
+        assert "all shape checks hold: False" in capsys.readouterr().out
+
     def test_empty_report(self):
         report = RunReport()
         assert report.all_shapes_hold  # vacuously true

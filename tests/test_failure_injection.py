@@ -13,6 +13,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.analysis.compare import rank_by_time_to_answer
 from repro.dht.chord import ChordRing
 from repro.dht.hashing import hash_key
 from repro.dht.kvstore import DhtKeyValueStore
@@ -430,6 +431,24 @@ class TestDaemonPartition:
         assert 0.0 < record.availability < 1.0
         assert not (record.exact_hit[failed] | record.cluster_hit[failed]).any()
         assert np.isnan(record.found_hub_latency_ms[failed]).all()
+        # The 9 cut queries ended at a failure time, not an answer, so the
+        # tta summaries are taken over the answered queries alone.
+        assert failed.sum() == 9
+        answered = record.time_to_answer_ms[~failed]
+        assert record.tta_mean_ms == answered.mean()
+        for q, value in (
+            (50, record.tta_median_ms),
+            (95, record.tta_p95_ms),
+            (99, record.tta_p99_ms),
+        ):
+            assert value == np.percentile(answered, q)
+        assert record.tta_median_ms != np.percentile(record.time_to_answer_ms, 50)
+        # A record that answered nothing has no time to answer and ranks
+        # after every record that did.
+        silent = dataclasses.replace(record, found=np.full_like(record.found, -1))
+        assert np.isnan(silent.tta_median_ms) and np.isnan(silent.tta_mean_ms)
+        ranked = rank_by_time_to_answer([silent, record])
+        assert ranked[0] is record and ranked[1] is silent
 
     def test_retry_starting_at_the_deadline_is_cut(self, fault_world):
         """Query 0 fails its first attempt at arrival + 700 ms; its retry

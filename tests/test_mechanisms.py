@@ -140,6 +140,36 @@ class TestPrefixErrorRates:
         assert rates.median_false_positive_rate > 0
         assert 0 < rates.median_false_negative_rate < 1
 
+    def test_matches_the_per_peer_loop(self):
+        """The array pass equals the per-peer neighbour-set loop exactly,
+        with pairs given in either order and repeated."""
+        rng = np.random.default_rng(3)
+        n = 300
+        ips = ((10 << 24) | rng.integers(0, 1 << 12, size=n) << 4).astype(np.uint64)
+        drawn = rng.integers(0, n, size=(900, 2))
+        close = {(int(i), int(j)) for i, j in drawn if i != j}
+        lengths = [8, 16, 20, 22, 24, 28]
+        neighbours = {i: set() for i in range(n)}
+        for i, j in close:
+            neighbours[i].add(j)
+            neighbours[j].add(i)
+        for length, rates in zip(lengths, prefix_error_rates(ips, close, lengths)):
+            prefix = (ips >> np.uint64(32 - length)).tolist()
+            fp, fn = [], []
+            for i in range(n):
+                sharing = sum(prefix[k] == prefix[i] for k in range(n)) - 1
+                close_sharing = sum(prefix[j] == prefix[i] for j in neighbours[i])
+                far_total = (n - 1) - len(neighbours[i])
+                if far_total > 0:
+                    fp.append((sharing - close_sharing) / far_total)
+                if neighbours[i]:
+                    fn.append((len(neighbours[i]) - close_sharing) / len(neighbours[i]))
+            assert rates.median_false_positive_rate == float(np.median(fp))
+            assert rates.median_false_negative_rate == float(np.median(fn))
+            assert rates.peers_with_close_peer == len(fn)
+        as_array = prefix_error_rates(ips, np.array(sorted(close)), lengths)
+        assert as_array == prefix_error_rates(ips, close, lengths)
+
     def test_bad_pairs_rejected(self):
         ips = np.array([1, 2], dtype=np.uint64)
         with pytest.raises(DataError):

@@ -572,6 +572,10 @@ class TestExportAndCli:
             assert "exact tiling" in rendered
         answered = int(np.flatnonzero(record.found >= 0)[0])
         assert "unanswered" not in render_timeline(dump, query=answered)
+        summary = render_summary([dump])
+        assert (
+            f"{failed.size} of {record.n_queries} queries unanswered" in summary
+        )
 
     def test_summary_decomposes_every_phase(self, trace_file):
         dumps = load_trace_jsonl(trace_file)

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from repro.topology.elements import RouterKind
-from repro.topology.graph import Route
+from repro.topology.graph import Route, RouterLevelTopology
 from repro.topology.ip import ip_prefix
+from repro.util.errors import SimulationError
 
 
 class TestGenerationInvariants:
@@ -160,3 +161,100 @@ class TestHopLength:
     def test_hop_length_counts_links(self):
         route = Route(routers=(1, 2, 3), latency_ms=5.0)
         assert route.hop_length == 4
+
+
+def _pairs_by_pop_router(internet):
+    """Same-PoP-router pairs (incl. one host with itself) and cross-PoP pairs."""
+    by_router: dict[int, list[int]] = {}
+    for host in internet.hosts:
+        router = internet.attachment_pop_router(host.host_id)
+        by_router.setdefault(router, []).append(host.host_id)
+    groups = [hosts for hosts in by_router.values() if len(hosts) >= 2]
+    same = [(a, b) for hosts in groups for a in hosts[:6] for b in hosts[:6]]
+    cross = [
+        (first[i], second[-1 - i])
+        for first, second in zip(groups, groups[1:])
+        for i in range(min(3, len(first), len(second)))
+    ]
+    return same, cross
+
+
+def _with_core_graph(internet, core_graph):
+    """The same hosts and chains over a different core graph."""
+    return RouterLevelTopology(
+        internet.isps,
+        internet.pops,
+        internet.routers,
+        internet.end_networks,
+        internet.hosts,
+        core_graph,
+    )
+
+
+class TestLatencyEntryPoints:
+    """``latency_ms``, ``latency_block``, ``pair_latencies`` and ``route``
+    read the same RTTs and fail the same way."""
+
+    @pytest.mark.parametrize("kind", ["same_pop", "cross_pop"])
+    def test_entry_points_agree_bit_for_bit(self, small_internet, kind):
+        same, cross = _pairs_by_pop_router(small_internet)
+        pairs = same if kind == "same_pop" else cross
+        assert pairs
+        scalar = np.array([small_internet.latency_ms(a, b) for a, b in pairs])
+        routed = np.array([small_internet.route(a, b).latency_ms for a, b in pairs])
+        listed = small_internet.pair_latencies(pairs)
+        rows = np.array([a for a, _ in pairs])
+        cols = np.array([b for _, b in pairs])
+        block = small_internet.latency_block(rows, cols)
+        diagonal = block[np.arange(len(pairs)), np.arange(len(pairs))]
+        for values in (routed, listed, diagonal):
+            assert np.array_equal(values, scalar)
+
+    @pytest.fixture(scope="class")
+    def cross_pair(self, small_internet):
+        _, cross = _pairs_by_pop_router(small_internet)
+        return cross[0]
+
+    def _assert_every_entry_point_raises(self, world, a, b, match):
+        with pytest.raises(SimulationError, match=match):
+            world.latency_ms(a, b)
+        with pytest.raises(SimulationError, match=match):
+            world.latency_block(np.array([a]), np.array([b]))
+        with pytest.raises(SimulationError, match=match):
+            world.pair_latencies([(a, b)])
+        with pytest.raises(SimulationError, match=match):
+            world.route(a, b)
+
+    def _assert_same_pop_still_answers(self, world, host):
+        router = world.attachment_pop_router(host)
+        mates = [
+            h.host_id
+            for h in world.hosts
+            if world.attachment_pop_router(h.host_id) == router
+        ]
+        a, b = mates[0], mates[-1]
+        expected = world.latency_ms(a, b)
+        assert world.route(a, b).latency_ms == expected
+        assert world.pair_latencies([(a, b)])[0] == expected
+        assert world.latency_block(np.array([a]), np.array([b]))[0, 0] == expected
+
+    def test_router_outside_core_graph(self, small_internet, cross_pair):
+        a, b = cross_pair
+        core = small_internet.core_graph.copy()
+        core.remove_node(small_internet.attachment_pop_router(b))
+        world = _with_core_graph(small_internet, core)
+        self._assert_every_entry_point_raises(
+            world, a, b, "is not in the core graph"
+        )
+        self._assert_same_pop_still_answers(world, b)
+
+    def test_disconnected_core_graph(self, small_internet, cross_pair):
+        a, b = cross_pair
+        core = small_internet.core_graph.copy()
+        router = small_internet.attachment_pop_router(b)
+        core.remove_edges_from(list(core.edges(router)))
+        world = _with_core_graph(small_internet, core)
+        self._assert_every_entry_point_raises(
+            world, a, b, "core graph is disconnected"
+        )
+        self._assert_same_pop_still_answers(world, b)
