@@ -93,7 +93,8 @@ def run(scale: ExperimentScale | None = None) -> Fig10Result:
     latency, hops = hop_length_vs_latency(
         internet,
         internet.responsive_peer_ids(),
-        max_latency_ms=CLOSE_PEER_THRESHOLD_MS, seed=scale.seed
+        max_latency_ms=CLOSE_PEER_THRESHOLD_MS,
+        seed=scale.seed,
     )
     edges = np.array([0.05, 0.3, 0.8, 1.6, 3.0, 5.0, 7.0, 10.0])
     bins = binned_percentiles(latency, hops, edges, min_count=10)
