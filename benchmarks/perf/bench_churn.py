@@ -15,9 +15,9 @@ schemes with distinct maintenance policies, and reports each scheme's
 
 A second section sweeps the **maintenance disciplines** (eager vs
 coalesce-8 vs lazy, see
-:class:`repro.algorithms.base.MaintenanceScheduler`) for the
+:data:`repro.algorithms.base.MAINTENANCE_DISCIPLINES`) for the
 rebuild-policy schemes on the registered ``steady-churn`` spec itself —
-the schemes whose per-event |M|² bill the scheduler exists to amortise —
+the schemes whose per-event |M|² bill deferral exists to amortise —
 and reports each discipline's ``maintenance_probes_per_event`` plus the
 eager/coalesce savings ratio.
 

@@ -9,7 +9,7 @@ tapestry's prefix-routing neighborhoods) under both lazy disciplines:
   buffered membership events pays one full |M|-region reconstruction;
 * ``lazy-partial`` — the partial-freshness path: a query refreshes only
   the regions its descent actually reads, billed exactly against the
-  buffered events through the scheduler's per-event ledger.
+  buffered events through the algorithm's per-event ledger.
 
 Both arms replay the identical world, event schedule and query targets
 (common random numbers), and the region-keyed reconstruction guarantees
@@ -52,7 +52,8 @@ from repro.topology.clustered import ClusteredConfig
 
 SCALES = ("tiny", "paper")
 
-#: The schemes with a partial_flush path (``supports_partial_flush``).
+#: The region-indexed schemes (``RegionIndexedSearch``), which refresh
+#: only touched regions under ``lazy-partial``.
 SCHEMES = (
     ("karger-ruhl", KargerRuhlSearch),
     ("tapestry", TapestrySearch),

@@ -21,9 +21,9 @@ package holds the fixes that use extra information).
 """
 
 from repro.algorithms.base import (
-    MaintenanceScheduler,
     NearestPeerAlgorithm,
     ProbeRound,
+    RegionIndexedSearch,
     SearchResult,
     probe_round,
 )
@@ -36,9 +36,9 @@ from repro.algorithms.tapestry import TapestrySearch
 from repro.algorithms.tiers import TiersSearch
 
 __all__ = [
-    "MaintenanceScheduler",
     "NearestPeerAlgorithm",
     "ProbeRound",
+    "RegionIndexedSearch",
     "SearchResult",
     "probe_round",
     "MeridianSearch",

@@ -22,21 +22,23 @@ from repro.util.rng import make_rng
 #: the query probe bill is.
 MAINTENANCE_POLICIES = ("incremental", "rebuild")
 
-#: Maintenance-scheduling disciplines (see :class:`MaintenanceScheduler`).
-#: ``eager`` applies every membership event to the index the moment it is
-#: observed (the historical behaviour, bit-identical).  ``coalesce`` buffers
-#: events and applies their *net* effect once per ``window`` events, so a
-#: rebuild-policy scheme pays one reconstruction per window instead of one
-#: per event (queries between flushes run against the bounded-staleness
-#: index).  ``lazy`` buffers events until the next query touches the stale
-#: index, so event-only phases cost nothing and the whole deferred bill
-#: lands on the query that finally needs the index fresh.  ``lazy-partial``
-#: is the region-aware refinement of ``lazy``: a query refreshes only the
-#: index *regions* it actually reads (a region-sized rebuild per touched
-#: node instead of a full |M|^2 flush), answering from a partially fresh
-#: index; schemes that do not declare
-#: :attr:`NearestPeerAlgorithm.supports_partial_flush` fall back to the
-#: full flush and behave exactly like ``lazy``.
+#: Maintenance-scheduling disciplines (the ``maintenance`` constructor
+#: argument of :class:`NearestPeerAlgorithm`).  The member set is updated
+#: the moment an event is observed; the discipline decides when the
+#: scheme's *index* catches up.  ``eager`` applies every membership event
+#: to the index at once (the historical behaviour, bit-identical).
+#: ``coalesce`` buffers events and applies their *net* effect once per
+#: ``window`` events, so a rebuild-policy scheme pays one reconstruction
+#: per window instead of one per event (queries between flushes run
+#: against the bounded-staleness index).  ``lazy`` buffers events until
+#: the next query touches the stale index, so event-only phases cost
+#: nothing and the whole deferred bill lands on the query that finally
+#: needs the index fresh.  ``lazy-partial`` is the region-aware refinement
+#: of ``lazy``: a query refreshes only the index *regions* it actually
+#: reads (a region-sized rebuild per touched node instead of a full
+#: |M|^2 flush), answering from a partially fresh index; a scheme that is
+#: not a :class:`RegionIndexedSearch` runs it as ``lazy``.  Deferred
+#: probes are billed when they fire, to the buffered events they apply.
 MAINTENANCE_DISCIPLINES = ("eager", "coalesce", "lazy", "lazy-partial")
 
 
@@ -47,7 +49,7 @@ class MaintenanceLedger:
     monotonically increasing *event id* (:meth:`new_event`), and every
     maintenance probe is charged (:meth:`charge`) to the event(s) that
     caused it: an eager event's bill lands on its own id, a flush's bill
-    is split over the buffered ids it applied, and a partial-flush region
+    is split over the buffered ids it applied, and an on-demand region
     refresh is split over the ids still pending.  Probes with no
     membership-event cause (continuous overlay upkeep such as Meridian
     ring repair) accrue on the :attr:`background` bucket.
@@ -114,129 +116,42 @@ class MaintenanceLedger:
         self.background = 0
 
 
-class MaintenanceScheduler:
-    """Decides *when* observed membership events are applied to the index.
+#: Events a bare ``"coalesce"`` spec buffers before each flush.
+DEFAULT_COALESCE_WINDOW = 8
 
-    The scheduler decouples observing a join/leave from paying for it: the
-    member set is always updated the moment an event is observed (the
-    overlay knows who is alive), but the scheme's *index* — ring sets,
-    routing tables, beacon columns — is only re-aligned when the scheduler
-    says so.  Deferred probes are still honestly billed when they fire: a
-    flush runs under the same counted-maintenance accounting as an eager
-    event, and the ledger charges its bill to the buffered events it
-    applied.
 
-    Disciplines (:data:`MAINTENANCE_DISCIPLINES`):
+def _parse_maintenance(spec: str | None) -> tuple[str, int]:
+    """A ``maintenance=`` spec as ``(discipline, coalesce window)``.
 
-    * ``eager`` — flush on every event.  Bit-identical to the pre-scheduler
-      code path: same draws, same probes, same results.
-    * ``coalesce`` — flush after every ``window`` buffered events.  Queries
-      between flushes answer from the stale index (staleness bounded by the
-      window), which is how real deployments batch repairs.
-    * ``lazy`` — flush only when a query arrives and the index is stale, so
-      the index is always fresh at query time but event-only stretches
-      (e.g. a churn warmup, or many events between sparse queries) coalesce
-      into a single application.
-    * ``lazy-partial`` — like ``lazy``, but a query refreshes only the index
-      regions its descent actually reads (see
-      :meth:`NearestPeerAlgorithm.partial_flush`); schemes without
-      :attr:`~NearestPeerAlgorithm.supports_partial_flush` degrade to the
-      full flush, i.e. behave exactly like ``lazy``.
-
-    The scheduler itself holds only the *decision* state (discipline,
-    window, pending-event count) plus the :class:`MaintenanceLedger` that
-    attributes every maintenance probe to the membership event that caused
-    it; the mechanics of applying buffered events live in
-    :meth:`NearestPeerAlgorithm._flush`.
+    Accepts ``None`` (eager) or a string: ``"eager"``, ``"lazy"``,
+    ``"lazy-partial"``, ``"coalesce"`` (default window) or
+    ``"coalesce:<k>"``; anything else is a :class:`ConfigurationError`.
     """
-
-    def __init__(self, discipline: str = "eager", window: int = 8) -> None:
-        if discipline not in MAINTENANCE_DISCIPLINES:
+    if spec is None:
+        return "eager", DEFAULT_COALESCE_WINDOW
+    if not isinstance(spec, str):
+        raise ConfigurationError(
+            f"maintenance spec must be a string, got {type(spec).__name__}"
+        )
+    name, _, arg = spec.partition(":")
+    window = DEFAULT_COALESCE_WINDOW
+    if arg:
+        if name != "coalesce":
             raise ConfigurationError(
-                f"unknown maintenance discipline {discipline!r}; "
-                f"choose from {MAINTENANCE_DISCIPLINES}"
+                f"only the coalesce discipline takes a window, got {spec!r}"
             )
-        if discipline == "coalesce" and window < 1:
-            raise ConfigurationError(f"coalesce window must be >= 1, got {window}")
-        self.discipline = discipline
-        self.window = window
-        #: Events buffered since the last flush.
-        self.pending_events = 0
-        #: Flushes performed since :meth:`reset` (diagnostic).
-        self.flush_count = 0
-        #: Exact per-cause probe attribution (event id -> probes).
-        self.ledger = MaintenanceLedger()
-
-    @classmethod
-    def from_spec(
-        cls, spec: "str | MaintenanceScheduler | None"
-    ) -> "MaintenanceScheduler":
-        """Coerce a user-facing spec into a scheduler.
-
-        Accepts ``None`` (eager), a ready-made scheduler (its
-        *configuration* is copied into a fresh instance — schedulers
-        carry per-algorithm runtime state, so sharing one object between
-        algorithms would tangle their buffers), or a string: ``"eager"``,
-        ``"lazy"``, ``"lazy-partial"``, ``"coalesce"`` (default window) or
-        ``"coalesce:<k>"``.
-        """
-        if spec is None:
-            return cls()
-        if isinstance(spec, MaintenanceScheduler):
-            return cls(spec.discipline, window=spec.window)
-        if not isinstance(spec, str):
-            raise ConfigurationError(
-                f"maintenance spec must be a string or MaintenanceScheduler, "
-                f"got {type(spec).__name__}"
-            )
-        name, _, arg = spec.partition(":")
-        if arg:
-            if name != "coalesce":
-                raise ConfigurationError(
-                    f"only the coalesce discipline takes a window, got {spec!r}"
-                )
-            try:
-                window = int(arg)
-            except ValueError:
-                raise ConfigurationError(
-                    f"bad coalesce window in {spec!r}"
-                ) from None
-            return cls("coalesce", window=window)
-        return cls(name)
-
-    @property
-    def eager(self) -> bool:
-        return self.discipline == "eager"
-
-    @property
-    def flush_on_query(self) -> bool:
-        """Whether a stale index must be *fully* refreshed before answering."""
-        return self.discipline == "lazy"
-
-    @property
-    def partial_on_query(self) -> bool:
-        """Whether queries refresh only the index regions they read."""
-        return self.discipline == "lazy-partial"
-
-    def note_event(self) -> bool:
-        """Record one buffered event; True when the flush is due now."""
-        self.pending_events += 1
-        return self.discipline == "coalesce" and self.pending_events >= self.window
-
-    def note_flush(self) -> None:
-        self.pending_events = 0
-        self.flush_count += 1
-
-    def reset(self) -> None:
-        """Forget all scheduling state (a fresh :meth:`~NearestPeerAlgorithm.build`)."""
-        self.pending_events = 0
-        self.flush_count = 0
-        self.ledger.reset()
-
-    def describe(self) -> str:
-        if self.discipline == "coalesce":
-            return f"coalesce:{self.window}"
-        return self.discipline
+        try:
+            window = int(arg)
+        except ValueError:
+            raise ConfigurationError(f"bad coalesce window in {spec!r}") from None
+    if name not in MAINTENANCE_DISCIPLINES:
+        raise ConfigurationError(
+            f"unknown maintenance discipline {name!r}; "
+            f"choose from {MAINTENANCE_DISCIPLINES}"
+        )
+    if name == "coalesce" and window < 1:
+        raise ConfigurationError(f"coalesce window must be >= 1, got {window}")
+    return name, window
 
 
 class ProbeRound:
@@ -358,11 +273,11 @@ class NearestPeerAlgorithm(abc.ABC):
     index per event, ``rebuild`` schemes re-run the full build per event
     with every probe counted (``rebuild_count`` tracks how often).
 
-    *When* maintenance fires is the :class:`MaintenanceScheduler`'s call
-    (the ``maintenance`` constructor argument): under the default
-    ``eager`` discipline events are applied immediately (bit-identical to
-    the pre-scheduler code), while ``coalesce``/``lazy`` buffer events and
-    apply their net effect later — see :meth:`_flush`.
+    *When* maintenance fires is the discipline's call (the
+    ``maintenance`` constructor argument, see
+    :data:`MAINTENANCE_DISCIPLINES`): under the default ``eager``
+    discipline events are applied immediately, while ``coalesce``/``lazy``
+    buffer events and apply their net effect later — see :meth:`_flush`.
 
     Every scheme implements its search once, as the stepwise :meth:`_plan`
     generator: :meth:`query_plan` hands it to the simulated-time daemon,
@@ -374,15 +289,8 @@ class NearestPeerAlgorithm(abc.ABC):
     name: str = "abstract"
     #: Declared membership-maintenance policy (class attribute).
     maintenance_policy: str = "rebuild"
-    #: Whether the scheme can refresh single index *regions* on demand
-    #: (class attribute) — the ``lazy-partial`` discipline's fast path.
-    #: Declaring True requires implementing :meth:`_region_is_fresh`,
-    #: :meth:`_refresh_region` and :meth:`_note_index_current`.
-    supports_partial_flush: bool = False
 
-    def __init__(
-        self, maintenance: "str | MaintenanceScheduler | None" = None
-    ) -> None:
+    def __init__(self, maintenance: str | None = None) -> None:
         self._oracle: LatencyOracle | None = None
         self._probe_oracle: LatencyOracle | None = None
         self._members: np.ndarray | None = None
@@ -391,7 +299,14 @@ class NearestPeerAlgorithm(abc.ABC):
         self._maintenance_probe_count = 0
         self._in_maintenance = False
         self.rebuild_count = 0
-        self._scheduler = MaintenanceScheduler.from_spec(maintenance)
+        discipline, self._coalesce_window = _parse_maintenance(maintenance)
+        if discipline == "lazy-partial" and not isinstance(
+            self, RegionIndexedSearch
+        ):
+            discipline = "lazy"  # no regions to refresh one at a time
+        self._discipline = discipline
+        #: Exact per-cause probe attribution (event id -> probes).
+        self._ledger = MaintenanceLedger()
         # Event ids buffered since the last flush (ledger attribution).
         self._pending_event_ids: list[int] = []
         # The membership the *index* currently reflects, or None when the
@@ -447,9 +362,8 @@ class NearestPeerAlgorithm(abc.ABC):
         self._members = np.asarray(member_ids, dtype=int)
         self._indexed_members = None
         self._reset_member_mask()
-        self._scheduler.reset()
+        self._ledger.reset()
         self._pending_event_ids = []
-        self._partial_reset()
         self._build(make_rng(seed))
 
     def _reset_member_mask(self) -> None:
@@ -466,8 +380,6 @@ class NearestPeerAlgorithm(abc.ABC):
         remove: np.ndarray | None = None,
     ) -> None:
         """O(changes) mask maintenance after a membership event."""
-        if self._member_mask is None:
-            return
         if remove is not None and remove.size:
             self._member_mask[remove] = False
         if add is not None and add.size:
@@ -537,11 +449,11 @@ class NearestPeerAlgorithm(abc.ABC):
                 f"{self.name}: join() ids already members: "
                 f"{joined[dup_hits].tolist()[:8]}"
             )
-        if not self._scheduler.eager:
+        if self._discipline != "eager":
             return self._defer_event(
                 np.concatenate([self._members, joined]), seed, joined=joined
             )
-        event_id = self._scheduler.ledger.new_event()
+        event_id = self._ledger.new_event()
         self._members = np.concatenate([self._members, joined])
         self._update_member_mask(add=joined)
         return self._maintain([event_id], self._join, joined, make_rng(seed))
@@ -576,9 +488,9 @@ class NearestPeerAlgorithm(abc.ABC):
                 f"{self.name}: leave() would drop membership below 2 "
                 f"({int(kept_mask.sum())} would remain)"
             )
-        if not self._scheduler.eager:
+        if self._discipline != "eager":
             return self._defer_event(self._members[kept_mask], seed, left=left)
-        event_id = self._scheduler.ledger.new_event()
+        event_id = self._ledger.new_event()
         self._members = self._members[kept_mask]
         self._update_member_mask(remove=left)
         return self._maintain(
@@ -601,7 +513,7 @@ class NearestPeerAlgorithm(abc.ABC):
         finally:
             self._in_maintenance = False
         spent = self._maintenance_probe_count - before
-        self._scheduler.ledger.charge(event_ids, spent)
+        self._ledger.charge(event_ids, spent)
         return spent
 
     # -- deferred maintenance (non-eager disciplines) --------------------------
@@ -616,17 +528,20 @@ class NearestPeerAlgorithm(abc.ABC):
         """Buffer one observed membership event; flush if the window fills."""
         if self._indexed_members is None:
             self._indexed_members = self._members
-        self._pending_event_ids.append(self._scheduler.ledger.new_event())
+        self._pending_event_ids.append(self._ledger.new_event())
         self._members = members_after
         self._update_member_mask(add=joined, remove=left)
-        if self._scheduler.note_event():
+        if (
+            self._discipline == "coalesce"
+            and len(self._pending_event_ids) >= self._coalesce_window
+        ):
             return self._flush(make_rng(seed))
         return 0
 
     @property
     def maintenance_discipline(self) -> str:
-        """The scheduling discipline in force (``eager``/``coalesce``/``lazy``)."""
-        return self._scheduler.discipline
+        """The discipline in force (see :data:`MAINTENANCE_DISCIPLINES`)."""
+        return self._discipline
 
     @property
     def has_pending_maintenance(self) -> bool:
@@ -636,7 +551,7 @@ class NearestPeerAlgorithm(abc.ABC):
     @property
     def pending_maintenance_events(self) -> int:
         """Buffered events since the last flush."""
-        return self._scheduler.pending_events
+        return len(self._pending_event_ids)
 
     def flush_maintenance(
         self, seed: int | np.random.Generator | None = None
@@ -677,7 +592,6 @@ class NearestPeerAlgorithm(abc.ABC):
         # *set* (deferred events updated mask and members in lock-step), so
         # the mask contents stay valid — only re-pin its identity anchor.
         self._member_mask_for = self._members
-        self._scheduler.note_flush()
         if self._flush_observer is not None and event_ids:
             self._flush_observer(tuple(event_ids), spent, "flush")
         self._pending_event_ids = []
@@ -703,18 +617,9 @@ class NearestPeerAlgorithm(abc.ABC):
             # order, hence the same query draws.
             if self.maintenance_policy == "incremental":
                 self._members = flushed
-            elif self.supports_partial_flush:
-                self._note_index_current()
         elif self.maintenance_policy == "rebuild":
-            if self.supports_partial_flush and self._scheduler.partial_on_query:
-                # Forced flush under lazy-partial: bring only the
-                # still-stale regions up to date — regions a query already
-                # refreshed at this generation are not rebuilt (or billed)
-                # twice.
-                self._refresh_stale_regions()
-            else:
-                self.rebuild_count += 1
-                self._build(rng)
+            self.rebuild_count += 1
+            self._build(rng)
         else:
             if net_left.size:
                 self._members = survivors
@@ -751,104 +656,6 @@ class NearestPeerAlgorithm(abc.ABC):
         self.rebuild_count += 1
         self._build(rng)
 
-    # -- partial freshness (region-aware lazy maintenance) ---------------------
-
-    @property
-    def maintenance_generation(self) -> int:
-        """Membership events observed since :meth:`build` (the ledger length).
-
-        Region-keyed schemes derive per-region rng streams from this, so a
-        region refreshed on demand at generation ``g`` holds bit-identical
-        content to the same region inside a full rebuild at ``g``.
-        """
-        return self._scheduler.ledger.n_events
-
-    @property
-    def partial_mode(self) -> bool:
-        """Whether this scheme answers queries from a partially fresh index."""
-        return self.supports_partial_flush and self._scheduler.partial_on_query
-
-    @property
-    def _partial_pending(self) -> bool:
-        return self.partial_mode and self._indexed_members is not None
-
-    def _partial_reset(self) -> None:
-        """Hook: forget partial-freshness bookkeeping (called by :meth:`build`)."""
-
-    def _region_is_fresh(self, node: int) -> bool:
-        """Hook: whether ``node``'s index region reflects the live membership."""
-        raise ConfigurationError(
-            f"{self.name} does not support partial flushes"
-        )
-
-    def _refresh_region(self, node: int) -> None:
-        """Hook: rebuild ``node``'s index region against the current view.
-
-        Called under maintenance accounting; implementations measure
-        through :meth:`offline_probe_block`, so the region-sized bill is
-        honest.
-        """
-        raise ConfigurationError(
-            f"{self.name} does not support partial flushes"
-        )
-
-    def _note_index_current(self) -> None:
-        """Hook: declare the whole index fresh without touching content."""
-        raise ConfigurationError(
-            f"{self.name} does not support partial flushes"
-        )
-
-    def _refresh_stale_regions(self) -> None:
-        """Region-wise full flush: refresh every stale region, skip fresh ones."""
-        for node in self.members:
-            node = int(node)
-            if not self._region_is_fresh(node):
-                self._refresh_region(node)
-        self._note_index_current()
-
-    def touch_region(self, node: int) -> int:
-        """Refresh one region on demand (the partial-freshness read path).
-
-        Native plans call this immediately before reading a node's region
-        (karger-ruhl: its sampled ball hierarchy; tapestry: its routing
-        table).  Outside ``lazy-partial`` — or when the region is already
-        fresh — this is a cheap no-op.  The region-sized bill is split
-        over the pending event ids *without* retiring them: later touches
-        (or the eventual full flush) keep charging the same causes until
-        the whole index is fresh and the buffer drains.
-        """
-        if not self._partial_pending or self._region_is_fresh(int(node)):
-            return 0
-        spent = self._maintain(
-            self._pending_event_ids, self._refresh_region, int(node)
-        )
-        if self._flush_observer is not None and spent:
-            self._flush_observer(
-                tuple(self._pending_event_ids), spent, "partial"
-            )
-        return spent
-
-    def partial_flush(
-        self,
-        touched: np.ndarray | Iterable[int],
-        seed: int | np.random.Generator | None = None,
-    ) -> int:
-        """Refresh only the regions of ``touched`` nodes; returns probes spent.
-
-        The public face of the region-aware path: under ``lazy-partial``
-        on a supporting scheme this refreshes exactly the stale regions
-        among ``touched`` (each a region-sized counted rebuild).  On any
-        other discipline — or a scheme without
-        :attr:`supports_partial_flush` — it falls back to the full
-        :meth:`_flush`, so callers can always use it as "make these reads
-        safe now".
-        """
-        if self._indexed_members is None:
-            return 0
-        if not self.partial_mode:
-            return self._flush(make_rng(seed))
-        return sum(self.touch_region(int(node)) for node in touched)
-
     def query(
         self,
         target: int,
@@ -861,10 +668,10 @@ class NearestPeerAlgorithm(abc.ABC):
         the query answers from the bounded-staleness index — it may return
         a recently departed member or miss a very recent arrival, exactly
         the trade real batched-repair deployments make.  Under
-        ``lazy-partial`` (on a supporting scheme) nothing is flushed up
-        front: the plan refreshes each region as it reads it
-        (:meth:`touch_region`), answering from a partially fresh index at
-        a region-sized bill instead of a full one.
+        ``lazy-partial`` nothing is flushed up front: the plan refreshes
+        each region as it reads it (:meth:`RegionIndexedSearch.touch_region`),
+        answering from a partially fresh index at a region-sized bill
+        instead of a full one.
 
         This drives :meth:`query_plan` to completion with no delays, which
         is what makes zero-delay plan driving bit-identical to the blocking
@@ -878,13 +685,6 @@ class NearestPeerAlgorithm(abc.ABC):
                 plan.send(None)
         except StopIteration as stop:
             return stop.value
-
-    @property
-    def _must_flush_on_query(self) -> bool:
-        """Full flush needed before answering (lazy, or unsupported partial)."""
-        return self._scheduler.flush_on_query or (
-            self._scheduler.partial_on_query and not self.supports_partial_flush
-        )
 
     # -- stepwise query protocol (sans-io) -------------------------------------
 
@@ -929,9 +729,9 @@ class NearestPeerAlgorithm(abc.ABC):
         bill; likewise the plan's member view is swapped in so a step
         never sees a membership newer than its snapshot.
         """
-        if self._indexed_members is not None and self._must_flush_on_query:
+        if self._indexed_members is not None and self._discipline == "lazy":
             self._flush(rng)
-        if self.partial_mode:
+        if self._discipline == "lazy-partial":
             # Partial freshness answers from the *live* membership — the
             # regions the plan touches are refreshed against it on demand.
             view = self._members
@@ -1059,7 +859,7 @@ class NearestPeerAlgorithm(abc.ABC):
     @property
     def maintenance_ledger(self) -> MaintenanceLedger:
         """The exact per-cause probe ledger (see :class:`MaintenanceLedger`)."""
-        return self._scheduler.ledger
+        return self._ledger
 
     @property
     def maintenance_by_event(self) -> np.ndarray:
@@ -1071,12 +871,12 @@ class NearestPeerAlgorithm(abc.ABC):
         bills are invariant to the order in which in-flight queries
         finish.
         """
-        return self._scheduler.ledger.bills()
+        return self._ledger.bills()
 
     @property
     def maintenance_background_probes(self) -> int:
         """Maintenance probes with no membership-event cause (e.g. ring repair)."""
-        return self._scheduler.ledger.background
+        return self._ledger.background
 
     def _offer_round(self, nodes, target: int, values):
         """Yield one probe fan-out and apply the driver's outcome mask.
@@ -1143,3 +943,132 @@ class NearestPeerAlgorithm(abc.ABC):
             hops=hops,
             path=path or [],
         )
+
+
+class RegionIndexedSearch(NearestPeerAlgorithm):
+    """A rebuild-policy scheme whose index is one *region* per member.
+
+    Node ``v``'s region (karger-ruhl: its sampled ball hierarchy;
+    tapestry: its routing table) depends only on the membership, the
+    region base (one rng draw per :meth:`build`) and the index
+    generation (:attr:`maintenance_generation`).  A region rebuilt on its
+    own therefore holds bit-identical content to the same region inside a
+    full rebuild at that generation, and full rebuilds consume nothing
+    from the caller's rng.  That is what lets ``lazy-partial`` refresh
+    only the regions a query reads (:meth:`touch_region`) and still
+    return exactly the answers a full ``lazy`` flush would.
+
+    Subclasses implement :meth:`_build_region` and :meth:`_plan`.
+    """
+
+    maintenance_policy = "rebuild"
+
+    def __init__(self, maintenance: str | None = None) -> None:
+        super().__init__(maintenance=maintenance)
+        #: node -> its region, as :meth:`_build_region` returned it.
+        self._index: dict[int, object] = {}
+        # The seed of every region stream, the generation the whole index
+        # reflects, and per-region overrides for regions refreshed on
+        # demand since then.
+        self._region_base: int | None = None
+        self._index_gen = 0
+        self._region_gen: dict[int, int] = {}
+
+    def build(
+        self,
+        oracle: LatencyOracle,
+        member_ids: np.ndarray | list[int],
+        seed: int | np.random.Generator | None = None,
+        probe_oracle: LatencyOracle | None = None,
+    ) -> None:
+        self._region_base = None  # a fresh build draws a fresh base
+        super().build(oracle, member_ids, seed=seed, probe_oracle=probe_oracle)
+
+    @abc.abstractmethod
+    def _build_region(self, node: int) -> object:
+        """Build ``node``'s region against the current membership.
+
+        Measures through :meth:`offline_probe_block`, so a refresh run
+        as maintenance carries its honest region-sized bill.
+        """
+
+    @property
+    def maintenance_generation(self) -> int:
+        """Membership events observed since :meth:`build` (the ledger length).
+
+        Region rng streams are keyed by it, so a region refreshed on
+        demand at generation ``g`` matches a full rebuild at ``g``.
+        """
+        return self._ledger.n_events
+
+    def _build(self, rng: np.random.Generator) -> None:
+        if self._region_base is None:
+            # One draw pins every region stream; rebuilds consume nothing.
+            self._region_base = int(rng.integers(2**63))
+        self._index = {}
+        for node in self.members:
+            node = int(node)
+            self._index[node] = self._build_region(node)
+        self._note_index_current()
+
+    def _region_is_fresh(self, node: int) -> bool:
+        return (
+            self._region_gen.get(node, self._index_gen)
+            == self.maintenance_generation
+        )
+
+    def _refresh_region(self, node: int) -> None:
+        self._index[node] = self._build_region(node)
+        self._region_gen[node] = self.maintenance_generation
+
+    def _note_index_current(self) -> None:
+        """Declare every region fresh and drop departed members' regions."""
+        self._index_gen = self.maintenance_generation
+        self._region_gen = {}
+        if len(self._index) != self.members.size:
+            live = set(self.members.tolist())
+            for node in [n for n in self._index if n not in live]:
+                del self._index[node]
+
+    def _apply_net_change(
+        self, flushed: np.ndarray, rng: np.random.Generator
+    ) -> None:
+        if self._discipline != "lazy-partial":
+            super()._apply_net_change(flushed, rng)
+            return
+        # A forced flush under lazy-partial brings only the still-stale
+        # regions up to date: a region a query already refreshed at this
+        # generation is not rebuilt (or billed) twice.  When every
+        # buffered event netted out the regions still describe the live
+        # membership, and the index only catches up with the generation.
+        members = self.members
+        netted_out = flushed.size == members.size and bool(
+            self._member_mask[flushed].all()
+        )
+        if not netted_out:
+            for node in members.tolist():
+                if not self._region_is_fresh(node):
+                    self._refresh_region(node)
+        self._note_index_current()
+
+    def touch_region(self, node: int) -> int:
+        """Refresh one region on demand (the partial-freshness read path).
+
+        Native plans call this immediately before reading a node's
+        region.  Outside ``lazy-partial``, with nothing pending, or when
+        the region is already fresh this is a cheap no-op.  The
+        region-sized bill is split over the pending event ids *without*
+        retiring them: later touches (or the eventual full flush) keep
+        charging the same causes until the buffer drains.
+        """
+        node = int(node)
+        if (
+            self._discipline != "lazy-partial"
+            or self._indexed_members is None
+            or self._region_is_fresh(node)
+        ):
+            return 0
+        spent = self._maintain(self._pending_event_ids, self._refresh_region, node)
+        if self._flush_observer is not None and spent:
+            self._flush_observer(tuple(self._pending_event_ids), spent, "partial")
+        return spent

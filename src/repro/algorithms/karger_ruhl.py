@@ -16,11 +16,11 @@ import math
 
 import numpy as np
 
-from repro.algorithms.base import NearestPeerAlgorithm
+from repro.algorithms.base import RegionIndexedSearch
 from repro.util.validate import require_positive
 
 
-class KargerRuhlSearch(NearestPeerAlgorithm):
+class KargerRuhlSearch(RegionIndexedSearch):
     """Metric-sampling nearest-neighbour search.
 
     Maintenance policy: ``rebuild``.  The per-scale ball samples of every
@@ -33,21 +33,15 @@ class KargerRuhlSearch(NearestPeerAlgorithm):
     amortises the bill: events buffer and one counted rebuild covers the
     whole batch, which is how real deployments schedule repair.
 
-    The index is *region-keyed*: node ``v``'s sample hierarchy at index
-    generation ``g`` (the count of observed membership events) is drawn
-    from its own rng stream seeded ``(region_base, g, v)``, where
-    ``region_base`` is a single draw at initial build.  Rebuilds and
-    flushes therefore consume nothing from the caller's rng, and a region
-    refreshed *on demand* holds bit-identical content to the same region
-    inside a full rebuild at the same generation — which is what lets the
-    ``lazy-partial`` discipline (``supports_partial_flush``) refresh only
-    the ``|touched| * |M|`` regions a query's descent reads while
-    returning exactly the answers a full ``lazy`` flush would.
+    The index is region-keyed (:class:`RegionIndexedSearch`): node
+    ``v``'s sample hierarchy at index generation ``g`` is drawn from its
+    own rng stream seeded ``(region_base, g, v)``, so ``lazy-partial``
+    refreshes only the ``|touched| * |M|`` regions a query's descent
+    reads while returning exactly the answers a full ``lazy`` flush
+    would.
     """
 
     name = "karger-ruhl"
-    maintenance_policy = "rebuild"
-    supports_partial_flush = True
 
     def __init__(
         self,
@@ -63,15 +57,8 @@ class KargerRuhlSearch(NearestPeerAlgorithm):
         self._min_scale_ms = min_scale_ms
         self._max_scale_ms = max_scale_ms
         self._max_rounds = max_rounds
-        self._scales: list[float] = []
-        # member -> scale index -> sampled member ids
-        self._samples: dict[int, list[np.ndarray]] = {}
-        # Partial-freshness bookkeeping: the seed of every region stream,
-        # the generation the full index reflects, and per-region overrides
-        # for regions refreshed on demand since then.
-        self._region_base: int | None = None
-        self._index_gen = 0
-        self._region_gen: dict[int, int] = {}
+        n_scales = self._scale_index(max_scale_ms) + 1
+        self._scales = [min_scale_ms * 2**i for i in range(n_scales)]
 
     def _scale_index(self, distance_ms: float) -> int:
         clamped = min(max(distance_ms, self._min_scale_ms), self._max_scale_ms)
@@ -79,24 +66,9 @@ class KargerRuhlSearch(NearestPeerAlgorithm):
             round(math.log2(clamped / self._min_scale_ms))
         )
 
-    def _partial_reset(self) -> None:
-        self._region_base = None
-        self._index_gen = 0
-        self._region_gen = {}
-
-    def _build(self, rng: np.random.Generator) -> None:
-        n_scales = self._scale_index(self._max_scale_ms) + 1
-        self._scales = [self._min_scale_ms * 2**i for i in range(n_scales)]
-        if self._region_base is None:
-            # One draw pins every region stream; rebuilds consume nothing.
-            self._region_base = int(rng.integers(2**63))
-        self._samples = {}
-        for node in self.members:
-            self._build_region(int(node))
-        self._note_index_current()
-
-    def _build_region(self, node: int) -> None:
-        """(Re)draw ``node``'s sample hierarchy from its keyed region stream."""
+    def _build_region(self, node: int) -> list[np.ndarray]:
+        """Draw ``node``'s sample hierarchy (sampled member ids per scale)
+        from its keyed region stream."""
         members = self.members
         rng = np.random.default_rng(
             (self._region_base, self.maintenance_generation, node)
@@ -110,27 +82,7 @@ class KargerRuhlSearch(NearestPeerAlgorithm):
                     inside, size=self._samples_per_scale, replace=False
                 )
             per_scale.append(inside)
-        self._samples[node] = per_scale
-
-    # -- partial freshness -----------------------------------------------------
-
-    def _region_is_fresh(self, node: int) -> bool:
-        return (
-            self._region_gen.get(node, self._index_gen)
-            == self.maintenance_generation
-        )
-
-    def _refresh_region(self, node: int) -> None:
-        self._build_region(node)
-        self._region_gen[node] = self.maintenance_generation
-
-    def _note_index_current(self) -> None:
-        self._index_gen = self.maintenance_generation
-        self._region_gen = {}
-        if len(self._samples) != self.members.size:
-            live = set(int(m) for m in self.members)
-            for node in [n for n in self._samples if n not in live]:
-                del self._samples[node]
+        return per_scale
 
     def _plan(self, target: int, rng: np.random.Generator):
         """Stepwise search: one round per sampling hop (native plan)."""
@@ -147,7 +99,7 @@ class KargerRuhlSearch(NearestPeerAlgorithm):
             # Region-aware freshness: refresh the ball hierarchy this hop
             # reads (a no-op outside lazy-partial / when already fresh).
             self.touch_region(current)
-            per_scale = self._samples.get(current)
+            per_scale = self._index.get(current)
             if per_scale is None:  # departed mid-flight under daemon churn
                 break
             candidates = per_scale[min(scale, len(self._scales) - 1)]

@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import NearestPeerAlgorithm
+from repro.algorithms.base import RegionIndexedSearch
 from repro.util.validate import require_positive
 
 _HEX_DIGITS = 16
 
 
-class TapestrySearch(NearestPeerAlgorithm):
+class TapestrySearch(RegionIndexedSearch):
     """Prefix-routing nearest-neighbour search.
 
     Maintenance policy: ``rebuild``.  Hildrum-style routing tables are
@@ -40,20 +40,17 @@ class TapestrySearch(NearestPeerAlgorithm):
     amortisation — one counted rebuild per buffered event batch.
 
     Identifiers are *stable*: each member's hex id is drawn from its own
-    keyed rng stream (seeded off a single ``region_base`` draw at initial
-    build), like the static node hashes of a real Tapestry — rejoining
-    peers keep their id and rebuilds consume nothing from the caller's
-    rng.  Table construction itself is deterministic given ids and
-    distances, so one node's routing table (its *region*) can be rebuilt
-    on demand against the current membership at region cost ``|M|``.
-    That is the ``lazy-partial`` discipline (``supports_partial_flush``):
-    a query refreshes only the prefix neighborhoods on its walked path
-    and returns exactly the answers a full ``lazy`` flush would.
+    keyed rng stream (seeded off the region base), like the static node
+    hashes of a real Tapestry — rejoining peers keep their id.  Table
+    construction itself is deterministic given ids and distances, so one
+    node's routing table (its region, see :class:`RegionIndexedSearch`)
+    can be rebuilt on demand against the current membership at region
+    cost ``|M|``.  Under ``lazy-partial`` a query refreshes only the
+    prefix neighborhoods on its walked path and returns exactly the
+    answers a full ``lazy`` flush would.
     """
 
     name = "tapestry"
-    maintenance_policy = "rebuild"
-    supports_partial_flush = True
 
     def __init__(
         self,
@@ -67,25 +64,17 @@ class TapestrySearch(NearestPeerAlgorithm):
         self._id_digits = id_digits
         self._neighbors_per_entry = neighbors_per_entry
         self._probe_budget_per_level = probe_budget_per_level
+        # Ids drawn so far, and the id matrix cached per member-array
+        # identity; both are drawn off the region base.
         self._ids: dict[int, tuple[int, ...]] = {}
-        # node -> level -> list of neighbour member ids (all digits merged)
-        self._tables: dict[int, list[np.ndarray]] = {}
-        # Partial-freshness bookkeeping (see KargerRuhlSearch): id-stream
-        # seed, the generation the full index reflects, per-region
-        # overrides, and the id matrix cached per member-array identity.
-        self._region_base: int | None = None
-        self._index_gen = 0
-        self._region_gen: dict[int, int] = {}
         self._id_matrix: np.ndarray | None = None
         self._id_matrix_for: np.ndarray | None = None
 
-    def _partial_reset(self) -> None:
-        self._region_base = None
-        self._index_gen = 0
-        self._region_gen = {}
+    def build(self, *args, **kwargs) -> None:
+        # A fresh build draws a fresh region base, hence fresh ids.
         self._ids = {}
-        self._id_matrix = None
         self._id_matrix_for = None
+        super().build(*args, **kwargs)
 
     def _id_of(self, m: int) -> tuple[int, ...]:
         """The member's stable hex id, drawn lazily from its keyed stream."""
@@ -107,17 +96,9 @@ class TapestrySearch(NearestPeerAlgorithm):
             self._id_matrix_for = members
         return self._id_matrix
 
-    def _build(self, rng: np.random.Generator) -> None:
-        if self._region_base is None:
-            # One draw pins every id stream; rebuilds consume nothing.
-            self._region_base = int(rng.integers(2**63))
-        self._tables = {}
-        for node in self.members:
-            self._build_region(int(node))
-        self._note_index_current()
-
-    def _build_region(self, node: int) -> None:
-        """Rebuild one node's routing table against the current membership.
+    def _build_region(self, node: int) -> list[np.ndarray]:
+        """One node's routing table (neighbour ids per level, all digits
+        merged) against the current membership.
 
         Vectorised Hildrum construction: members sharing an ``l``-digit
         prefix with the node, grouped by their next digit, keeping the
@@ -148,27 +129,7 @@ class TapestrySearch(NearestPeerAlgorithm):
             levels.append(np.asarray(chosen, dtype=int))
             if not chosen:
                 break
-        self._tables[node] = levels
-
-    # -- partial freshness -----------------------------------------------------
-
-    def _region_is_fresh(self, node: int) -> bool:
-        return (
-            self._region_gen.get(node, self._index_gen)
-            == self.maintenance_generation
-        )
-
-    def _refresh_region(self, node: int) -> None:
-        self._build_region(node)
-        self._region_gen[node] = self.maintenance_generation
-
-    def _note_index_current(self) -> None:
-        self._index_gen = self.maintenance_generation
-        self._region_gen = {}
-        if len(self._tables) != self.members.size:
-            live = set(int(m) for m in self.members)
-            for node in [n for n in self._tables if n not in live]:
-                del self._tables[node]
+        return levels
 
     def _plan(self, target: int, rng: np.random.Generator):
         """Stepwise search: one round per routing level (native plan)."""
@@ -183,7 +144,7 @@ class TapestrySearch(NearestPeerAlgorithm):
             # Region-aware freshness: refresh the routing table this level
             # reads (a no-op outside lazy-partial / when already fresh).
             self.touch_region(current)
-            table = self._tables.get(current)
+            table = self._index.get(current)
             if table is None:  # departed mid-flight under daemon churn
                 break
             if level >= len(table) or table[level].size == 0:

@@ -11,6 +11,5 @@ Scale: default configs run the full pipeline at laptop-friendly sizes;
 """
 
 from repro.experiments.config import ExperimentScale
-from repro.experiments.runner import run_all
 
-__all__ = ["ExperimentScale", "run_all"]
+__all__ = ["ExperimentScale"]

@@ -246,7 +246,7 @@ class DaemonTrialRecord(TrialRecord):
     relay_extra_ms: float = 0.0
     #: The deadline that ended each query (``FaultSpec.deadline_ms``).
     deadline_ms: float = float("inf")
-    #: Exact per-membership-event maintenance bills from the scheduler's
+    #: Exact per-membership-event maintenance bills from the algorithm's
     #: ledger, length ``n_churn_events``; each entry is invariant to which
     #: in-flight query finishes first.
     maintenance_by_event: np.ndarray = field(

@@ -19,7 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.topology.internet import SyntheticInternet
-from repro.util.errors import SimulationError
 from repro.util.rng import make_rng
 
 
@@ -73,12 +72,6 @@ class Pinger:
         src_pop_router, src_cum = internet.upward_chain(src_host)[-1]
         if anchor_router == src_pop_router:
             return src_cum + below_ms
-        if src_pop_router not in internet.core_graph:
-            # A source whose own PoP router is outside the core graph is a
-            # malformed topology, not an unreachable target.
-            raise SimulationError(
-                f"router {src_pop_router} is not in the core graph"
-            )
         core_ms = internet.core_distance_ms(src_pop_router, anchor_router)
         if core_ms is None:
             return None

@@ -216,12 +216,16 @@ class RouterLevelTopology:
         return SimulationError(f"core graph is disconnected: {int(a)} .. {int(b)}")
 
     def core_distance_ms(self, a: int, b: int) -> float | None:
-        """Shortest-path RTT between two core routers, ``None`` if unknown.
+        """Shortest-path RTT from core router ``a`` to router ``b``.
 
-        ``None`` means ``a`` or ``b`` is not a core router, or the core
-        graph does not connect them.
+        ``None`` means ``b`` is not a core router, or the core graph does
+        not connect the two.  A source ``a`` outside the core graph is a
+        malformed topology, not an unreachable target, and raises.
         """
-        distance = self._core_dist[self._core_row(a), self._core_row(b)]
+        ia = self._core_row(a)
+        if ia == len(self._core_nodes):
+            raise self._core_error(a, b)
+        distance = self._core_dist[ia, self._core_row(b)]
         return None if math.isinf(distance) else float(distance)
 
     def _core_route(self, a: int, b: int) -> tuple[float, list[int]]:

@@ -1,6 +1,10 @@
 """Tests for the extension experiment and the run-all orchestration."""
 
+import os
+import subprocess
+import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import pytest
 
@@ -197,3 +201,20 @@ class TestRunnerFiltering:
         with pytest.raises(SystemExit):
             runner.main(["--workers", "0"])
         assert "--workers must be >= 1" in capsys.readouterr().err
+
+
+def test_module_entry_point_runs_without_warnings():
+    """``python -m repro.experiments.runner`` (the README's main command)
+    must not import the runner twice: that prints a RuntimeWarning, which
+    ``-W error`` turns into a failed start."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "repro.experiments.runner", "--help"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

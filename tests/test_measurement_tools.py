@@ -11,6 +11,22 @@ from repro.measurement.traceroute import (
     TracerouteConfig,
     last_common_router,
 )
+from repro.topology.internet import SyntheticInternet
+from repro.util.errors import SimulationError
+
+
+def _with_core_graph(internet, core_graph):
+    """The same Internet (hosts, chains, anchors) over another core graph."""
+    return SyntheticInternet(
+        internet.config,
+        internet.isps,
+        internet.pops,
+        internet.routers,
+        internet.end_networks,
+        internet.hosts,
+        core_graph,
+        internet.agg_parent,
+    )
 
 
 class TestPinger:
@@ -37,6 +53,39 @@ class TestPinger:
         measured = pinger.ping_router(mh, remote_pop.router_ids[0])
         assert measured is not None
         assert measured > 1.0
+
+    def test_source_pop_outside_core_graph_raises(self, small_internet):
+        mh = small_internet.measurement_host_id
+        src_pop_router = small_internet.upward_chain(mh)[-1][0]
+        remote = next(
+            pop.router_ids[0]
+            for pop in small_internet.pops
+            if pop.router_ids[0] != src_pop_router
+        )
+        core = small_internet.core_graph.copy()
+        core.remove_node(src_pop_router)
+        pinger = Pinger(_with_core_graph(small_internet, core), seed=4)
+        with pytest.raises(SimulationError, match="is not in the core graph"):
+            pinger.ping_router(mh, remote)
+        # A router on the source's own chain needs no core distance.
+        assert pinger.ping_router(mh, src_pop_router) is not None
+
+    def test_unreachable_router_reads_none(self, small_internet):
+        mh = small_internet.measurement_host_id
+        src_pop_router = small_internet.upward_chain(mh)[-1][0]
+        remote = next(
+            pop.router_ids[0]
+            for pop in small_internet.pops
+            if pop.router_ids[0] != src_pop_router
+        )
+        core = small_internet.core_graph.copy()
+        core.remove_edges_from(list(core.edges(remote)))
+        pinger = Pinger(_with_core_graph(small_internet, core), seed=5)
+        assert pinger.ping_router(mh, remote) is None
+        core = small_internet.core_graph.copy()
+        core.remove_node(remote)
+        pinger = Pinger(_with_core_graph(small_internet, core), seed=6)
+        assert pinger.ping_router(mh, remote) is None
 
     def test_unresponsive_host_returns_none(self, small_internet):
         silent = [

@@ -1,7 +1,7 @@
-"""Tests for the deferred-maintenance scheduler, ring repair, the
+"""Tests for the deferred-maintenance disciplines, ring repair, the
 membership diff log and long-running service mode.
 
-The scheduler's three guarantees:
+The disciplines' three guarantees:
 
 * ``eager`` is the default and is bit-identical to the pre-scheduler code
   (every draw, probe and result unchanged);
@@ -23,7 +23,6 @@ import pytest
 from repro.algorithms import (
     BeaconSearch,
     KargerRuhlSearch,
-    MaintenanceScheduler,
     MeridianSearch,
     RandomProbeSearch,
     TapestrySearch,
@@ -53,34 +52,35 @@ def oracle(uniform_matrix):
 
 class TestSchedulerSpec:
     def test_from_spec_parsing(self):
-        assert MaintenanceScheduler.from_spec(None).discipline == "eager"
-        assert MaintenanceScheduler.from_spec("lazy").discipline == "lazy"
-        coalesce = MaintenanceScheduler.from_spec("coalesce:5")
-        assert coalesce.discipline == "coalesce"
-        assert coalesce.window == 5
-        # A ready-made scheduler contributes its configuration only: each
-        # algorithm gets a private instance (runtime state must not be
-        # shared between algorithms).
-        ready = MaintenanceScheduler("coalesce", window=3)
-        cloned = MaintenanceScheduler.from_spec(ready)
-        assert cloned is not ready
-        assert (cloned.discipline, cloned.window) == ("coalesce", 3)
+        for spec, discipline in [
+            (None, "eager"),
+            ("eager", "eager"),
+            ("lazy", "lazy"),
+            ("lazy-partial", "lazy-partial"),
+            ("coalesce", "coalesce"),
+            ("coalesce:5", "coalesce"),
+        ]:
+            algorithm = KargerRuhlSearch(maintenance=spec)
+            assert algorithm.maintenance_discipline == discipline, spec
+
+    def test_coalesce_window_sets_the_flush_point(self, oracle):
+        algorithm = KargerRuhlSearch(maintenance="coalesce:5")
+        algorithm.build(oracle, np.arange(60), seed=7)
+        for i in range(4):
+            assert algorithm.join([60 + i], seed=i) == 0
+        assert algorithm.pending_maintenance_events == 4
+        assert algorithm.join([64], seed=4) == 65 * 65
+        assert algorithm.pending_maintenance_events == 0
 
     def test_bad_specs_rejected(self):
-        with pytest.raises(ConfigurationError):
-            MaintenanceScheduler.from_spec("sloppy")
-        with pytest.raises(ConfigurationError):
-            MaintenanceScheduler.from_spec("lazy:4")
-        with pytest.raises(ConfigurationError):
-            MaintenanceScheduler.from_spec("coalesce:zero")
-        with pytest.raises(ConfigurationError):
-            MaintenanceScheduler("coalesce", window=0)
-        with pytest.raises(ConfigurationError):
-            MaintenanceScheduler.from_spec(7)
+        for spec in ("sloppy", "lazy:4", "coalesce:zero", "coalesce:0", 7):
+            with pytest.raises(ConfigurationError):
+                KargerRuhlSearch(maintenance=spec)
 
-    def test_describe(self):
-        assert MaintenanceScheduler.from_spec("coalesce:4").describe() == "coalesce:4"
-        assert MaintenanceScheduler.from_spec("eager").describe() == "eager"
+    def test_lazy_partial_without_regions_runs_as_lazy(self):
+        assert BeaconSearch(maintenance="lazy-partial").maintenance_discipline == (
+            "lazy"
+        )
 
     def test_every_algorithm_accepts_the_knob(self, oracle):
         for cls in (
@@ -719,8 +719,8 @@ class TestPartialFreshness:
         )
 
     def test_non_supporting_scheme_falls_back_to_full_flush(self, oracle):
-        """A scheme without ``supports_partial_flush`` under
-        ``lazy-partial`` behaves exactly like ``lazy``."""
+        """A scheme without a region index under ``lazy-partial`` behaves
+        exactly like ``lazy``."""
         lazy, lazy_answers = self._run(
             oracle, lambda m: BeaconSearch(n_beacons=6, maintenance=m), "lazy"
         )
@@ -735,30 +735,30 @@ class TestPartialFreshness:
         )
         assert not fallback.has_pending_maintenance
 
-    def test_partial_flush_refreshes_only_touched_regions(self, oracle):
+    def test_touch_region_refreshes_only_touched_regions(self, oracle):
         algorithm = KargerRuhlSearch(maintenance="lazy-partial")
         algorithm.build(oracle, np.arange(60), seed=7)
         algorithm.join([60, 61], seed=1)
         touched = [3, 4, 5]
-        spent = algorithm.partial_flush(touched)
-        assert spent > 0
-        # Touched regions are fresh; a second partial flush is free.
-        assert algorithm.partial_flush(touched) == 0
+        spent = sum(algorithm.touch_region(node) for node in touched)
+        assert spent == 3 * 62  # one region-sized refresh per touch
+        # Touched regions are fresh; a second touch is free.
+        assert sum(algorithm.touch_region(node) for node in touched) == 0
         # Untouched regions still pend: the buffer has not drained.
         assert algorithm.has_pending_maintenance
         assert algorithm.maintenance_probes_total == spent
         assert algorithm.maintenance_by_event.sum() == spent
 
-    def test_partial_flush_falls_back_to_full_flush_outside_partial_mode(
-        self, oracle
-    ):
+    def test_touch_region_is_free_outside_partial_mode(self, oracle):
         algorithm = KargerRuhlSearch(maintenance="lazy")
         algorithm.build(oracle, np.arange(60), seed=7)
         algorithm.join([60, 61], seed=1)
-        spent = algorithm.partial_flush([3], seed=2)
+        assert algorithm.touch_region(3) == 0
+        assert algorithm.has_pending_maintenance
+        spent = algorithm.flush_maintenance(seed=2)
         assert spent == 62 * 62  # one full counted rebuild
         assert not algorithm.has_pending_maintenance
-        assert algorithm.partial_flush([3], seed=3) == 0
+        assert algorithm.flush_maintenance(seed=3) == 0
 
     def test_partial_mode_answers_see_live_membership(self, oracle):
         """Under partial freshness queries answer from the live members —
