@@ -63,24 +63,10 @@ class TestSchedulerSpec:
             algorithm = KargerRuhlSearch(maintenance=spec)
             assert algorithm.maintenance_discipline == discipline, spec
 
-    def test_coalesce_window_sets_the_flush_point(self, oracle):
-        algorithm = KargerRuhlSearch(maintenance="coalesce:5")
-        algorithm.build(oracle, np.arange(60), seed=7)
-        for i in range(4):
-            assert algorithm.join([60 + i], seed=i) == 0
-        assert algorithm.pending_maintenance_events == 4
-        assert algorithm.join([64], seed=4) == 65 * 65
-        assert algorithm.pending_maintenance_events == 0
-
     def test_bad_specs_rejected(self):
         for spec in ("sloppy", "lazy:4", "coalesce:zero", "coalesce:0", 7):
             with pytest.raises(ConfigurationError):
                 KargerRuhlSearch(maintenance=spec)
-
-    def test_lazy_partial_without_regions_runs_as_lazy(self):
-        assert BeaconSearch(maintenance="lazy-partial").maintenance_discipline == (
-            "lazy"
-        )
 
     def test_every_algorithm_accepts_the_knob(self, oracle):
         for cls in (
@@ -734,6 +720,8 @@ class TestPartialFreshness:
             lazy.maintenance_probes_total == fallback.maintenance_probes_total
         )
         assert not fallback.has_pending_maintenance
+        # The fallback is decided once, at construction.
+        assert fallback.maintenance_discipline == "lazy"
 
     def test_touch_region_refreshes_only_touched_regions(self, oracle):
         algorithm = KargerRuhlSearch(maintenance="lazy-partial")
