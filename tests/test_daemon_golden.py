@@ -15,6 +15,7 @@ Regenerate (only for a deliberate, documented re-baseline) with::
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -78,10 +79,45 @@ DEFERRED = {
     "beaconing": ("lazy-partial",),
 }
 
+#: Variants of the churn world, one per daemon path the plain churn runs
+#: never walk: ``kind -> (spec, n_queries, seed, scheme keyword args)``.
+#: ``queue`` fills per-node concurrency caps (the flash-crowd spec),
+#: ``dispatch`` charges the entry->prober hop, ``flush`` forces periodic
+#: deferred-maintenance flushes and ``repair`` runs the ring-repair timer
+#: with per-event repair off.  Case ids read ``<kind>/<scheme>[/<discipline>]``.
+VARIANTS = {
+    "churn": (CHURN_SPEC, 25, 5, {}),
+    "queue": (get_scenario("daemon-flash-crowd").daemon, 40, 5, {}),
+    "dispatch": (dataclasses.replace(CHURN_SPEC, charge_dispatch=True), 25, 5, {}),
+    "flush": (dataclasses.replace(CHURN_SPEC, flush_period_ms=200.0), 25, 5, {}),
+    "repair": (
+        dataclasses.replace(
+            CHURN_SPEC,
+            mean_event_interval_ms=40.0,
+            departure_rate=5.0,
+            arrival_rate=0.5,
+            ring_repair_period_ms=100.0,
+        ),
+        30,
+        23,
+        {"ring_repair": False},
+    ),
+}
+
+VARIANT_CASES = (
+    "queue/random-probe",
+    "dispatch/random-probe",
+    "flush/karger-ruhl/coalesce:8",
+    "repair/meridian",
+)
+
+_KARGER_RUHL = SCHEMES["karger-ruhl"]
+
 #: Registered fault scenarios pinned at their first world seed.
 FAULT_CASES = {
     "daemon-lossy": MeridianSearch,
-    "daemon-natted": lambda: KargerRuhlSearch(samples_per_scale=4, max_rounds=12),
+    "daemon-natted": _KARGER_RUHL,
+    "daemon-partition": _KARGER_RUHL,
 }
 
 INT_ARRAYS = (
@@ -130,6 +166,7 @@ CASES = (
         for name, disciplines in DEFERRED.items()
         for discipline in disciplines
     ]
+    + list(VARIANT_CASES)
     + list(FAULT_CASES)
 )
 
@@ -137,16 +174,19 @@ CASES = (
 def run_case(case: str):
     """One golden run."""
     engine = QueryEngine()
-    if case.startswith("churn/"):
-        _, name, *discipline = case.split("/", 2)
-        maintenance = {"maintenance": discipline[0]} if discipline else {}
+    kind, _, rest = case.partition("/")
+    if kind in VARIANTS:
+        spec, n_queries, seed, kwargs = VARIANTS[kind]
+        name, *discipline = rest.split("/", 1)
+        if discipline:
+            kwargs = {**kwargs, "maintenance": discipline[0]}
         return engine.run_daemon_trial(
             build_clustered_oracle(SMALL, seed=99),
-            SCHEMES[name](**maintenance),
-            CHURN_SPEC,
+            SCHEMES[name](**kwargs),
+            spec,
             sampling=SamplingSpec(n_targets=30),
-            n_queries=25,
-            seed=5,
+            n_queries=n_queries,
+            seed=seed,
         )
     scenario = get_scenario(case)
     return engine.run_trial(scenario, FAULT_CASES[case], scenario.world_seeds()[0])
@@ -175,6 +215,23 @@ def golden() -> dict:
 
 def test_golden_covers_every_case(golden):
     assert sorted(golden) == sorted(CASES)
+
+
+def test_golden_walks_every_daemon_path(golden):
+    """Some case queues, forces a flush, repairs rings and retries a plan,
+    and charging dispatch slows the same churn run down."""
+    for name in (
+        "queue_depth_max",
+        "forced_flushes",
+        "ring_repair_passes",
+        "ring_repair_nodes",
+        "ring_repair_probes",
+    ):
+        assert any(fields[name] > 0 for fields in golden.values()), name
+    assert any(sum(fields["query_retries"]) > 0 for fields in golden.values())
+    base, charged = golden["churn/random-probe"], golden["dispatch/random-probe"]
+    assert charged["probes"] == base["probes"]
+    assert sum(charged["finish_ms"]) > sum(base["finish_ms"])
 
 
 @pytest.mark.parametrize("case", CASES)
