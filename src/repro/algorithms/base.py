@@ -168,7 +168,7 @@ class ProbeRound:
     latency-faithful driver (the simulated-time daemon) holds the resume
     until the slowest probe's RTT has elapsed on its clock; an
     instantaneous driver resumes at once and reproduces the blocking
-    query bit for bit.  The daemon stepper reads the parallel arrays
+    query bit for bit.  The daemon reads the parallel arrays
     directly, so a round of a thousand probes costs one numpy slice.
     """
 

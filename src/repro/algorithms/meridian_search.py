@@ -114,7 +114,7 @@ class MeridianSearch(NearestPeerAlgorithm):
         """One gossip ring-repair pass over the live overlay, counted.
 
         The entry point the simulated-time daemon re-drives continuously
-        (see :class:`repro.meridian.gossip.PeriodicRepair`): every repair
+        (``DaemonSpec.ring_repair_period_ms``): every repair
         measurement is billed as maintenance, exactly as the leave-time
         pass bills.  Returns ``(nodes_repaired, probes_spent)``.
         """

@@ -129,14 +129,16 @@ class VivaldiSystem:
 
         Each round, every node observes RTTs to ``neighbors_per_round``
         random peers — the standard simulation discipline for Vivaldi
-        convergence studies.
+        convergence studies.  A population smaller than that draws every
+        row instead.
         """
         n = self.node_ids.size
+        size = min(neighbors_per_round, n)
         for _ in range(rounds):
             order = self._rng.permutation(n)
             for row in order:
                 node = int(self.node_ids[row])
-                partners = self._rng.choice(n, size=neighbors_per_round, replace=False)
+                partners = self._rng.choice(n, size=size, replace=False)
                 for partner_row in partners:
                     if partner_row == row:
                         continue

@@ -7,20 +7,16 @@ gossip exchange off any event loop: each underfull node pulls
 (free metadata, as a gossip reply is), measures the unknown candidates
 through the caller's ``measure`` channel and files them back
 into rings — which is how a live deployment re-fattens rings without
-waiting for fresh arrivals.  :class:`PeriodicRepair` re-drives that pass
-on a simulated clock.
+waiting for fresh arrivals.  The query daemon re-drives that pass on its
+simulated clock (``DaemonSpec.ring_repair_period_ms``).
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from repro.meridian.overlay import MeridianNode, MeridianOverlay, insert_with_cap
-from repro.netsim.engine import EventHandle, EventLoop
 from repro.topology.oracle import Measure
-from repro.util.errors import DataError
 
 
 #: Exchange rounds one repair pass may spend per underfull node before
@@ -145,60 +141,3 @@ def repair_overlay_rings(
         if node.member_count() >= floor:
             repaired += 1
     return repaired
-
-
-class PeriodicRepair:
-    """Re-drives ring repair *continuously* on an event loop.
-
-    :func:`repair_overlay_rings` was built as a one-shot pass after a
-    departure; a live deployment instead runs the repair gossip as a
-    background process.  This driver schedules one repair pass per
-    ``period_ms`` of simulated time (the simulated-time query daemon wires
-    it to :meth:`repro.algorithms.meridian_search.MeridianSearch.repair_rings`,
-    whose measurements are all billed as maintenance), accumulates
-    pass/repair/probe totals, and reschedules itself until :meth:`stop` —
-    so under sustained churn the overlay's rings are re-fattened on the
-    same clock the departures land on, instead of only at leave-event
-    boundaries.
-    """
-
-    def __init__(
-        self,
-        loop: EventLoop,
-        period_ms: float,
-        repair: Callable[[], tuple[int, int]],
-    ) -> None:
-        if period_ms <= 0:
-            raise DataError(f"repair period must be > 0, got {period_ms}")
-        self.loop = loop
-        self.period_ms = float(period_ms)
-        self._repair = repair
-        #: Repair passes run so far.
-        self.passes = 0
-        #: Underfull nodes brought back above their floor, summed over passes.
-        self.nodes_repaired = 0
-        #: Counted maintenance probes the passes spent, summed.
-        self.probes_spent = 0
-        self._handle: EventHandle | None = None
-        self._stopped = False
-
-    def start(self, initial_delay_ms: float | None = None) -> None:
-        """Schedule the first pass (after one period unless overridden)."""
-        delay = self.period_ms if initial_delay_ms is None else initial_delay_ms
-        self._handle = self.loop.schedule(delay, self._tick)
-
-    def _tick(self) -> None:
-        if self._stopped:
-            return
-        repaired, spent = self._repair()
-        self.passes += 1
-        self.nodes_repaired += int(repaired)
-        self.probes_spent += int(spent)
-        self._handle = self.loop.schedule(self.period_ms, self._tick)
-
-    def stop(self) -> None:
-        """Cancel the pending pass and stop rescheduling."""
-        self._stopped = True
-        if self._handle is not None:
-            self._handle.cancel()
-

@@ -42,7 +42,7 @@ class _BreakpointSeries:
             self._deltas.append(np.array([int(delta)], dtype=np.int64))
 
     def extend(self, times_ms: np.ndarray, deltas: np.ndarray) -> None:
-        """Adopt a pre-recorded breakpoint stream (e.g. the stepper's)."""
+        """Adopt a pre-recorded breakpoint stream (e.g. the daemon's)."""
         times_ms = np.asarray(times_ms, dtype=float)
         deltas = np.asarray(deltas, dtype=np.int64)
         if times_ms.shape != deltas.shape:

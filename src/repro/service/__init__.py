@@ -15,13 +15,13 @@ the :mod:`repro.netsim` event loop:
   exactly as it would in production;
 * membership events, deferred-maintenance flushes and Meridian's
   continuous gossip ring repair
-  (:class:`~repro.meridian.gossip.PeriodicRepair`) fire on the same loop,
-  interleaved between query rounds.
+  (:func:`~repro.meridian.gossip.repair_overlay_rings`) fire on the same
+  loop, interleaved between query rounds.
 
-The daemon core is vectorised: hot per-node state lives in
-struct-of-arrays form (:mod:`repro.service.soa`) and probe rounds step as
-whole numpy batches (:mod:`repro.service.stepper`), which is what carries
-the simulator to million-peer populations in one process.
+The daemon core is vectorised: admission is one ``int32`` counter per
+node id and each probe round steps as one numpy delay array on one loop
+event, which is what carries the simulator to million-peer populations
+in one process.
 
 The harness front-end is the ``daemon`` protocol
 (:meth:`repro.harness.engine.QueryEngine.run_daemon_trial`), which scores
@@ -31,12 +31,5 @@ percentiles next to the classic probe bill.
 """
 
 from repro.service.daemon import DaemonRun, QueryDaemon
-from repro.service.soa import MemberStateArrays
-from repro.service.stepper import PlanBatchStepper
 
-__all__ = [
-    "DaemonRun",
-    "MemberStateArrays",
-    "PlanBatchStepper",
-    "QueryDaemon",
-]
+__all__ = ["DaemonRun", "QueryDaemon"]

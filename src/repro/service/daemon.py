@@ -6,18 +6,22 @@ a :class:`~repro.netsim.network.Network` and one *built*
 of Poisson-arriving queries under latency-faithful timing:
 
 * each query is a stepwise plan
-  (:meth:`~repro.algorithms.base.NearestPeerAlgorithm.query_plan`); the
-  :class:`~repro.service.stepper.PlanBatchStepper` resumes the plan with
-  one round event at the slowest probe's RTT;
+  (:meth:`~repro.algorithms.base.NearestPeerAlgorithm.query_plan`); a
+  probe round is one numpy delay array and the plan resumes on *one*
+  round event at the slowest probe's arrival, so a round costs O(1)
+  loop events whatever its fan-out;
 * queries are admitted at a random live entry node, at most
-  ``per_node_concurrency`` in service per node, the rest FIFO-queued —
-  admission counters live in struct-of-arrays form
-  (:class:`~repro.service.soa.MemberStateArrays`) so the hot path is
-  array indexing, not dict hashing;
+  ``per_node_concurrency`` in service per node (one ``int32`` counter
+  per node id), the rest FIFO-queued per node;
 * membership events (counted join/leave maintenance, with session
   expiry when ``session_length_ms`` is set), forced
   deferred-maintenance flushes and continuous Meridian ring repair
-  (:class:`~repro.meridian.gossip.PeriodicRepair`) fire on the same loop.
+  (:func:`~repro.meridian.gossip.repair_overlay_rings`) fire on the same
+  loop.
+
+The in-flight probe integral is accrued analytically (each probe is in
+flight for exactly its delay) and its peak is reconstructed from the
+recorded (time, ±k) breakpoints in one sort/cumsum when the run ends.
 
 The daemon is deterministic: one workload generator drives arrivals,
 targets, entry choices and membership draws; one algorithm generator
@@ -52,15 +56,12 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.algorithms.base import NearestPeerAlgorithm, SearchResult
+from repro.algorithms.base import NearestPeerAlgorithm, ProbeRound, SearchResult
 from repro.harness.results import MembershipLog
 from repro.harness.scenario import DaemonSpec
-from repro.meridian.gossip import PeriodicRepair
 from repro.netsim.engine import EventHandle, EventLoop
 from repro.netsim.network import FaultModel, Network
 from repro.obs.trace import Tracer
-from repro.service.soa import MemberStateArrays
-from repro.service.stepper import PlanBatchStepper
 from repro.util.errors import ConfigurationError, SimulationError
 
 
@@ -90,8 +91,9 @@ class QueryJob:
     plan: Iterator | None = field(default=None, repr=False)
     #: Per-probe answered mask of the round in flight (None = all answered).
     _pending_mask: np.ndarray | None = field(default=None, repr=False)
-    #: The job's private fault stream (created lazily; consumed in the
-    #: job's own round order, so outcomes are invariant to interleaving).
+    #: The job's private fault stream, keyed ``(*fault_key, index)``
+    #: (created at its first faulted round; consumed in the job's own
+    #: round order, so outcomes are invariant to interleaving).
     _fault_rng: np.random.Generator | None = field(default=None, repr=False)
     #: Probe bills carried over from failed plan attempts.
     _carry_probes: int = field(default=0, repr=False)
@@ -219,8 +221,9 @@ class QueryDaemon:
         for node, remaining in sorted((sessions or {}).items()):
             self._open_session(int(node), float(remaining))
         self.jobs: list[QueryJob] = []
-        # Hot per-node admission state, struct-of-arrays.
-        self.state = MemberStateArrays(int(algorithm.oracle.n_nodes))
+        # Admission: queries in service per entry node id, and each
+        # node's FIFO queue behind the concurrency cap.
+        self._in_service = np.zeros(algorithm.oracle.n_nodes, dtype=np.int32)
         self._fifo: dict[int, deque[QueryJob]] = {}
         # Time-weighted queue accounting (breakpoints feed the traced
         # queue-depth gauge).
@@ -228,10 +231,14 @@ class QueryDaemon:
         self._queue_area = 0.0
         self._queue_last = 0.0
         self.queue_depth_max = 0
-        self._queue_bp_times: list[np.ndarray] = []
-        self._queue_bp_deltas: list[np.ndarray] = []
-        # Round stepping (in-flight accounting lives there).
-        self._stepper = PlanBatchStepper(self)
+        self._queue_bp_times: list[float] = []
+        self._queue_bp_deltas: list[int] = []
+        # In-flight probe accounting: (time, delta) breakpoints, +k at
+        # each round's issue instant and -1 at each probe's arrival; ties
+        # break in insertion order when ``run`` reconstructs the peak.
+        self._flight_area = 0.0
+        self._flight_bp_times: list[np.ndarray] = []
+        self._flight_bp_deltas: list[np.ndarray] = []
         # Run bookkeeping.
         self._n_queries = 0
         self._arrived = 0
@@ -239,8 +246,11 @@ class QueryDaemon:
         self._done = False
         self._membership_timer: EventHandle | None = None
         self._flush_timer: EventHandle | None = None
-        self._repair: PeriodicRepair | None = None
+        self._repair_timer: EventHandle | None = None
         self.forced_flushes = 0
+        self.ring_repair_passes = 0
+        self.ring_repair_nodes = 0
+        self.ring_repair_probes = 0
         # Tracing is strictly opt-in: with ``spec.trace`` unset the hot
         # path carries one ``is None`` check per hook and nothing else.
         self.tracer: Tracer | None = (
@@ -275,14 +285,12 @@ class QueryDaemon:
             self._flush_timer = self.loop.schedule(
                 spec.flush_period_ms, self._flush_tick
             )
-        repair_fn = getattr(self.algorithm, "repair_rings", None)
-        if spec.ring_repair_period_ms is not None and repair_fn is not None:
-            self._repair = PeriodicRepair(
-                self.loop,
-                spec.ring_repair_period_ms,
-                lambda: repair_fn(seed=self.algo_rng),
+        if spec.ring_repair_period_ms is not None and hasattr(
+            self.algorithm, "repair_rings"
+        ):
+            self._repair_timer = self.loop.schedule(
+                spec.ring_repair_period_ms, self._repair_tick
             )
-            self._repair.start()
         self.loop.run()
         if self._finished != n_queries:
             raise SimulationError(
@@ -292,30 +300,27 @@ class QueryDaemon:
         algorithm = self.algorithm
         if drain:
             algorithm.flush_maintenance(seed=self.algo_rng)
-        # Close the time-weighted integrals at the makespan.
+        # Close the queue integral at the makespan.
         self._note_queue(0)
-        self._stepper.finalize()
         makespan = self.loop.now
-        repair = self._repair
+        flight_times = np.concatenate([np.zeros(0), *self._flight_bp_times])
+        flight_deltas = np.concatenate(
+            [np.zeros(0, dtype=np.int64), *self._flight_bp_deltas]
+        )
+        order = np.argsort(flight_times, kind="stable")
+        flight_max = int(np.cumsum(flight_deltas[order]).max(initial=0))
         spans = metrics = None
         tracer = self.tracer
         if tracer is not None:
             algorithm._flush_observer = None
             metrics = tracer.metrics
-            # The load gauges reuse the breakpoints the daemon/stepper
-            # already recorded — zero extra hot-path work.
-            queue_gauge = metrics.gauge("queue_depth")
-            if self._queue_bp_times:
-                queue_gauge.extend(
-                    np.concatenate(self._queue_bp_times),
-                    np.concatenate(self._queue_bp_deltas),
-                )
-            flight_gauge = metrics.gauge("in_flight_probes")
-            if self._stepper.bp_times:
-                flight_gauge.extend(
-                    np.concatenate(self._stepper.bp_times),
-                    np.concatenate(self._stepper.bp_deltas),
-                )
+            # The load gauges reuse the breakpoints the daemon already
+            # recorded — zero extra hot-path work.
+            metrics.gauge("queue_depth").extend(
+                np.asarray(self._queue_bp_times, dtype=float),
+                np.asarray(self._queue_bp_deltas, dtype=np.int64),
+            )
+            metrics.gauge("in_flight_probes").extend(flight_times, flight_deltas)
             spans = tracer.sorted_spans()
         return DaemonRun(
             jobs=self.jobs,
@@ -327,18 +332,18 @@ class QueryDaemon:
             ),
             queue_depth_max=self.queue_depth_max,
             in_flight_probes_time_avg=(
-                self._stepper.area / makespan if makespan > 0 else 0.0
+                self._flight_area / makespan if makespan > 0 else 0.0
             ),
-            in_flight_probes_max=self._stepper.peak,
+            in_flight_probes_max=flight_max,
             maintenance_by_event=algorithm.maintenance_by_event[
                 self._ledger_start[0]:
             ],
             maintenance_background_probes=(
                 algorithm.maintenance_background_probes - self._ledger_start[1]
             ),
-            ring_repair_passes=repair.passes if repair else 0,
-            ring_repair_nodes=repair.nodes_repaired if repair else 0,
-            ring_repair_probes=repair.probes_spent if repair else 0,
+            ring_repair_passes=self.ring_repair_passes,
+            ring_repair_nodes=self.ring_repair_nodes,
+            ring_repair_probes=self.ring_repair_probes,
             forced_flushes=self.forced_flushes,
             loop_events=self.loop.processed,
             relay_extra_ms=self.network.relay_extra_ms,
@@ -359,8 +364,8 @@ class QueryDaemon:
         if self._queued > self.queue_depth_max:
             self.queue_depth_max = self._queued
         if delta:
-            self._queue_bp_times.append(np.array([now]))
-            self._queue_bp_deltas.append(np.array([delta]))
+            self._queue_bp_times.append(now)
+            self._queue_bp_deltas.append(delta)
 
     # -- arrivals and admission --------------------------------------------
 
@@ -387,15 +392,14 @@ class QueryDaemon:
         self._admit(job)
 
     def _admit(self, job: QueryJob) -> None:
-        if self.state.active[job.entry] < self.spec.per_node_concurrency:
+        if self._in_service[job.entry] < self.spec.per_node_concurrency:
             self._start(job)
         else:
             self._fifo.setdefault(job.entry, deque()).append(job)
-            self.state.enqueue(job.entry)
             self._note_queue(+1)
 
     def _start(self, job: QueryJob) -> None:
-        self.state.admit(job.entry)
+        self._in_service[job.entry] += 1
         job.start_ms = self.loop.now
         job.epoch = self.memberships.n_epochs - 1
         job.membership_size = int(self.algorithm.members.size)
@@ -416,16 +420,6 @@ class QueryDaemon:
         self._advance(job)
 
     # -- plan driving ------------------------------------------------------
-
-    def job_fault_rng(self, job: QueryJob) -> np.random.Generator:
-        """The job's private fault stream, keyed ``(*fault_key, index)``.
-
-        Independent per job and consumed strictly in the job's own round
-        order — so fault outcomes are invariant to how jobs interleave.
-        """
-        if job._fault_rng is None:
-            job._fault_rng = np.random.default_rng((*self.fault_key, job.index))
-        return job._fault_rng
 
     def _advance(self, job: QueryJob) -> None:
         """Resume the plan; schedule the next round or finish the job."""
@@ -460,7 +454,73 @@ class QueryDaemon:
             # A round with nothing to measure resumes on the next loop turn.
             self.loop.schedule(0.0, self._advance, job)
             return
-        self._stepper.dispatch_round(job, batch)
+        self._dispatch_round(job, batch)
+
+    def _dispatch_round(self, job: QueryJob, batch: ProbeRound) -> None:
+        """Issue one probe round; resume the plan when its slowest probe lands.
+
+        Each probe completes after the RTT it measured — zero under
+        ``zero_delay`` — plus, when the spec charges the coordination hop,
+        the entry->prober dispatch RTT.  With no fault model (or an inert
+        one) those are the completion delays: no extra draw, no changed
+        event.  With faults active the round runs through
+        :meth:`~repro.netsim.network.Network.apply_faults` on the job's
+        private fault stream: each delay becomes the answer's arrival
+        (after losses, retransmit waits and relay detours) or its timeout
+        exhaustion, the answered mask waits on the job for the plan's
+        resume, and the fault counts are billed to the job.
+        """
+        spec = self.spec
+        if spec.zero_delay:
+            delays = np.zeros(len(batch))
+        else:
+            delays = batch.rtts_ms
+            if spec.charge_dispatch:
+                delays = delays + self.network.path_rtts(job.entry, batch.srcs)
+        stats = None
+        fault_model = self.fault_model
+        if fault_model is not None and fault_model.active:
+            if job._fault_rng is None:
+                job._fault_rng = np.random.default_rng(
+                    (*self.fault_key, job.index)
+                )
+            delays, job._pending_mask, stats = self.network.apply_faults(
+                job._fault_rng, batch.srcs, batch.dsts, delays
+            )
+            job.probe_drops += int(stats["dropped"])
+            job.probe_retransmits += int(stats["retransmitted"])
+            job.probe_timeouts += int(stats["timed_out"])
+            job.relayed_probes += int(stats["relayed"])
+        now = self.loop.now
+        tracer = self.tracer
+        if tracer is not None:
+            attrs = {
+                "probes": len(batch),
+                "round": job.rounds,
+                "attempt": job.retries,
+            }
+            if stats is not None:
+                metrics = tracer.metrics
+                for key, counter_name in (
+                    ("dropped", "probes_dropped"),
+                    ("retransmitted", "probes_retransmitted"),
+                    ("timed_out", "probes_timed_out"),
+                    ("relayed", "probes_relayed"),
+                ):
+                    count = int(stats[key])
+                    if count:
+                        attrs[key] = count
+                        metrics.counter(counter_name).inc(now, count)
+            # Open-ended: the span closes when the plan actually resumes,
+            # so retransmit ladders and relay detours are inside it.
+            tracer.open(job.index, "probe_round", now, **attrs)
+        k = delays.size
+        self._flight_area += float(delays.sum())
+        self._flight_bp_times.append(np.array([now]))
+        self._flight_bp_deltas.append(np.array([k]))
+        self._flight_bp_times.append(now + delays)
+        self._flight_bp_deltas.append(np.full(k, -1))
+        self.loop.schedule(float(delays.max()), self._advance, job)
 
     # -- whole-plan retry (fault path) ---------------------------------------
 
@@ -522,10 +582,9 @@ class QueryDaemon:
             )
         self._finished += 1
         # Release the entry slot; admit the node's next queued query.
-        self.state.release(job.entry)
+        self._in_service[job.entry] -= 1
         fifo = self._fifo.get(job.entry)
         if fifo:
-            self.state.dequeue(job.entry)
             self._note_queue(-1)
             self._start(fifo.popleft())
         if self._finished == self._n_queries:
@@ -538,8 +597,8 @@ class QueryDaemon:
             self._membership_timer.cancel()
         if self._flush_timer is not None:
             self._flush_timer.cancel()
-        if self._repair is not None:
-            self._repair.stop()
+        if self._repair_timer is not None:
+            self._repair_timer.cancel()
 
     # -- background processes ----------------------------------------------
 
@@ -675,4 +734,16 @@ class QueryDaemon:
             self.forced_flushes += 1
         self._flush_timer = self.loop.schedule(
             self.spec.flush_period_ms, self._flush_tick
+        )
+
+    def _repair_tick(self) -> None:
+        """One Meridian ring-repair pass; its probes bill as background."""
+        if self._done:
+            return
+        repaired, spent = self.algorithm.repair_rings(seed=self.algo_rng)
+        self.ring_repair_passes += 1
+        self.ring_repair_nodes += int(repaired)
+        self.ring_repair_probes += int(spent)
+        self._repair_timer = self.loop.schedule(
+            self.spec.ring_repair_period_ms, self._repair_tick
         )

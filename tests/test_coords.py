@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.algorithms import VivaldiGreedySearch
 from repro.coords.errors import embedding_error_stats
 from repro.coords.gnp import GnpConfig, GnpEmbedding
 from repro.coords.vivaldi import VivaldiConfig, VivaldiSystem
@@ -83,6 +84,19 @@ class TestVivaldi:
     def test_needs_two_nodes(self):
         with pytest.raises(DataError):
             VivaldiSystem([0], seed=0)
+
+    @pytest.mark.parametrize("n_members", [2, 3, 4, 6, 7])
+    def test_populations_below_the_partner_count_run(
+        self, euclidean_world, n_members
+    ):
+        """Fewer members than ``neighbors_per_round`` sample every member."""
+        members = np.arange(n_members)
+        system = VivaldiSystem(members, seed=4)
+        system.run(euclidean_world, rounds=3, neighbors_per_round=8)
+        assert system.samples_processed > 0
+        search = VivaldiGreedySearch()
+        search.build(euclidean_world, members, seed=4)
+        assert search.query(30, seed=4).found in members
 
 
 class TestGnp:

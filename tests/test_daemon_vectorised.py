@@ -1,13 +1,13 @@
-"""Tests for the vectorised daemon core: batch stepper and SoA state.
+"""Tests for the vectorised daemon core: round stepping and admission.
 
-The batch stepper's run records are pinned by value in
+The daemon's run records are pinned by value in
 ``tests/test_daemon_golden.py``; here:
 
 * a run replays bit for bit at a fixed seed — answers, timelines, load
   integrals and the per-event maintenance ledger;
-* the struct-of-arrays admission counters must mirror what the
-  historical dict bookkeeping would have held, reconstructed here from
-  the job timelines.
+* per-entry admission holds on the job timelines: concurrency reaches
+  but never passes the cap, each entry serves in arrival order, and the
+  record's queue depth is nonzero exactly when a query waited.
 """
 
 import dataclasses
@@ -22,8 +22,9 @@ from repro.algorithms import (
     RandomProbeSearch,
     TiersSearch,
 )
-from repro.harness import DaemonSpec, QueryEngine, SamplingSpec
+from repro.harness import DaemonSpec, QueryEngine, SamplingSpec, get_scenario
 from repro.latency.builder import build_clustered_oracle, build_sparse_clustered_world
+from repro.service import QueryDaemon
 from repro.topology.clustered import ClusteredConfig
 
 SMALL = ClusteredConfig(n_clusters=6, end_networks_per_cluster=20, delta=0.2)
@@ -219,58 +220,52 @@ class TestMaintenanceByEvent:
         )
 
 
-class TestSoAState:
-    """The struct-of-arrays counters mirror the historical dict bookkeeping."""
+class TestAdmission:
+    """Per-entry admission, read off the job timelines and the record."""
 
-    def test_counters_drain_and_peaks_match_job_timelines(self, small_world):
-        from repro.algorithms.random_probe import RandomProbeSearch as RPS
-        from repro.service import QueryDaemon
-
-        spec = CHURN_SPEC
+    def test_entry_concurrency_and_fifo_order_follow_job_timelines(
+        self, small_world
+    ):
         rng = np.random.default_rng(5)
-        sampling = SamplingSpec(n_targets=30)
-        targets = sampling.sample(small_world, rng)
-        members = np.setdiff1d(
-            np.arange(small_world.topology.n_nodes), targets
+        targets = SamplingSpec(n_targets=30).sample(small_world, rng)
+        members = np.setdiff1d(np.arange(small_world.topology.n_nodes), targets)
+        crowd = dataclasses.replace(
+            get_scenario("daemon-flash-crowd").daemon,
+            mean_interarrival_ms=2.0,
+            per_node_concurrency=2,
         )
-        workload_rng = np.random.default_rng(int(rng.integers(2**63)))
-        n_initial = max(spec.min_members, int(round(0.7 * members.size)))
-        shuffled = workload_rng.permutation(members)
-        live = np.sort(shuffled[:n_initial])
-        algorithm = RPS(budget=8)
-        algorithm.build(small_world.oracle, live, seed=rng)
-        daemon = QueryDaemon(
-            algorithm,
-            spec,
-            targets=targets,
-            workload_rng=workload_rng,
-            algo_rng=rng,
-            standby=shuffled[n_initial:].tolist(),
-        )
-        run = daemon.run(60)
-        state = daemon.state
-        # All admissions released, all queues drained.
-        assert not state.active.any()
-        assert not state.queued.any()
-        # Reconstruct each entry node's concurrency peak from the job
-        # timelines — exactly what the historical dict would have peaked
-        # at.  A finish and a start at the same instant is the FIFO
-        # handoff; the release happens first, so sort finishes first.
-        events = []
-        for job in run.jobs:
-            events.append((job.start_ms, 1, job.entry))
-            events.append((job.finish_ms, 0, job.entry))  # 0 sorts first
-        counts: dict[int, int] = {}
-        peaks: dict[int, int] = {}
-        for _t, kind, entry in sorted(events):
-            delta = 1 if kind == 1 else -1
-            counts[entry] = counts.get(entry, 0) + delta
-            peaks[entry] = max(peaks.get(entry, 0), counts[entry])
-        for entry, peak in peaks.items():
-            assert state.active_peak[entry] == peak
-        assert int(state.active_peak.max()) <= spec.per_node_concurrency
-        # Queued peaks: at least one node queued iff the run ever queued.
-        assert (state.queued_peak.max() > 0) == (run.queue_depth_max > 0)
+        for spec, expect_queue in ((crowd, True), (CHURN_SPEC, False)):
+            algorithm = RandomProbeSearch(budget=8)
+            algorithm.build(small_world.oracle, members[:32], seed=rng)
+            run = QueryDaemon(
+                algorithm,
+                spec,
+                targets=targets,
+                workload_rng=np.random.default_rng(11),
+                algo_rng=rng,
+                standby=members[32:].tolist(),
+            ).run(60)
+            # A finish and a start at the same instant is the FIFO
+            # handoff: the slot is released first, so finishes sort first.
+            events = sorted(
+                [(job.start_ms, 1, job.entry) for job in run.jobs]
+                + [(job.finish_ms, 0, job.entry) for job in run.jobs]
+            )
+            in_service: dict[int, int] = {}
+            peak = 0
+            for _t, kind, entry in events:
+                in_service[entry] = in_service.get(entry, 0) + (1 if kind else -1)
+                peak = max(peak, in_service[entry])
+            assert peak == spec.per_node_concurrency
+            # Jobs at one entry start in arrival order, queued or not.
+            by_entry: dict[int, list[float]] = {}
+            for job in run.jobs:
+                by_entry.setdefault(job.entry, []).append(job.start_ms)
+            for starts in by_entry.values():
+                assert starts == sorted(starts)
+            queued = any(job.start_ms > job.arrival_ms for job in run.jobs)
+            assert queued == expect_queue
+            assert (run.queue_depth_max > 0) == queued
 
     def test_member_mask_fast_path_matches_membership(self, small_world):
         algorithm = RandomProbeSearch(budget=8)

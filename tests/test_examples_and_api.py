@@ -1,7 +1,6 @@
 """Smoke tests: the public API surface and the example scripts."""
 
 import runpy
-import sys
 from pathlib import Path
 
 import pytest
@@ -49,11 +48,15 @@ class TestPublicApi:
         "assumption_audit.py",
         "churn_lifecycle.py",
         "trace_a_query.py",
+        "service_daemon.py",
+        "swarm_locality.py",
+        "gaming_matchmaking.py",
     ],
 )
 def test_example_scripts_run(script, capsys):
-    """The light examples execute end to end (heavier ones are exercised
-    through the benchmark suite's equivalent code paths)."""
+    """Every example but ``measurement_study.py`` executes end to end.
+    That one re-runs Table 1 and Figs 3-7 at default scale, which
+    ``tests/test_experiments.py`` already pins figure by figure."""
     runpy.run_path(str(EXAMPLES / script), run_name="__main__")
     out = capsys.readouterr().out
     assert len(out) > 200
