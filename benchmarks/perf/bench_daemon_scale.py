@@ -1,6 +1,6 @@
 """Daemon scaling benchmark: flat per-event-loop-step cost up to 1M peers.
 
-The vectorised daemon core (struct-of-arrays member state, batch round
+The vectorised daemon core (array admission counters, batch round
 stepping, matrix-free sparse worlds) exists so the simulated-time service
 scales by *population* without the per-step cost creeping up.  This
 benchmark pins that claim with two sections:

@@ -223,9 +223,7 @@ class TestMaintenanceByEvent:
 class TestAdmission:
     """Per-entry admission, read off the job timelines and the record."""
 
-    def test_entry_concurrency_and_fifo_order_follow_job_timelines(
-        self, small_world
-    ):
+    def test_entry_cap_and_fifo_order_follow_job_timelines(self, small_world):
         rng = np.random.default_rng(5)
         targets = SamplingSpec(n_targets=30).sample(small_world, rng)
         members = np.setdiff1d(np.arange(small_world.topology.n_nodes), targets)
