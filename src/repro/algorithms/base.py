@@ -958,6 +958,10 @@ class RegionIndexedSearch(NearestPeerAlgorithm):
     only the regions a query reads (:meth:`touch_region`) and still
     return exactly the answers a full ``lazy`` flush would.
 
+    A full rebuild reads one ``|M| × |M|`` block and hands each region its
+    row (:meth:`_region_distances`); a region refreshed on its own reads
+    its one row.  Either way each region is billed ``|M|``.
+
     Subclasses implement :meth:`_build_region` and :meth:`_plan`.
     """
 
@@ -973,6 +977,8 @@ class RegionIndexedSearch(NearestPeerAlgorithm):
         self._region_base: int | None = None
         self._index_gen = 0
         self._region_gen: dict[int, int] = {}
+        # node -> its row of the block a full rebuild reads (while it runs).
+        self._rebuild_rows: dict[int, np.ndarray] | None = None
 
     def build(
         self,
@@ -988,8 +994,8 @@ class RegionIndexedSearch(NearestPeerAlgorithm):
     def _build_region(self, node: int) -> object:
         """Build ``node``'s region against the current membership.
 
-        Measures through :meth:`offline_probe_block`, so a refresh run
-        as maintenance carries its honest region-sized bill.
+        Reads its distances through :meth:`_region_distances`, so a
+        refresh run as maintenance carries its honest region-sized bill.
         """
 
     @property
@@ -1005,11 +1011,28 @@ class RegionIndexedSearch(NearestPeerAlgorithm):
         if self._region_base is None:
             # One draw pins every region stream; rebuilds consume nothing.
             self._region_base = int(rng.integers(2**63))
-        self._index = {}
-        for node in self.members:
-            node = int(node)
-            self._index[node] = self._build_region(node)
+        members = self.members
+        # One |M| x |M| read, billed as the |M| one-row reads it replaces.
+        block = self.offline_probe_block(members, members)
+        self._rebuild_rows = dict(zip(members.tolist(), block))
+        try:
+            self._index = {}
+            for node in self._rebuild_rows:
+                self._index[node] = self._build_region(node)
+        finally:
+            self._rebuild_rows = None
         self._note_index_current()
+
+    def _region_distances(self, node: int) -> np.ndarray:
+        """RTTs from ``node`` to every member, in member order.
+
+        Inside a full rebuild this is ``node``'s row of the rebuild's one
+        block; a region built on its own (a ``lazy-partial`` touch or
+        forced flush) makes one counted ``1 × |M|`` read.
+        """
+        if self._rebuild_rows is not None:
+            return self._rebuild_rows[node]
+        return self.offline_probe_block([node], self.members)[0]
 
     def _region_is_fresh(self, node: int) -> bool:
         return (

@@ -67,16 +67,19 @@ class KargerRuhlSearch(RegionIndexedSearch):
         )
 
     def _build_region(self, node: int) -> list[np.ndarray]:
-        """Draw ``node``'s sample hierarchy (sampled member ids per scale)
-        from its keyed region stream."""
+        """``node``'s sample hierarchy: per scale, the members (other than
+        the node) inside the ball of that radius, in member order, cut
+        to ``samples_per_scale`` by a draw without replacement from the
+        node's keyed stream ``(region_base, generation, node)``."""
         members = self.members
         rng = np.random.default_rng(
             (self._region_base, self.maintenance_generation, node)
         )
-        distances = self.offline_probe_block([node], members)[0]
+        distances = self._region_distances(node)
+        others = members != node
         per_scale: list[np.ndarray] = []
         for radius in self._scales:
-            inside = members[(distances <= radius) & (members != node)]
+            inside = members[(distances <= radius) & others]
             if inside.size > self._samples_per_scale:
                 inside = rng.choice(
                     inside, size=self._samples_per_scale, replace=False

@@ -131,9 +131,12 @@ class _CoordinateGreedyBase(NearestPeerAlgorithm):
             node = int(node)
             self._positions.pop(node, None)
             self._neighbors.pop(node, None)
+        # ``leave`` and ``_defer_event`` update the liveness mask first, so
+        # it reads False exactly on the departed neighbours.
         members = self.members
+        live = self._member_mask
         for node, neighbours in self._neighbors.items():
-            pruned = neighbours[~np.isin(neighbours, left)]
+            pruned = neighbours[live[neighbours]]
             if pruned.size == 0:  # re-draw: a walk node must have somewhere to go
                 others = members[members != node]
                 count = min(self._neighbors_per_node, others.size)

@@ -61,6 +61,7 @@ class TapestrySearch(RegionIndexedSearch):
     ) -> None:
         super().__init__(maintenance=maintenance)
         require_positive(id_digits, "id_digits")
+        require_positive(neighbors_per_entry, "neighbors_per_entry")
         self._id_digits = id_digits
         self._neighbors_per_entry = neighbors_per_entry
         self._probe_budget_per_level = probe_budget_per_level
@@ -97,37 +98,34 @@ class TapestrySearch(RegionIndexedSearch):
         return self._id_matrix
 
     def _build_region(self, node: int) -> list[np.ndarray]:
-        """One node's routing table (neighbour ids per level, all digits
-        merged) against the current membership.
+        """One node's routing table against the current membership: per
+        level, the neighbour ids of every digit entry, merged in digit order.
 
-        Vectorised Hildrum construction: members sharing an ``l``-digit
-        prefix with the node, grouped by their next digit, keeping the
-        latency-closest few per digit (proximity neighbour selection).
+        Proximity neighbour selection as array operations: the other
+        members sorted once by distance (stable: ties by member position),
+        then per level those sharing the prefix, stable-sorted by their
+        next digit, keeping the first ``neighbors_per_entry`` of each run.
         """
         members = self.members
         ids = self._ids_matrix(members)
         node_id = np.asarray(self._id_of(node), dtype=np.int8)
-        distances = self.offline_probe_block([node], members)[0]
-        not_self = members != node
+        distances = self._region_distances(node)
         # Length of the common prefix with the node, for every member at
         # once: digit-wise equality, zeroed from the first mismatch on.
         shared = np.cumprod(ids == node_id, axis=1).sum(axis=1)
+        by_distance = np.argsort(distances, kind="stable")
+        eligible = by_distance[members[by_distance] != node]
         levels: list[np.ndarray] = []
         for level in range(self._id_digits):
-            eligible = not_self & (shared >= level)
-            digits_here = ids[:, level]
-            chosen: list[int] = []
-            for digit in range(_HEX_DIGITS):
-                idx = np.flatnonzero(eligible & (digits_here == digit))
-                if idx.size == 0:
-                    continue
-                order = np.argsort(distances[idx], kind="stable")
-                chosen.extend(
-                    int(members[i])
-                    for i in idx[order[: self._neighbors_per_entry]]
-                )
-            levels.append(np.asarray(chosen, dtype=int))
-            if not chosen:
+            eligible = eligible[shared[eligible] >= level]
+            digits = ids[eligible, level]
+            by_digit = np.argsort(digits, kind="stable")
+            digits = digits[by_digit]
+            # Rank inside each digit run: position minus the run's start.
+            rank = np.arange(digits.size) - np.searchsorted(digits, digits)
+            chosen = members[eligible[by_digit][rank < self._neighbors_per_entry]]
+            levels.append(chosen)
+            if not chosen.size:
                 break
         return levels
 
