@@ -37,13 +37,9 @@ amortising the rebuild bill at least ``MIN_EAGER_OVER_COALESCE8``-fold.
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-import time
 from dataclasses import replace
-from pathlib import Path
 
+from driver import build_world, main, paper_scale, timed_trial
 from repro.algorithms import (
     BeaconSearch,
     KargerRuhlSearch,
@@ -51,12 +47,8 @@ from repro.algorithms import (
     RandomProbeSearch,
     TapestrySearch,
 )
-from repro.harness import QueryEngine, SamplingSpec, churn_spec, get_scenario
+from repro.harness import get_scenario
 from repro.harness.scenario import CHURN_STEP_MS
-from repro.latency.builder import build_clustered_oracle
-from repro.topology.clustered import ClusteredConfig
-
-SCALES = ("tiny", "paper")
 
 #: Schemes spanning the maintenance-policy spectrum: free incremental
 #: (random-probe), cheap incremental (beaconing), structural incremental
@@ -89,43 +81,11 @@ def churn_scenario(scale: str):
     base = get_scenario("steady-churn")
     if scale == "tiny":
         return base.with_(n_queries=50, trials=1)
-    # Paper scale: n = 10 clusters x 100 end-networks x 2 peers = 2000
-    # hosts, with the same balanced churn dynamics.
-    return base.with_(
-        topology=ClusteredConfig(
-            n_clusters=10, end_networks_per_cluster=100, delta=0.2
-        ),
-        sampling=SamplingSpec(n_targets=100),
-        daemon=churn_spec(
-            initial_fraction=0.8,
-            arrival_rate=1.0,
-            departure_rate=1.0,
-            session_length_ms=150 * CHURN_STEP_MS,
-            warmup_ms=25 * CHURN_STEP_MS,
-            min_members=200,
-        ),
-        n_queries=300,
-        trials=1,
-    )
-
-
-def run_churn(algorithm, scenario, world):
-    """One daemon run of ``scenario`` on ``world``; returns (record, s)."""
-    start = time.perf_counter()
-    record = QueryEngine().run_daemon_trial(
-        world,
-        algorithm,
-        scenario.daemon,
-        sampling=scenario.sampling,
-        n_queries=scenario.n_queries,
-        seed=scenario.seed,
-        noise=scenario.noise,
-    )
-    return record, time.perf_counter() - start
+    return paper_scale(base, n_queries=300, churn=True)
 
 
 def bench_scheme(name: str, factory, scenario, world) -> dict:
-    record, elapsed = run_churn(factory(), scenario, world)
+    record, elapsed = timed_trial(factory(), scenario, world)
     return {
         "name": name,
         "maintenance_policy": factory().maintenance_policy,
@@ -165,7 +125,7 @@ def discipline_scenario(scale: str):
 
 def bench_discipline(name, factory, discipline: str, scenario, world) -> dict:
     algorithm = factory(maintenance=discipline)
-    record, elapsed = run_churn(algorithm, scenario, world)
+    record, elapsed = timed_trial(algorithm, scenario, world)
     return {
         "name": name,
         "discipline": discipline,
@@ -183,9 +143,7 @@ def bench_discipline(name, factory, discipline: str, scenario, world) -> dict:
 
 def run_discipline_sweep(scale: str, seed: int) -> dict:
     scenario = discipline_scenario(scale).with_(seed=seed)
-    world = build_clustered_oracle(
-        scenario.topology, seed=seed, core_pool_size=scenario.core_pool_size
-    )
+    world = build_world(scenario)
     schemes = []
     for name, factory in DISCIPLINE_SCHEMES:
         rows = []
@@ -216,12 +174,10 @@ def run_discipline_sweep(scale: str, seed: int) -> dict:
     }
 
 
-def run_suite(scale: str, seed: int) -> dict:
-    scenario = churn_scenario(scale)
-    world = build_clustered_oracle(
-        scenario.topology, seed=seed, core_pool_size=scenario.core_pool_size
-    )
-    scenario = scenario.with_(seed=seed)
+def run_suite(args) -> dict:
+    scale, seed = args.scale, args.seed
+    scenario = churn_scenario(scale).with_(seed=seed)
+    world = build_world(scenario)
     results = []
     for name, factory in SCHEMES:
         result = bench_scheme(name, factory, scenario, world)
@@ -280,44 +236,5 @@ def check_report(report: dict) -> list[str]:
     return problems
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument("--scale", choices=SCALES, default="tiny")
-    parser.add_argument("--seed", type=int, default=2008)
-    parser.add_argument(
-        "--output",
-        type=Path,
-        default=None,
-        help=(
-            "where to write the JSON report (default: BENCH_churn.json for "
-            "--scale paper, bench_churn_<scale>.json otherwise, so a casual "
-            "tiny run cannot clobber the committed paper baseline)"
-        ),
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="validate the report's gates and exit 1 if any fails",
-    )
-    args = parser.parse_args()
-    output = args.output
-    if output is None:
-        output = (
-            Path("BENCH_churn.json")
-            if args.scale == "paper"
-            else Path(f"bench_churn_{args.scale}.json")
-        )
-    report = run_suite(args.scale, args.seed)
-    output.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {output}")
-    if args.check:
-        problems = check_report(report)
-        for problem in problems:
-            print(f"CHECK FAILED: {problem}")
-        if problems:
-            sys.exit(1)
-        print("churn checks OK: schemes + discipline sweep")
-
-
 if __name__ == "__main__":
-    main()
+    main("churn", __doc__, run_suite, check_report)

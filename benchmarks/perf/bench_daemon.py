@@ -33,20 +33,12 @@ answer up.
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-import time
 from dataclasses import replace
-from pathlib import Path
 
+from driver import build_world, main, paper_scale, timed_trial
 from repro.algorithms import BeaconSearch, MeridianSearch, RandomProbeSearch
 from repro.analysis.compare import format_trial_records, rank_by_time_to_answer
-from repro.harness import QueryEngine, SamplingSpec, get_scenario
-from repro.latency.builder import build_clustered_oracle
-from repro.topology.clustered import ClusteredConfig
-
-SCALES = ("tiny", "paper")
+from repro.harness import get_scenario
 
 SCHEMES = (
     ("random-probe", lambda: RandomProbeSearch(budget=32)),
@@ -60,31 +52,12 @@ def daemon_scenario(scale: str):
     base = get_scenario("daemon-steady")
     if scale == "tiny":
         return base.with_(n_queries=40, trials=1)
-    # Paper scale: n = 10 clusters x 100 end-networks x 2 peers = 2000
-    # hosts, same steady Poisson load and background churn.
-    return base.with_(
-        topology=ClusteredConfig(
-            n_clusters=10, end_networks_per_cluster=100, delta=0.2
-        ),
-        sampling=SamplingSpec(n_targets=100),
-        n_queries=300,
-        trials=1,
-    )
+    # Paper scale: same steady Poisson load and background churn.
+    return paper_scale(base, n_queries=300)
 
 
 def bench_scheme(name: str, factory, scenario, world) -> dict:
-    engine = QueryEngine()
-    start = time.perf_counter()
-    record = engine.run_daemon_trial(
-        world,
-        factory(),
-        scenario.daemon,
-        sampling=scenario.sampling,
-        n_queries=scenario.n_queries,
-        seed=scenario.seed,
-        noise=scenario.noise,
-    )
-    elapsed = time.perf_counter() - start
+    record, elapsed = timed_trial(factory(), scenario, world)
     return {
         "name": name,
         "n_queries": record.n_queries,
@@ -128,11 +101,10 @@ def bench_section(scenario, world) -> tuple[list[dict], list]:
     return results, records
 
 
-def run_suite(scale: str, seed: int) -> dict:
+def run_suite(args) -> dict:
+    scale, seed = args.scale, args.seed
     scenario = daemon_scenario(scale).with_(seed=seed)
-    world = build_clustered_oracle(
-        scenario.topology, seed=seed, core_pool_size=scenario.core_pool_size
-    )
+    world = build_world(scenario)
     results, records = bench_section(scenario, world)
     print()
     print(format_trial_records(rank_by_time_to_answer(records)))
@@ -214,48 +186,5 @@ def check_report(report: dict) -> list[str]:
     return problems
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument("--scale", choices=SCALES, default="tiny")
-    parser.add_argument("--seed", type=int, default=2008)
-    parser.add_argument(
-        "--output",
-        type=Path,
-        default=None,
-        help=(
-            "where to write the JSON report (default: BENCH_daemon.json for "
-            "--scale paper, bench_daemon_<scale>.json otherwise, so a casual "
-            "tiny run cannot clobber the committed paper baseline)"
-        ),
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="validate the report's gates and exit 1 if any fails",
-    )
-    args = parser.parse_args()
-    output = args.output
-    if output is None:
-        output = (
-            Path("BENCH_daemon.json")
-            if args.scale == "paper"
-            else Path(f"bench_daemon_{args.scale}.json")
-        )
-    report = run_suite(args.scale, args.seed)
-    output.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {output}")
-    if args.check:
-        problems = check_report(report)
-        for problem in problems:
-            print(f"CHECK FAILED: {problem}")
-        if problems:
-            sys.exit(1)
-        print(
-            "daemon smoke OK:",
-            sorted(b["name"] for b in report["benchmarks"]),
-            "+ dispatch-charged",
-        )
-
-
 if __name__ == "__main__":
-    main()
+    main("daemon", __doc__, run_suite, check_report)

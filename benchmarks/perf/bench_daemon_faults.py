@@ -38,12 +38,7 @@ detour, partition timeouts and retries).
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-import time
-from pathlib import Path
-
+from driver import build_world, main, timed_trial
 from repro.algorithms import (
     BeaconSearch,
     KargerRuhlSearch,
@@ -54,9 +49,7 @@ from repro.algorithms import (
     TiersSearch,
 )
 from repro.analysis.compare import format_trial_records, rank_by_time_to_answer
-from repro.harness import QueryEngine, get_scenario
-
-SCALES = ("tiny", "paper")
+from repro.harness import get_scenario
 
 FAULT_SCENARIOS = ("daemon-lossy", "daemon-natted", "daemon-partition")
 
@@ -73,18 +66,9 @@ SCHEMES = (
     ("pic", PicSearch),
 )
 
+
 def bench_scheme(name: str, factory, scenario, world) -> tuple[dict, object]:
-    engine = QueryEngine()
-    start = time.perf_counter()
-    record = engine.run_daemon_trial(
-        world,
-        factory(),
-        scenario.daemon,
-        sampling=scenario.sampling,
-        n_queries=scenario.n_queries,
-        seed=scenario.seed,
-    )
-    elapsed = time.perf_counter() - start
+    record, elapsed = timed_trial(factory(), scenario, world)
     row = {
         "name": name,
         "n_queries": record.n_queries,
@@ -116,13 +100,7 @@ def bench_scenario(scenario_name: str, scale: str, seed: int | None) -> dict:
         scenario = scenario.with_(seed=seed)
     if scale == "tiny":
         scenario = scenario.with_(n_queries=40)
-    from repro.latency.builder import build_clustered_oracle
-
-    world = build_clustered_oracle(
-        scenario.topology,
-        seed=scenario.seed,
-        core_pool_size=scenario.core_pool_size,
-    )
+    world = build_world(scenario)
     print(f"== {scenario.name}: {scenario.description}")
     results = []
     records = []
@@ -153,7 +131,8 @@ def bench_scenario(scenario_name: str, scale: str, seed: int | None) -> dict:
     }
 
 
-def run_suite(scale: str, seed: int | None) -> dict:
+def run_suite(args) -> dict:
+    scale, seed = args.scale, args.seed
     return {
         "suite": "daemon-faults",
         "scale": scale,
@@ -223,53 +202,5 @@ def check_report(report: dict) -> list[str]:
     return problems
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument("--scale", choices=SCALES, default="tiny")
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="override every scenario's registered seed (default: keep them)",
-    )
-    parser.add_argument(
-        "--output",
-        type=Path,
-        default=None,
-        help=(
-            "where to write the JSON report (default: "
-            "BENCH_daemon_faults.json for --scale paper, "
-            "bench_daemon_faults_<scale>.json otherwise, so a casual tiny "
-            "run cannot clobber the committed paper baseline)"
-        ),
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="validate the report's gates and exit 1 if any fails",
-    )
-    args = parser.parse_args()
-    output = args.output
-    if output is None:
-        output = (
-            Path("BENCH_daemon_faults.json")
-            if args.scale == "paper"
-            else Path(f"bench_daemon_faults_{args.scale}.json")
-        )
-    report = run_suite(args.scale, args.seed)
-    output.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {output}")
-    if args.check:
-        problems = check_report(report)
-        for problem in problems:
-            print(f"CHECK FAILED: {problem}")
-        if problems:
-            sys.exit(1)
-        print(
-            "daemon faults smoke OK:",
-            sorted(s["scenario"] for s in report["scenarios"]),
-        )
-
-
 if __name__ == "__main__":
-    main()
+    main("daemon_faults", __doc__, run_suite, check_report, seed=None)

@@ -36,22 +36,17 @@ any failure.
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
+from driver import main
 from repro.algorithms import RandomProbeSearch
 from repro.harness import DaemonSpec, SamplingSpec, get_scenario
 from repro.latency.builder import build_sparse_clustered_world
 from repro.service import QueryDaemon
 from repro.topology.clustered import ClusteredConfig
 from repro.util.rng import make_rng
-
-SCALES = ("tiny", "paper")
 
 #: Population -> world shape (n = clusters x end-networks x 2 peers).
 POPULATIONS = {
@@ -168,7 +163,8 @@ def daemon_steady_1m(seed: int, n_queries: int) -> dict:
     }
 
 
-def run_suite(scale: str, seed: int) -> dict:
+def run_suite(args) -> dict:
+    scale, seed = args.scale, args.seed
     n_queries = 120 if scale == "tiny" else 300
     print(f"per-step sweep (random-probe budget {SWEEP_BUDGET}, static membership)")
     sweep = [sweep_point(n, seed, n_queries) for n in SWEEPS[scale]]
@@ -224,49 +220,5 @@ def check_report(report: dict) -> list[str]:
     return problems
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument("--scale", choices=SCALES, default="tiny")
-    parser.add_argument("--seed", type=int, default=2008)
-    parser.add_argument(
-        "--output",
-        type=Path,
-        default=None,
-        help=(
-            "where to write the JSON report (default: BENCH_daemon_scale.json "
-            "for --scale paper, bench_daemon_scale_<scale>.json otherwise, so "
-            "a casual tiny run cannot clobber the committed paper baseline)"
-        ),
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="validate the report's gates and exit 1 if any fails",
-    )
-    args = parser.parse_args()
-    output = args.output
-    if output is None:
-        output = (
-            Path("BENCH_daemon_scale.json")
-            if args.scale == "paper"
-            else Path(f"bench_daemon_scale_{args.scale}.json")
-        )
-    report = run_suite(args.scale, args.seed)
-    output.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {output}")
-    if args.check:
-        problems = check_report(report)
-        for problem in problems:
-            print(f"CHECK FAILED: {problem}")
-        if problems:
-            sys.exit(1)
-        ns = [point["n_hosts"] for point in report["sweep"]]
-        print(
-            "daemon scale checks OK:",
-            ns,
-            f"per-step ratio {report['per_step_cost_ratio']:.2f}x",
-        )
-
-
 if __name__ == "__main__":
-    main()
+    main("daemon_scale", __doc__, run_suite, check_report)

@@ -35,22 +35,14 @@ answers, a ``full_over_partial`` ratio of at least
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-import time
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 
+from driver import build_world, main, paper_scale, timed_trial
 from repro.algorithms import KargerRuhlSearch, TapestrySearch
-from repro.harness import QueryEngine, SamplingSpec, churn_spec, get_scenario
+from repro.harness import get_scenario
 from repro.harness.scenario import CHURN_STEP_MS
-from repro.latency.builder import build_clustered_oracle
-from repro.topology.clustered import ClusteredConfig
-
-SCALES = ("tiny", "paper")
 
 #: The region-indexed schemes (``RegionIndexedSearch``), which refresh
 #: only touched regions under ``lazy-partial``.
@@ -77,42 +69,16 @@ def maintenance_scenario(scale: str):
             trials=1,
             daemon=replace(base.daemon, warmup_ms=5 * CHURN_STEP_MS),
         )
-    # Paper scale: n = 10 clusters x 100 end-networks x 2 peers = 2000
-    # hosts.  Each query's descent touches O(log n) regions out of ~1600
-    # live members, so the per-query refresh is far sparser than tiny's.
-    return base.with_(
-        topology=ClusteredConfig(
-            n_clusters=10, end_networks_per_cluster=100, delta=0.2
-        ),
-        sampling=SamplingSpec(n_targets=100),
-        daemon=churn_spec(
-            initial_fraction=0.8,
-            arrival_rate=1.0,
-            departure_rate=1.0,
-            session_length_ms=150 * CHURN_STEP_MS,
-            warmup_ms=25 * CHURN_STEP_MS,
-            min_members=200,
-        ),
-        n_queries=60,
-        trials=1,
-    )
+    # Paper scale: n = 2000 hosts.  Each query's descent touches
+    # O(log n) regions out of ~1600 live members, so the per-query refresh
+    # is far sparser than tiny's.
+    return paper_scale(base, n_queries=60, churn=True)
 
 
-def run_arm(factory, discipline: str, scenario, world) -> tuple[dict, object]:
+def bench_arm(factory, discipline: str, scenario, world) -> tuple[dict, object]:
     """One (scheme, discipline) trial; returns (report row, record)."""
     algorithm = factory(maintenance=discipline)
-    engine = QueryEngine()
-    start = time.perf_counter()
-    record = engine.run_daemon_trial(
-        world,
-        algorithm,
-        scenario.daemon,
-        sampling=scenario.sampling,
-        n_queries=scenario.n_queries,
-        seed=scenario.seed,
-        noise=scenario.noise,
-    )
-    elapsed = time.perf_counter() - start
+    record, elapsed = timed_trial(algorithm, scenario, world)
     row = {
         "discipline": discipline,
         "n_queries": record.n_queries,
@@ -139,16 +105,15 @@ def answers_identical(a, b) -> bool:
     )
 
 
-def run_suite(scale: str, seed: int) -> dict:
+def run_suite(args) -> dict:
+    scale, seed = args.scale, args.seed
     scenario = maintenance_scenario(scale).with_(seed=seed)
-    world = build_clustered_oracle(
-        scenario.topology, seed=seed, core_pool_size=scenario.core_pool_size
-    )
+    world = build_world(scenario)
     schemes = []
     for name, factory in SCHEMES:
         rows, records = [], {}
         for discipline in DISCIPLINES:
-            row, record = run_arm(factory, discipline, scenario, world)
+            row, record = bench_arm(factory, discipline, scenario, world)
             records[discipline] = record
             print(
                 f"{name} [{discipline}]: "
@@ -225,44 +190,5 @@ def check_report(report: dict) -> list[str]:
     return problems
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument("--scale", choices=SCALES, default="tiny")
-    parser.add_argument("--seed", type=int, default=2008)
-    parser.add_argument(
-        "--output",
-        type=Path,
-        default=None,
-        help=(
-            "where to write the JSON report (default: BENCH_maintenance.json "
-            "for --scale paper, bench_maintenance_<scale>.json otherwise, so "
-            "a casual tiny run cannot clobber the committed paper baseline)"
-        ),
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="validate the report's gates and exit 1 if any fails",
-    )
-    args = parser.parse_args()
-    output = args.output
-    if output is None:
-        output = (
-            Path("BENCH_maintenance.json")
-            if args.scale == "paper"
-            else Path(f"bench_maintenance_{args.scale}.json")
-        )
-    report = run_suite(args.scale, args.seed)
-    output.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {output}")
-    if args.check:
-        problems = check_report(report)
-        for problem in problems:
-            print(f"CHECK FAILED: {problem}")
-        if problems:
-            sys.exit(1)
-        print("maintenance checks OK:", sorted(s["name"] for s in report["schemes"]))
-
-
 if __name__ == "__main__":
-    main()
+    main("maintenance", __doc__, run_suite, check_report)

@@ -46,8 +46,6 @@ from repro.harness.scenario import (
     get_scenario,
     list_scenarios,
     register_scenario,
-    temporary_scenario,
-    unregister_scenario,
 )
 from repro.harness.scoring import score_epochs, score_single
 
@@ -71,6 +69,4 @@ __all__ = [
     "register_scenario",
     "score_epochs",
     "score_single",
-    "temporary_scenario",
-    "unregister_scenario",
 ]

@@ -11,7 +11,6 @@ dataclass away.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -559,40 +558,6 @@ def get_scenario(name: str) -> Scenario:
         ) from None
 
 
-def unregister_scenario(name: str) -> Scenario:
-    """Remove (and return) a registered scenario.
-
-    The counterpart of :func:`register_scenario`, so tests and parameter
-    sweeps can clean up after themselves instead of leaking entries into
-    the process-wide registry.
-    """
-    try:
-        return _REGISTRY.pop(name)
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown scenario {name!r}; registered: {sorted(_REGISTRY)}"
-        ) from None
-
-
-@contextmanager
-def temporary_scenario(scenario: Scenario, overwrite: bool = False):
-    """Register ``scenario`` for the duration of a ``with`` block.
-
-    On exit the previous registry state is restored exactly: the entry is
-    removed, or — when ``overwrite=True`` replaced an existing scenario —
-    the original is put back.
-    """
-    previous = _REGISTRY.get(scenario.name)
-    register_scenario(scenario, overwrite=overwrite)
-    try:
-        yield scenario
-    finally:
-        if previous is not None:
-            _REGISTRY[scenario.name] = previous
-        else:
-            _REGISTRY.pop(scenario.name, None)
-
-
 def list_scenarios() -> list[str]:
     """Names of every registered scenario, sorted."""
     return sorted(_REGISTRY)
@@ -602,7 +567,7 @@ def list_scenarios() -> list[str]:
 
 #: The head-to-head comparison world: every latency-only scheme, one
 #: clustered world, realistic probe noise (used by
-#: ``benchmarks/bench_algorithm_comparison.py``).
+#: ``tests/test_studies.py``).
 PAPER_COMPARISON = register_scenario(
     Scenario(
         name="paper-comparison",
@@ -612,21 +577,6 @@ PAPER_COMPARISON = register_scenario(
         protocol="per-target",
         seed=53,
         description="all schemes, one noisy clustered world, 60 targets",
-    )
-)
-
-#: A deep-in-the-phase-transition Meridian workload (125 end-networks per
-#: cluster, where the clustering condition dominates).
-MERIDIAN_PHASE_TRANSITION = register_scenario(
-    Scenario(
-        name="meridian-phase-transition",
-        topology=ClusteredConfig(
-            n_clusters=10, end_networks_per_cluster=125, delta=0.2
-        ),
-        sampling=SamplingSpec(n_targets=100),
-        n_queries=600,
-        trials=2,
-        description="Meridian under a fully developed clustering condition",
     )
 )
 

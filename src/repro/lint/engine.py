@@ -27,7 +27,6 @@ EXCLUDED_DIRS = frozenset(
         "__pycache__",
         ".pytest_cache",
         ".hypothesis",
-        ".benchmarks",
         ".claude",
         "lint_fixtures",  # linter test fixtures: data, not code
     }

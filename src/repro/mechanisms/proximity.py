@@ -59,15 +59,3 @@ def proximity_compare(a: ProximityAddress, b: ProximityAddress) -> float:
     if shared is not None:
         return shared
     return float(np.linalg.norm(a.coordinate - b.coordinate))
-
-
-def rank_candidates(
-    me: ProximityAddress, candidates: list[ProximityAddress]
-) -> list[tuple[int, float]]:
-    """Candidates sorted by composite-address proximity to ``me``."""
-    scored = [
-        (candidate.node_id, proximity_compare(me, candidate))
-        for candidate in candidates
-    ]
-    scored.sort(key=lambda pair: pair[1])
-    return scored

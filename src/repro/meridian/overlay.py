@@ -6,8 +6,7 @@ populates each node's rings from the full latency matrix and keeps at most
 reproduces that converged state directly:
 
 * every other member is a ring candidate (``knowledge_sample=None``), or a
-  uniform sample of them (modelling an under-gossiped overlay — used by the
-  ablation benchmarks);
+  uniform sample of them (modelling an under-gossiped overlay);
 * each over-full ring is first subsampled to ``candidate_pool`` entries
   (gossip only ever surfaces a bounded candidate set per ring) and then
   reduced to ``ring_size`` members by diversity selection

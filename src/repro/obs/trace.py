@@ -121,8 +121,8 @@ class Tracer:
 
         Hot path (one call per wait/round/retry): the loop clock already
         hands us floats and the driver an int index, so no defensive
-        conversions — every avoidable microsecond here widens the margin
-        on the perf smoke's trace-on/off wall-clock gate.
+        conversions — ``benchmarks/perf/bench_trace.py`` gates the calls
+        tracing adds per query.
         """
         query = int(query)
         seq = self._job_seq.get(query, 1)

@@ -1,4 +1,4 @@
-"""Shared utilities: errors, RNG plumbing, unit conversions, validation.
+"""Shared utilities: errors, RNG plumbing, units, validation.
 
 Everything in this package is infrastructure used by every other subpackage.
 Nothing here knows anything about networking or the paper; keeping that rule
@@ -12,14 +12,6 @@ from repro.util.errors import (
     SimulationError,
 )
 from repro.util.rng import RngStream, child_rng, make_rng, spawn_seeds
-from repro.util.units import (
-    MS_PER_SECOND,
-    US_PER_MS,
-    ms_to_seconds,
-    ms_to_us,
-    seconds_to_ms,
-    us_to_ms,
-)
 from repro.util.validate import (
     require,
     require_in_range,
@@ -36,12 +28,6 @@ __all__ = [
     "make_rng",
     "child_rng",
     "spawn_seeds",
-    "MS_PER_SECOND",
-    "US_PER_MS",
-    "ms_to_seconds",
-    "seconds_to_ms",
-    "ms_to_us",
-    "us_to_ms",
     "require",
     "require_positive",
     "require_non_negative",

@@ -1,35 +1,9 @@
-"""Latency unit conversions.
+"""Latency units.
 
 The library's canonical latency unit is the **millisecond** (a float), which
-matches how the paper reports every number.  Intra-end-network latencies are
-sub-millisecond (the paper uses 100 µs), so conversions to/from microseconds
-appear at API boundaries; the event simulator exposes seconds for humans.
-Keeping the conversions in one place avoids the classic off-by-1000 bug.
+matches how the paper reports every number.
 """
-
-MS_PER_SECOND = 1_000.0
-US_PER_MS = 1_000.0
 
 #: The paper's intra-end-network latency: "Peers that are both in the same
 #: end-network have a latency of 100 µs between them" (Section 4).
 INTRA_EN_LATENCY_MS = 0.1
-
-
-def ms_to_seconds(ms: float) -> float:
-    """Convert milliseconds to seconds."""
-    return ms / MS_PER_SECOND
-
-
-def seconds_to_ms(seconds: float) -> float:
-    """Convert seconds to milliseconds."""
-    return seconds * MS_PER_SECOND
-
-
-def ms_to_us(ms: float) -> float:
-    """Convert milliseconds to microseconds."""
-    return ms * US_PER_MS
-
-
-def us_to_ms(us: float) -> float:
-    """Convert microseconds to milliseconds."""
-    return us / US_PER_MS

@@ -15,7 +15,7 @@ from repro.algorithms import (
 )
 from repro.algorithms.base import NearestPeerAlgorithm, probe_round
 from repro.topology.oracle import MatrixOracle, NoisyOracle
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, DataError
 
 ALL_ALGORITHMS = [
     MeridianSearch,
@@ -27,6 +27,16 @@ ALL_ALGORITHMS = [
     BeaconSearch,
     RandomProbeSearch,
 ]
+
+#: (scheme, member count) pairs whose ``build`` raises ``DataError``: a
+#: Meridian overlay and a Vivaldi system need two members, and PIC one
+#: per landmark (12 by default).
+TOO_SMALL_TO_BUILD = {
+    (MeridianSearch, 1),
+    (PicSearch, 1),
+    (PicSearch, 2),
+    (VivaldiGreedySearch, 1),
+}
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +65,24 @@ class TestInterfaceContract:
         assert result.found in set(int(m) for m in members)
         assert result.probes >= 1
         assert result.found_latency_ms >= 0
+
+    @pytest.mark.parametrize("n_members", [1, 2])
+    @pytest.mark.parametrize("algorithm_class", ALL_ALGORITHMS)
+    def test_tiny_world_answers_or_rejects_at_build(
+        self, algorithm_class, n_members, benign_setup
+    ):
+        """A one- or two-member world answers, or ``build`` says it cannot."""
+        oracle, members, targets, _ = benign_setup
+        members = members[:n_members]
+        algorithm = algorithm_class()
+        if (algorithm_class, n_members) in TOO_SMALL_TO_BUILD:
+            with pytest.raises(DataError):
+                algorithm.build(oracle, members, seed=7)
+            return
+        algorithm.build(oracle, members, seed=7)
+        result = algorithm.query(int(targets[0]), seed=11)
+        assert result.found in set(int(m) for m in members)
+        assert result.probes >= 1
 
     @pytest.mark.parametrize("algorithm_class", ALL_ALGORITHMS)
     def test_deterministic_given_seeds(self, algorithm_class, benign_setup):

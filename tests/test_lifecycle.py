@@ -41,11 +41,7 @@ from repro.harness import (
     Scenario,
     ServicePhase,
     get_scenario,
-    list_scenarios,
-    register_scenario,
     churn_spec,
-    temporary_scenario,
-    unregister_scenario,
 )
 from repro.harness.scenario import CHURN_STEP_MS
 from repro.latency.builder import build_clustered_oracle
@@ -699,37 +695,3 @@ class TestDegenerateEdges:
             churned.total_maintenance_probes + quiet.total_maintenance_probes
             == algorithm.maintenance_probes_total
         )
-
-
-class TestRegistryHygiene:
-    def test_unregister_scenario_roundtrip(self):
-        scenario = Scenario(name="test-unregister", topology=SMALL)
-        register_scenario(scenario)
-        assert "test-unregister" in list_scenarios()
-        assert unregister_scenario("test-unregister") is scenario
-        assert "test-unregister" not in list_scenarios()
-        with pytest.raises(ConfigurationError):
-            unregister_scenario("test-unregister")
-
-    def test_temporary_scenario_cleans_up(self):
-        scenario = Scenario(name="test-temporary", topology=SMALL)
-        with temporary_scenario(scenario) as registered:
-            assert registered is scenario
-            assert get_scenario("test-temporary") is scenario
-        assert "test-temporary" not in list_scenarios()
-
-    def test_temporary_scenario_restores_overwritten_entry(self):
-        original = Scenario(name="test-temp-overwrite", topology=SMALL)
-        register_scenario(original)
-        replacement = original.with_(n_queries=5)
-        with temporary_scenario(replacement, overwrite=True):
-            assert get_scenario("test-temp-overwrite") is replacement
-        assert get_scenario("test-temp-overwrite") is original
-        unregister_scenario("test-temp-overwrite")
-
-    def test_temporary_scenario_cleans_up_on_error(self):
-        scenario = Scenario(name="test-temp-error", topology=SMALL)
-        with pytest.raises(RuntimeError):
-            with temporary_scenario(scenario):
-                raise RuntimeError("boom")
-        assert "test-temp-error" not in list_scenarios()

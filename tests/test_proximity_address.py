@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.mechanisms.proximity import (
-    ProximityAddress,
-    proximity_compare,
-    rank_candidates,
-)
+from repro.mechanisms.proximity import ProximityAddress, proximity_compare
 from repro.mechanisms.ucl import UclEntry
 from repro.util.errors import DataError
 
@@ -54,20 +50,3 @@ class TestProximityCompare:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DataError):
             proximity_compare(address(1, [0.0]), address(2, [0.0, 0.0]))
-
-
-class TestRankCandidates:
-    def test_shared_router_candidate_ranks_first(self):
-        me = address(0, [0.0, 0.0], ucl=[UclEntry(5, 0.5)])
-        lan_mate = address(1, [200.0, 0.0], ucl=[UclEntry(5, 0.4)])
-        coord_close = address(2, [2.0, 0.0])
-        ranked = rank_candidates(me, [coord_close, lan_mate])
-        assert ranked[0][0] == 1  # the mate wins despite awful coordinates
-        assert ranked[0][1] == pytest.approx(0.9)
-
-    def test_orders_by_estimate(self):
-        me = address(0, [0.0, 0.0])
-        near = address(1, [1.0, 0.0])
-        far = address(2, [9.0, 0.0])
-        ranked = rank_candidates(me, [far, near])
-        assert [node for node, _ in ranked] == [1, 2]
