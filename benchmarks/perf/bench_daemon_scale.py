@@ -111,30 +111,31 @@ def _build_daemon(
     )
 
 
-def _timed_run(daemon: QueryDaemon, n_queries: int) -> tuple[dict, object]:
+def _timed_run(daemon: QueryDaemon, n_queries: int) -> dict:
     start = time.perf_counter()
-    run = daemon.run(n_queries)
+    daemon.run(n_queries)
     serve_s = time.perf_counter() - start
-    tta = np.array([job.time_to_answer_ms for job in run.jobs])
+    tta = np.array([job.time_to_answer_ms for job in daemon.jobs])
+    loop_events = daemon.loop.processed
     return {
         "n_queries": n_queries,
         "serve_s": serve_s,
-        "loop_events": run.loop_events,
-        "per_step_us": 1e6 * serve_s / run.loop_events,
-        "makespan_ms": run.makespan_ms,
+        "loop_events": loop_events,
+        "per_step_us": 1e6 * serve_s / loop_events,
+        "makespan_ms": daemon.makespan_ms,
         "tta_median_ms": float(np.median(tta)),
         "tta_p95_ms": float(np.percentile(tta, 95)),
         "tta_p99_ms": float(np.percentile(tta, 99)),
-        "in_flight_probes_max": run.in_flight_probes_max,
-        "queue_depth_max": run.queue_depth_max,
-    }, run
+        "in_flight_probes_max": daemon.in_flight_probes_max,
+        "queue_depth_max": daemon.queue_depth_max,
+    }
 
 
 def sweep_point(n_hosts: int, seed: int, n_queries: int) -> dict:
     start = time.perf_counter()
     daemon = _build_daemon(n_hosts, SWEEP_SPEC, SWEEP_BUDGET, seed)
     setup_s = time.perf_counter() - start
-    row, _run = _timed_run(daemon, n_queries)
+    row = _timed_run(daemon, n_queries)
     row = {"n_hosts": n_hosts, "setup_s": setup_s, **row}
     print(
         f"  n={n_hosts:>9,}: setup {setup_s:6.1f}s  serve {row['serve_s']:6.2f}s  "
@@ -148,17 +149,17 @@ def daemon_steady_1m(seed: int, n_queries: int) -> dict:
     start = time.perf_counter()
     daemon = _build_daemon(1_000_000, spec, SWEEP_BUDGET, seed)
     setup_s = time.perf_counter() - start
-    row, run = _timed_run(daemon, n_queries)
+    row = _timed_run(daemon, n_queries)
     print(
         f"  steady 1M: setup {setup_s:.1f}s  serve {row['serve_s']:.2f}s  "
-        f"{run.n_events} membership events  tta p50 {row['tta_median_ms']:.1f}ms"
+        f"{daemon.n_events} membership events  tta p50 {row['tta_median_ms']:.1f}ms"
     )
     return {
         "n_hosts": 1_000_000,
         "scenario": "daemon-steady",
         "completes": True,
         "setup_s": setup_s,
-        "n_membership_events": run.n_events,
+        "n_membership_events": daemon.n_events,
         **row,
     }
 

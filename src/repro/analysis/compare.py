@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.analysis.tables import format_table
-from repro.harness.results import TrialRecord
+from repro.harness.results import DaemonTrialRecord, TrialRecord
 
 
 @dataclass(frozen=True)
@@ -59,11 +59,11 @@ def format_trial_records(records: list[TrialRecord]) -> str:
     :class:`~repro.harness.results.DaemonTrialRecord`), five daemon
     columns are appended — median/p95/p99 simulated ms to answer, the
     deadline availability and the per-query retransmit bill — and
-    records without timing degrade gracefully to ``-`` cells.
+    static records get ``-`` cells there.
     """
     headers = ["scheme", "P(exact closest)", "P(correct cluster)",
                "probes/query", "aux/query", "maint/query"]
-    timed = any(_has_timing(r) for r in records)
+    timed = any(isinstance(r, DaemonTrialRecord) for r in records)
     if timed:
         headers += [
             "tta p50 (ms)", "tta p95 (ms)", "tta p99 (ms)",
@@ -80,37 +80,18 @@ def format_trial_records(records: list[TrialRecord]) -> str:
             f"{r.mean_maintenance_probes_per_query:.1f}",
         ]
         if timed:
-            if _has_timing(r):
-                retransmits = getattr(r, "total_probe_retransmits", None)
+            if isinstance(r, DaemonTrialRecord):
                 row += [
                     f"{r.tta_median_ms:.1f}",
                     f"{r.tta_p95_ms:.1f}",
                     f"{r.tta_p99_ms:.1f}",
                     f"{r.availability:.3f}",
-                    (
-                        "-"
-                        if retransmits is None
-                        else f"{retransmits / r.n_queries:.2f}"
-                    ),
+                    f"{r.total_probe_retransmits / r.n_queries:.2f}",
                 ]
             else:
                 row += ["-"] * 5
         rows.append(row)
     return format_table(headers, rows)
-
-
-def _has_timing(record: TrialRecord) -> bool:
-    """Whether a record carries the daemon timing arrays.
-
-    Checks the arrays themselves (not the percentile properties): a
-    :class:`~repro.harness.results.DaemonTrialRecord` built without its
-    optional timing fields must degrade like an untimed record rather
-    than crash the percentile computation.
-    """
-    return (
-        getattr(record, "arrival_ms", None) is not None
-        and getattr(record, "finish_ms", None) is not None
-    )
 
 
 def rank_by_time_to_answer(records: list[TrialRecord]) -> list[TrialRecord]:
@@ -124,7 +105,8 @@ def rank_by_time_to_answer(records: list[TrialRecord]) -> list[TrialRecord]:
     """
     def key(indexed: tuple[int, TrialRecord]) -> tuple[int, float, int]:
         index, record = indexed
-        median = record.tta_median_ms if _has_timing(record) else math.nan
+        timed = isinstance(record, DaemonTrialRecord)
+        median = record.tta_median_ms if timed else math.nan
         if math.isnan(median):
             return (1, 0.0, index)
         return (0, median, index)

@@ -6,7 +6,10 @@ build a world, sample members and targets, build a
 score it against the exact ground-truth index
 (:func:`~repro.harness.scoring.score_epochs`), and aggregate across trials —
 optionally fanning independent trials out over a
-:class:`~concurrent.futures.ProcessPoolExecutor`.
+:class:`~concurrent.futures.ProcessPoolExecutor`.  Static and daemon
+trials are scored through one path: a static batch is a single
+membership epoch, a daemon run is judged per query against the epoch it
+entered service in.
 
 Three query protocols cover the repo's workloads (see
 :mod:`repro.harness.scenario`): ``sampled`` reproduces the Meridian
@@ -27,11 +30,11 @@ phase, one record per phase.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from repro.algorithms.base import NearestPeerAlgorithm
+from repro.algorithms.base import NearestPeerAlgorithm, SearchResult
 from repro.harness.results import (
     DaemonTrialRecord,
     MembershipLog,
@@ -50,6 +53,9 @@ from repro.latency.builder import ClusteredWorld, build_clustered_oracle
 from repro.topology.oracle import LatencyOracle
 from repro.util.errors import ConfigurationError
 from repro.util.rng import make_rng, spawn_seeds
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from repro.service.daemon import QueryDaemon
 
 #: Anything that yields a fresh algorithm instance: the class itself, a
 #: ``functools.partial`` over it, or any zero-argument callable.  Must be
@@ -178,7 +184,7 @@ class QueryEngine:
             build_seed=seed,
             probe_oracle=probe_oracle,
         )
-        return self._record(
+        return _record(
             world, members, query_targets, results, algorithm.name, seed
         )
 
@@ -275,7 +281,7 @@ class QueryEngine:
                 probe_oracle=probe_oracle,
             )
             records.append(
-                self._record(
+                _record(
                     world, members, query_targets, results,
                     algorithm.name, scenario.seed,
                 )
@@ -397,7 +403,8 @@ class QueryEngine:
         open session timers (as remaining lifetimes) and the workload and
         algorithm streams, and each drains its buffered maintenance at the
         end so its record's ledger slice holds its whole bill.  The first
-        phase's spec sets the initial membership split.
+        phase's spec sets the initial membership split.  Each finished
+        daemon is read straight into its phase's record.
         """
         from repro.service.daemon import QueryDaemon
 
@@ -444,140 +451,137 @@ class QueryEngine:
                 fault_key=fault_key,
                 sessions=sessions,
             )
-            run = daemon.run(n_queries, drain=name is not None)
+            daemon.run(n_queries, drain=name is not None)
             standby, sessions = daemon.standby, daemon.open_sessions()
-            records.append(
-                self._daemon_record(
-                    world, run, algorithm.name, world_seed, spec, name
-                )
-            )
+            records.append(_daemon_record(world, daemon, world_seed, name))
         return records
 
-    def _daemon_record(
-        self,
-        world: ClusteredWorld,
-        run,
-        scheme: str,
-        world_seed: int | None,
-        spec: DaemonSpec,
-        phase: str | None,
-    ) -> DaemonTrialRecord:
-        """Score one daemon run against its epoch log and record it."""
-        jobs = run.jobs
-        query_targets = np.array([job.target for job in jobs], dtype=int)
-        found = np.array([job.result.found for job in jobs], dtype=int)
-        exact_hit, cluster_hit = score_epochs(
-            world.topology,
-            run.memberships,
-            np.array([job.epoch for job in jobs], dtype=int),
-            query_targets,
-            found,
-            host_cluster=world.topology.host_cluster,
-        )
-        spans = timeseries = None
-        if run.spans is not None:
-            from repro.obs.metrics import populate_span_histograms, sample_times
 
-            populate_span_histograms(run.metrics, run.spans)
-            timeseries = run.metrics.sample(
-                sample_times(run.makespan_ms, spec.trace.sample_interval_ms)
-            )
-            spans = tuple(run.spans)
-        return DaemonTrialRecord(
-            scheme=scheme,
-            world_seed=world_seed,
-            targets=query_targets,
-            found=found,
-            found_latency_ms=np.array(
-                [job.result.found_latency_ms for job in jobs]
-            ),
-            probes=np.array([job.result.probes for job in jobs], dtype=int),
-            aux_probes=np.array(
-                [job.result.aux_probes for job in jobs], dtype=int
-            ),
-            hops=np.array([job.result.hops for job in jobs], dtype=int),
-            exact_hit=exact_hit,
-            cluster_hit=cluster_hit,
-            # A query that failed at its deadline found no peer: NaN, not
-            # the hub latency of host -1.
-            found_hub_latency_ms=np.where(
-                found >= 0, world.topology.host_hub_latency_ms[found], np.nan
-            ),
-            membership_size=np.array(
-                [job.membership_size for job in jobs], dtype=int
-            ),
-            n_churn_events=run.n_events,
-            phase=phase,
-            maintenance_by_event=run.maintenance_by_event,
-            maintenance_background_probes=run.maintenance_background_probes,
-            arrival_ms=np.array([job.arrival_ms for job in jobs]),
-            start_ms=np.array([job.start_ms for job in jobs]),
-            finish_ms=np.array([job.finish_ms for job in jobs]),
-            probe_rounds=np.array([job.rounds for job in jobs], dtype=int),
-            makespan_ms=run.makespan_ms,
-            queue_depth_time_avg=run.queue_depth_time_avg,
-            queue_depth_max=run.queue_depth_max,
-            in_flight_probes_time_avg=run.in_flight_probes_time_avg,
-            in_flight_probes_max=run.in_flight_probes_max,
-            ring_repair_passes=run.ring_repair_passes,
-            ring_repair_nodes=run.ring_repair_nodes,
-            ring_repair_probes=run.ring_repair_probes,
-            forced_flushes=run.forced_flushes,
-            probe_drops=np.array([job.probe_drops for job in jobs], dtype=int),
-            probe_retransmits=np.array(
-                [job.probe_retransmits for job in jobs], dtype=int
-            ),
-            probe_timeouts=np.array(
-                [job.probe_timeouts for job in jobs], dtype=int
-            ),
-            relayed_probes=np.array(
-                [job.relayed_probes for job in jobs], dtype=int
-            ),
-            query_retries=np.array([job.retries for job in jobs], dtype=int),
-            relay_extra_ms=run.relay_extra_ms,
-            deadline_ms=(
-                float("inf") if spec.faults is None else spec.faults.deadline_ms
-            ),
-            loop_events=run.loop_events,
-            loop_pending_at_drain=run.loop_pending_at_drain,
-            loop_queue_peak=run.loop_queue_peak,
-            loop_cancelled_events=run.loop_cancelled_events,
-            spans=spans,
-            timeseries=timeseries,
-        )
+def _column(items: Sequence, attr: str, dtype: type = int) -> np.ndarray:
+    """One attribute of every item, in order, as an array."""
+    return np.array([getattr(item, attr) for item in items], dtype=dtype)
 
-    def _record(
-        self,
-        world: ClusteredWorld,
-        members: np.ndarray,
-        query_targets: np.ndarray,
-        results: list,
-        scheme: str,
-        seed: int | np.random.Generator | None,
-    ) -> TrialRecord:
-        found = np.array([r.found for r in results], dtype=int)
-        # A static trial is one membership epoch.
-        exact_hit, cluster_hit = score_epochs(
-            world.topology,
+
+def _scored_fields(
+    world: ClusteredWorld,
+    memberships: MembershipLog,
+    epochs: np.ndarray,
+    targets: np.ndarray,
+    results: Sequence[SearchResult],
+) -> dict:
+    """The :class:`TrialRecord` fields both trial kinds share, scored.
+
+    Each query is judged against the membership of its epoch
+    (:func:`score_epochs`); a static trial is the one epoch 0.
+    """
+    topology = world.topology
+    found = _column(results, "found")
+    exact_hit, cluster_hit = score_epochs(
+        topology, memberships, epochs, targets, found,
+        host_cluster=topology.host_cluster,
+    )
+    return dict(
+        targets=targets,
+        found=found,
+        found_latency_ms=_column(results, "found_latency_ms", float),
+        probes=_column(results, "probes"),
+        aux_probes=_column(results, "aux_probes"),
+        hops=_column(results, "hops"),
+        exact_hit=exact_hit,
+        cluster_hit=cluster_hit,
+        # A query that failed at its deadline found no peer: NaN, not
+        # the hub latency of host -1.
+        found_hub_latency_ms=np.where(
+            found >= 0, topology.host_hub_latency_ms[found], np.nan
+        ),
+    )
+
+
+def _record(
+    world: ClusteredWorld,
+    members: np.ndarray,
+    query_targets: np.ndarray,
+    results: list[SearchResult],
+    scheme: str,
+    seed: int | np.random.Generator | None,
+) -> TrialRecord:
+    """Score one static query batch (a single membership epoch)."""
+    return TrialRecord(
+        scheme=scheme,
+        world_seed=int(seed) if isinstance(seed, (int, np.integer)) else None,
+        **_scored_fields(
+            world,
             MembershipLog(members),
-            np.zeros(found.size, dtype=int),
+            np.zeros(query_targets.size, dtype=int),
             query_targets,
-            found,
-            host_cluster=world.topology.host_cluster,
+            results,
+        ),
+    )
+
+
+def _daemon_record(
+    world: ClusteredWorld,
+    daemon: QueryDaemon,
+    world_seed: int | None,
+    phase: str | None,
+) -> DaemonTrialRecord:
+    """Score a finished daemon against its epoch log and record it."""
+    jobs = daemon.jobs
+    spec = daemon.spec
+    spans = timeseries = None
+    if daemon.spans is not None:
+        from repro.obs.metrics import populate_span_histograms, sample_times
+
+        populate_span_histograms(daemon.metrics, daemon.spans)
+        timeseries = daemon.metrics.sample(
+            sample_times(daemon.makespan_ms, spec.trace.sample_interval_ms)
         )
-        return TrialRecord(
-            scheme=scheme,
-            world_seed=int(seed) if isinstance(seed, (int, np.integer)) else None,
-            targets=query_targets,
-            found=found,
-            found_latency_ms=np.array([r.found_latency_ms for r in results]),
-            probes=np.array([r.probes for r in results], dtype=int),
-            aux_probes=np.array([r.aux_probes for r in results], dtype=int),
-            hops=np.array([r.hops for r in results], dtype=int),
-            exact_hit=exact_hit,
-            cluster_hit=cluster_hit,
-            found_hub_latency_ms=world.topology.host_hub_latency_ms[found],
-        )
+        spans = tuple(daemon.spans)
+    loop = daemon.loop
+    return DaemonTrialRecord(
+        scheme=daemon.algorithm.name,
+        world_seed=world_seed,
+        **_scored_fields(
+            world,
+            daemon.memberships,
+            _column(jobs, "epoch"),
+            _column(jobs, "target"),
+            [job.result for job in jobs],
+        ),
+        membership_size=_column(jobs, "membership_size"),
+        n_churn_events=daemon.n_events,
+        phase=phase,
+        maintenance_by_event=daemon.maintenance_by_event,
+        maintenance_background_probes=daemon.maintenance_background_probes,
+        arrival_ms=_column(jobs, "arrival_ms", float),
+        start_ms=_column(jobs, "start_ms", float),
+        finish_ms=_column(jobs, "finish_ms", float),
+        probe_rounds=_column(jobs, "rounds"),
+        makespan_ms=daemon.makespan_ms,
+        queue_depth_time_avg=daemon.queue_depth_time_avg,
+        queue_depth_max=daemon.queue_depth_max,
+        in_flight_probes_time_avg=daemon.in_flight_probes_time_avg,
+        in_flight_probes_max=daemon.in_flight_probes_max,
+        ring_repair_passes=daemon.ring_repair_passes,
+        ring_repair_nodes=daemon.ring_repair_nodes,
+        ring_repair_probes=daemon.ring_repair_probes,
+        forced_flushes=daemon.forced_flushes,
+        probe_drops=_column(jobs, "probe_drops"),
+        probe_retransmits=_column(jobs, "probe_retransmits"),
+        probe_timeouts=_column(jobs, "probe_timeouts"),
+        relayed_probes=_column(jobs, "relayed_probes"),
+        query_retries=_column(jobs, "retries"),
+        relay_extra_ms=daemon.network.relay_extra_ms,
+        deadline_ms=(
+            float("inf") if spec.faults is None else spec.faults.deadline_ms
+        ),
+        loop_events=loop.processed,
+        loop_pending_at_drain=loop.pending,
+        loop_queue_peak=loop.peak_queue_size,
+        loop_cancelled_events=loop.cancelled_total,
+        spans=spans,
+        timeseries=timeseries,
+    )
 
 
 def _run_world_task(

@@ -188,7 +188,7 @@ class TrialRecord:
         return float(np.median(wrong)) if wrong.size else 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class DaemonTrialRecord(TrialRecord):
     """A :class:`TrialRecord` from the simulated-time query daemon.
 
@@ -208,7 +208,7 @@ class DaemonTrialRecord(TrialRecord):
     """
 
     #: Live membership size when each query entered service.
-    membership_size: np.ndarray | None = None
+    membership_size: np.ndarray
     #: Membership events (non-empty join/leave calls) the run applied, so
     #: maintenance cost can be normalised per event as well as per query.
     n_churn_events: int = 0
@@ -217,11 +217,11 @@ class DaemonTrialRecord(TrialRecord):
     phase: str | None = None
 
     #: Simulated arrival / service-start / answer times per query.
-    arrival_ms: np.ndarray | None = None
-    start_ms: np.ndarray | None = None
-    finish_ms: np.ndarray | None = None
+    arrival_ms: np.ndarray
+    start_ms: np.ndarray
+    finish_ms: np.ndarray
     #: Probe rounds each query's plan issued (its critical-path depth).
-    probe_rounds: np.ndarray | None = None
+    probe_rounds: np.ndarray
     #: Simulated time from first arrival to last answer.
     makespan_ms: float = 0.0
     #: Time-weighted mean / peak of queries FIFO-queued behind node caps.
@@ -236,12 +236,12 @@ class DaemonTrialRecord(TrialRecord):
     ring_repair_probes: int = 0
     #: Timer-forced deferred-maintenance flushes.
     forced_flushes: int = 0
-    #: Fault-path bills per query (``None`` without a fault model).
-    probe_drops: np.ndarray | None = None
-    probe_retransmits: np.ndarray | None = None
-    probe_timeouts: np.ndarray | None = None
-    relayed_probes: np.ndarray | None = None
-    query_retries: np.ndarray | None = None
+    #: Fault-path bills per query (all zero without a fault model).
+    probe_drops: np.ndarray
+    probe_retransmits: np.ndarray
+    probe_timeouts: np.ndarray
+    relayed_probes: np.ndarray
+    query_retries: np.ndarray
     #: Total simulated ms the run's probes spent on NAT relay detours.
     relay_extra_ms: float = 0.0
     #: The deadline that ended each query (``FaultSpec.deadline_ms``).
@@ -285,10 +285,10 @@ class DaemonTrialRecord(TrialRecord):
             "relayed_probes",
             "query_retries",
         ):
-            arr = getattr(self, name)
-            if arr is not None and arr.shape != (n,):
+            shape = np.shape(getattr(self, name))
+            if shape != (n,):
                 raise DataError(
-                    f"DaemonTrialRecord.{name} has shape {arr.shape}, "
+                    f"DaemonTrialRecord.{name} has shape {shape}, "
                     f"expected ({n},)"
                 )
         ledger = self.maintenance_by_event
@@ -313,8 +313,6 @@ class DaemonTrialRecord(TrialRecord):
     @property
     def mean_membership_size(self) -> float:
         """Mean live-membership size over the queries."""
-        if self.membership_size is None:
-            return 0.0
         return float(self.membership_size.mean())
 
     @property
@@ -378,8 +376,6 @@ class DaemonTrialRecord(TrialRecord):
     @property
     def mean_probe_rounds(self) -> float:
         """Mean critical-path depth (sequential probe rounds per query)."""
-        if self.probe_rounds is None:
-            return 0.0
         return float(self.probe_rounds.mean())
 
     @property
@@ -407,30 +403,22 @@ class DaemonTrialRecord(TrialRecord):
 
     @property
     def total_probe_drops(self) -> int:
-        return 0 if self.probe_drops is None else int(self.probe_drops.sum())
+        return int(self.probe_drops.sum())
 
     @property
     def total_probe_retransmits(self) -> int:
-        if self.probe_retransmits is None:
-            return 0
         return int(self.probe_retransmits.sum())
 
     @property
     def total_probe_timeouts(self) -> int:
-        if self.probe_timeouts is None:
-            return 0
         return int(self.probe_timeouts.sum())
 
     @property
     def total_relayed_probes(self) -> int:
-        if self.relayed_probes is None:
-            return 0
         return int(self.relayed_probes.sum())
 
     @property
     def total_query_retries(self) -> int:
-        if self.query_retries is None:
-            return 0
         return int(self.query_retries.sum())
 
 

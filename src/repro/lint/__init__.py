@@ -21,18 +21,14 @@ Rules (see ``python -m repro.lint --list-rules``):
 * ``frozen-specs`` — ``*Spec`` dataclasses are frozen and never mutated.
 
 Suppress a deliberate exception with ``# repro-lint: allow(<rule-id>)`` on
-(or directly above) the line; grandfather legacy findings with the
-checked-in ``lint-baseline.json`` (regenerate via ``--write-baseline``).
+(or directly above) the line; every other finding fails the run.
 """
 
-from repro.lint.baseline import Baseline, BaselineMatch
 from repro.lint.engine import FileReport, LintRun, lint_source, run_paths
 from repro.lint.findings import Finding
 from repro.lint.rules import Rule, all_rules
 
 __all__ = [
-    "Baseline",
-    "BaselineMatch",
     "FileReport",
     "Finding",
     "LintRun",

@@ -1,6 +1,6 @@
 """Command-line entry point: ``python -m repro.lint`` / ``repro-lint``.
 
-Exit codes: 0 clean (after suppressions and baseline), 1 findings,
+Exit codes: 0 clean (after inline allow comments), 1 findings,
 2 usage/configuration error.
 """
 
@@ -10,7 +10,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.lint.baseline import DEFAULT_BASELINE_NAME, Baseline, BaselineMatch
 from repro.lint.engine import run_paths
 from repro.lint.reporters import render_json, render_text
 from repro.lint.rules import all_rules
@@ -44,26 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("text", "json"),
         default="text",
         help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--baseline",
-        nargs="?",
-        const=DEFAULT_BASELINE_NAME,
-        default=None,
-        metavar="PATH",
-        help=f"filter findings through a baseline file (default path: "
-        f"<root>/{DEFAULT_BASELINE_NAME}; applied automatically when that "
-        "file exists)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file (report grandfathered findings too)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write the current findings to the baseline file and exit 0",
     )
     parser.add_argument(
         "--select",
@@ -118,42 +97,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     run = run_paths(paths, root=root, rules=rules)
-    findings = run.findings
-
-    baseline_path = root / (args.baseline or DEFAULT_BASELINE_NAME)
-
-    if args.write_baseline:
-        Baseline.from_findings(findings).save(baseline_path)
-        print(
-            f"repro-lint: wrote {len(findings)} finding(s) to {baseline_path}"
-        )
-        return 0
-
-    if args.no_baseline:
-        match = BaselineMatch(new=findings, matched=[], unused=[])
-    elif baseline_path.exists():
-        # The checked-in baseline applies by default, so a plain
-        # `python -m repro.lint` run gates on *new* findings only.
-        match = Baseline.load(baseline_path).filter(findings)
-        # Entries for rules not selected (or paths not linted) this run are
-        # not evidence of a fix — only warn about staleness on a full run.
-        if args.select or args.paths:
-            match.unused = []
-    elif args.baseline is not None:
-        print(
-            f"repro-lint: baseline {baseline_path} not found "
-            "(run with --write-baseline to create it)",
-            file=sys.stderr,
-        )
-        return 2
-    else:
-        match = BaselineMatch(new=findings, matched=[], unused=[])
-
     if args.format == "json":
-        print(render_json(run, match, rules))
+        print(render_json(run, rules))
     else:
-        print(render_text(run, match, show_suppressed=args.show_suppressed))
-    return 1 if match.new else 0
+        print(render_text(run, show_suppressed=args.show_suppressed))
+    return 1 if run.findings else 0
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -76,7 +76,7 @@ class Suppressions:
 
 @dataclass
 class FileReport:
-    """Lint outcome for one file (before baseline filtering)."""
+    """Lint outcome for one file."""
 
     path: str
     findings: list[Finding]
@@ -148,7 +148,7 @@ def relativize(path: Path, root: Path) -> str:
 
 @dataclass
 class LintRun:
-    """Outcome of linting a set of files (before baseline filtering)."""
+    """Outcome of linting a set of files."""
 
     root: str
     files: list[str]

@@ -9,9 +9,7 @@ from dataclasses import dataclass, field
 class Finding:
     """One invariant violation at a specific source location.
 
-    ``line_text`` (the stripped source line) is what baseline matching keys
-    on, so a finding keeps matching its grandfathered entry when unrelated
-    edits shift line numbers.
+    ``line_text`` is the stripped source line, shown under the finding.
     """
 
     path: str

@@ -9,21 +9,16 @@ from __future__ import annotations
 
 import json
 
-from repro.lint.baseline import BaselineMatch
 from repro.lint.engine import LintRun
 from repro.lint.findings import Finding
 from repro.lint.rules import Rule
 
-JSON_REPORT_VERSION = 1
+JSON_REPORT_VERSION = 2
 
 
-def render_text(
-    run: LintRun,
-    match: BaselineMatch,
-    show_suppressed: bool = False,
-) -> str:
+def render_text(run: LintRun, show_suppressed: bool = False) -> str:
     out: list[str] = []
-    for finding in match.new:
+    for finding in run.findings:
         out.append(f"{finding.location()}: {finding.rule}: {finding.message}")
         if finding.line_text:
             out.append(f"    {finding.line_text}")
@@ -33,24 +28,14 @@ def render_text(
                 f"{finding.location()}: {finding.rule}: suppressed "
                 f"(# repro-lint: allow)"
             )
-    for entry in match.unused:
-        out.append(
-            f"warning: stale baseline entry (fixed or drifted): "
-            f"{entry['rule']} @ {entry['path']}: {entry['line_text']!r}"
-        )
-    summary = (
-        f"{len(run.files)} files checked: {len(match.new)} finding(s), "
-        f"{len(match.matched)} baselined, {len(run.suppressed)} suppressed"
+    out.append(
+        f"{len(run.files)} files checked: {len(run.findings)} finding(s), "
+        f"{len(run.suppressed)} suppressed"
     )
-    out.append(summary)
     return "\n".join(out)
 
 
-def render_json(
-    run: LintRun,
-    match: BaselineMatch,
-    rules: list[Rule],
-) -> str:
+def render_json(run: LintRun, rules: list[Rule]) -> str:
     def encode(findings: list[Finding]) -> list[dict]:
         return [f.to_json() for f in findings]
 
@@ -66,10 +51,8 @@ def render_json(
             }
             for rule in rules
         ],
-        "findings": encode(match.new),
-        "baselined": encode(match.matched),
+        "findings": encode(run.findings),
         "suppressed": encode(run.suppressed),
-        "stale_baseline_entries": match.unused,
-        "exit_code": 1 if match.new else 0,
+        "exit_code": 1 if run.findings else 0,
     }
     return json.dumps(payload, indent=2, sort_keys=True)

@@ -3,8 +3,8 @@
 Each rule is a small AST pass protecting one invariant the reproduction's
 methodology depends on (see the package docstring in :mod:`repro.lint`).
 Rules are pure: they read a parsed module plus its repo-relative path and
-return :class:`~repro.lint.findings.Finding`s — suppression comments and
-baseline matching are the engine's job.
+return :class:`~repro.lint.findings.Finding`s — suppression comments are
+the engine's job.
 """
 
 from __future__ import annotations

@@ -23,13 +23,15 @@ node id and each probe round steps as one numpy delay array on one loop
 event, which is what carries the simulator to million-peer populations
 in one process.
 
-The harness front-end is the ``daemon`` protocol
+:meth:`~repro.service.daemon.QueryDaemon.run` returns the finished
+daemon, whose jobs, membership log, counters and load integrals are the
+run's raw record.  The harness front-end is the ``daemon`` protocol
 (:meth:`repro.harness.engine.QueryEngine.run_daemon_trial`), which scores
-the run and wraps it in a
+that record and reads it into a
 :class:`~repro.harness.results.DaemonTrialRecord` carrying time-to-answer
 percentiles next to the classic probe bill.
 """
 
-from repro.service.daemon import DaemonRun, QueryDaemon
+from repro.service.daemon import QueryDaemon
 
-__all__ = ["DaemonRun", "QueryDaemon"]
+__all__ = ["QueryDaemon"]

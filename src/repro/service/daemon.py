@@ -21,7 +21,9 @@ of Poisson-arriving queries under latency-faithful timing:
 
 The in-flight probe integral is accrued analytically (each probe is in
 flight for exactly its delay) and its peak is reconstructed from the
-recorded (time, ±k) breakpoints in one sort/cumsum when the run ends.
+recorded (time, ±k) breakpoints in one sort/cumsum when the run ends;
+the finished daemon then drops the breakpoints and stands as the run's
+record (:meth:`QueryDaemon.run` returns it).
 
 The daemon is deterministic: one workload generator drives arrivals,
 targets, entry choices and membership draws; one algorithm generator
@@ -108,57 +110,6 @@ class QueryJob:
         return self.start_ms - self.arrival_ms
 
 
-@dataclass
-class DaemonRun:
-    """Raw outcome of one daemon run (pre-scoring).
-
-    ``jobs`` are in arrival order.  The time-weighted means integrate the
-    queue depth / in-flight probe count over the run's makespan, so an
-    idle tail dilutes them exactly as it would a production dashboard's.
-    """
-
-    jobs: list[QueryJob]
-    memberships: MembershipLog
-    #: Non-empty membership events applied (join and leave counted apart).
-    n_events: int
-    makespan_ms: float
-    queue_depth_time_avg: float
-    queue_depth_max: int
-    in_flight_probes_time_avg: float
-    in_flight_probes_max: int
-    ring_repair_passes: int
-    ring_repair_nodes: int
-    ring_repair_probes: int
-    forced_flushes: int
-    loop_events: int
-    #: Exact per-membership-event maintenance bills from the algorithm's
-    #: ledger for the events this run applied, in observation order
-    #: (length ``n_events``).  With the background bucket below they are
-    #: the run's whole maintenance bill, warmup and phase-boundary drain
-    #: included; neither depends on which in-flight query finishes first.
-    maintenance_by_event: np.ndarray = field(
-        default_factory=lambda: np.zeros(0, dtype=np.int64)
-    )
-    #: Maintenance probes with no membership-event cause (ring repair)
-    #: spent during this run.
-    maintenance_background_probes: int = 0
-    #: Extra path time NAT relays added (zero without an active fault
-    #: model); per-probe fault counts live on the jobs.
-    relay_extra_ms: float = 0.0
-    #: Event-loop internals surfaced for diagnostics: live events still
-    #: queued when the loop drained (0 for a clean run), the largest raw
-    #: heap ever held, and the lifetime cancellation count (compaction
-    #: workload).
-    loop_pending_at_drain: int = 0
-    loop_queue_peak: int = 0
-    loop_cancelled_events: int = 0
-    #: Trace stream and metrics registry, populated only when
-    #: ``DaemonSpec.trace`` is set (``None`` otherwise — tracing off means
-    #: the run carries no observability payload at all).
-    spans: list | None = None
-    metrics: object | None = None
-
-
 class QueryDaemon:
     """Serves nearest-peer queries under concurrent simulated-time load.
 
@@ -208,6 +159,7 @@ class QueryDaemon:
             self.loop, algorithm.oracle, fault_model=fault_model
         )
         self.memberships = MembershipLog(algorithm.members)
+        # Non-empty membership events applied (join and leave counted apart).
         self.n_events = 0
         # This run's share of the ledger starts where the previous run on
         # the same algorithm (an earlier phase) left it.
@@ -251,6 +203,15 @@ class QueryDaemon:
         self.ring_repair_passes = 0
         self.ring_repair_nodes = 0
         self.ring_repair_probes = 0
+        # Run summary, derived when ``run`` ends.
+        self.makespan_ms = 0.0
+        self.queue_depth_time_avg = 0.0
+        self.in_flight_probes_time_avg = 0.0
+        self.in_flight_probes_max = 0
+        self.maintenance_by_event = np.zeros(0, dtype=np.int64)
+        self.maintenance_background_probes = 0
+        self.spans: list | None = None
+        self.metrics = None
         # Tracing is strictly opt-in: with ``spec.trace`` unset the hot
         # path carries one ``is None`` check per hook and nothing else.
         self.tracer: Tracer | None = (
@@ -261,13 +222,26 @@ class QueryDaemon:
 
     # -- run ---------------------------------------------------------------
 
-    def run(self, n_queries: int, drain: bool = False) -> DaemonRun:
-        """Serve ``n_queries`` queries to completion and collect the run.
+    def run(self, n_queries: int, drain: bool = False) -> QueryDaemon:
+        """Serve ``n_queries`` queries to completion; return the finished daemon.
 
         Every query ends, answered or failed at its deadline, so the loop
         drains.  ``drain`` flushes any still-buffered maintenance once the
         last query ends, so a phase's bill cannot leak into the next
         phase's ledger.
+
+        The finished daemon is the run's record: ``jobs`` (arrival order),
+        ``memberships``, the counters, ``loop`` and ``network`` as they
+        ended, plus what this method derives.  The time-weighted means
+        integrate the queue depth / in-flight probe count over
+        ``makespan_ms``, so an idle tail dilutes them exactly as it would
+        a production dashboard's.  ``maintenance_by_event`` holds the
+        ledger's exact per-event bills for the events this run applied (in
+        observation order) and ``maintenance_background_probes`` the bill
+        with no membership-event cause (ring repair); together they are
+        the run's whole maintenance bill, warmup and phase-boundary drain
+        included.  ``spans``/``metrics`` stay ``None`` unless
+        ``DaemonSpec.trace`` is set.
         """
         if n_queries < 1:
             raise ConfigurationError(f"n_queries must be >= 1, got {n_queries}")
@@ -302,18 +276,28 @@ class QueryDaemon:
             algorithm.flush_maintenance(seed=self.algo_rng)
         # Close the queue integral at the makespan.
         self._note_queue(0)
-        makespan = self.loop.now
+        makespan = self.makespan_ms = self.loop.now
+        if makespan > 0:
+            self.queue_depth_time_avg = self._queue_area / makespan
+            self.in_flight_probes_time_avg = self._flight_area / makespan
         flight_times = np.concatenate([np.zeros(0), *self._flight_bp_times])
         flight_deltas = np.concatenate(
             [np.zeros(0, dtype=np.int64), *self._flight_bp_deltas]
         )
         order = np.argsort(flight_times, kind="stable")
-        flight_max = int(np.cumsum(flight_deltas[order]).max(initial=0))
-        spans = metrics = None
+        self.in_flight_probes_max = int(
+            np.cumsum(flight_deltas[order]).max(initial=0)
+        )
+        self.maintenance_by_event = algorithm.maintenance_by_event[
+            self._ledger_start[0]:
+        ]
+        self.maintenance_background_probes = (
+            algorithm.maintenance_background_probes - self._ledger_start[1]
+        )
         tracer = self.tracer
         if tracer is not None:
             algorithm._flush_observer = None
-            metrics = tracer.metrics
+            metrics = self.metrics = tracer.metrics
             # The load gauges reuse the breakpoints the daemon already
             # recorded — zero extra hot-path work.
             metrics.gauge("queue_depth").extend(
@@ -321,38 +305,17 @@ class QueryDaemon:
                 np.asarray(self._queue_bp_deltas, dtype=np.int64),
             )
             metrics.gauge("in_flight_probes").extend(flight_times, flight_deltas)
-            spans = tracer.sorted_spans()
-        return DaemonRun(
-            jobs=self.jobs,
-            memberships=self.memberships,
-            n_events=self.n_events,
-            makespan_ms=makespan,
-            queue_depth_time_avg=(
-                self._queue_area / makespan if makespan > 0 else 0.0
-            ),
-            queue_depth_max=self.queue_depth_max,
-            in_flight_probes_time_avg=(
-                self._flight_area / makespan if makespan > 0 else 0.0
-            ),
-            in_flight_probes_max=flight_max,
-            maintenance_by_event=algorithm.maintenance_by_event[
-                self._ledger_start[0]:
-            ],
-            maintenance_background_probes=(
-                algorithm.maintenance_background_probes - self._ledger_start[1]
-            ),
-            ring_repair_passes=self.ring_repair_passes,
-            ring_repair_nodes=self.ring_repair_nodes,
-            ring_repair_probes=self.ring_repair_probes,
-            forced_flushes=self.forced_flushes,
-            loop_events=self.loop.processed,
-            relay_extra_ms=self.network.relay_extra_ms,
-            loop_pending_at_drain=self.loop.pending,
-            loop_queue_peak=self.loop.peak_queue_size,
-            loop_cancelled_events=self.loop.cancelled_total,
-            spans=spans,
-            metrics=metrics,
-        )
+            self.spans = tracer.sorted_spans()
+        # A finished daemon outlives its run (it is the record), so it
+        # lets go of the breakpoints it no longer needs.
+        for breakpoints in (
+            self._queue_bp_times,
+            self._queue_bp_deltas,
+            self._flight_bp_times,
+            self._flight_bp_deltas,
+        ):
+            breakpoints.clear()
+        return self
 
     # -- load accounting ---------------------------------------------------
 

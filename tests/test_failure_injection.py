@@ -613,9 +613,16 @@ class TestDeadlineEndsAQuery:
             exact_hit=np.array([False, False, True, False, False]),
             cluster_hit=np.array([True, False, True, False, False]),
             found_hub_latency_ms=np.array([10.0, np.nan, 30.0, 20.0, np.nan]),
+            membership_size=np.full(n, 8),
             arrival_ms=np.zeros(n),
             start_ms=np.zeros(n),
             finish_ms=np.array([100.0, 200.0, 300.0, 900.0, 1200.0]),
+            probe_rounds=np.ones(n, dtype=int),
+            probe_drops=np.zeros(n, dtype=int),
+            probe_retransmits=np.zeros(n, dtype=int),
+            probe_timeouts=np.zeros(n, dtype=int),
+            relayed_probes=np.zeros(n, dtype=int),
+            query_retries=np.zeros(n, dtype=int),
             deadline_ms=800.0,
         )
         # Misses with an answer: hub latencies 10 and 20.

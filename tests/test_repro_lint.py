@@ -1,4 +1,4 @@
-"""Tests for repro-lint: rules, suppressions, baseline, reporters, CLI.
+"""Tests for repro-lint: rules, suppressions, reporters, CLI.
 
 Each rule has a violating/clean fixture pair under ``tests/lint_fixtures/``.
 Violating fixtures tag every line that must be caught with a trailing
@@ -18,8 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.algorithms.base import NearestPeerAlgorithm
-from repro.lint import Baseline, Finding, all_rules, lint_source, run_paths
-from repro.lint.baseline import BaselineMatch
+from repro.lint import all_rules, lint_source, run_paths
 from repro.lint.cli import main as lint_main
 from repro.lint.engine import Suppressions
 from repro.lint.reporters import render_json
@@ -192,54 +191,22 @@ def test_suppression_parser_multiple_rules():
     assert sup.by_line[1] == {"no-wall-clock", "rng-discipline"}
 
 
-# -- baseline ----------------------------------------------------------------
-
-
-def _finding(rule="counted-probes", path="src/repro/x.py", line=3, text="call()"):
-    return Finding(
-        path=path, line=line, col=0, rule=rule, message="m", line_text=text
-    )
-
-
-def test_baseline_matches_on_line_text_not_line_number():
-    baseline = Baseline.from_findings([_finding(line=3)])
-    # Same offending line drifted to a new line number: still grandfathered.
-    match = baseline.filter([_finding(line=30)])
-    assert match.new == [] and len(match.matched) == 1 and match.unused == []
-
-
-def test_baseline_surfaces_new_and_stale():
-    baseline = Baseline.from_findings([_finding(text="old()")])
-    match = baseline.filter([_finding(text="new()")])
-    assert [f.line_text for f in match.new] == ["new()"]
-    assert [e["line_text"] for e in match.unused] == ["old()"]
-
-
-def test_baseline_is_a_multiset():
-    two = [_finding(line=1), _finding(line=2)]
-    baseline = Baseline.from_findings(two)
-    match = baseline.filter(two + [_finding(line=3)])
-    assert len(match.matched) == 2 and len(match.new) == 1
-
-
-def test_baseline_roundtrip(tmp_path):
-    baseline = Baseline.from_findings([_finding(), _finding(rule="plan-purity")])
-    path = tmp_path / "lint-baseline.json"
-    baseline.save(path)
-    loaded = Baseline.load(path)
-    assert loaded.entries == baseline.entries
-    data = json.loads(path.read_text())
-    assert data["version"] == 1
-
-
 # -- reporters ---------------------------------------------------------------
 
 
 def test_json_report_schema():
     run = run_paths(["src/repro/lint"], root=REPO_ROOT)
-    match = BaselineMatch(new=run.findings, matched=[], unused=[])
-    payload = json.loads(render_json(run, match, all_rules()))
-    assert payload["version"] == 1
+    payload = json.loads(render_json(run, all_rules()))
+    assert set(payload) == {
+        "version",
+        "tool",
+        "checked_files",
+        "rules",
+        "findings",
+        "suppressed",
+        "exit_code",
+    }
+    assert payload["version"] == 2
     assert payload["tool"] == "repro-lint"
     assert payload["checked_files"] > 0
     assert {r["id"] for r in payload["rules"]} == {
@@ -282,20 +249,6 @@ def test_cli_reports_injected_violation(tmp_path):
     bad.write_text("import time\nnow = time.time()\n")
     rc = lint_main([str(bad), "--root", str(tmp_path)])
     assert rc == 1
-
-
-def test_cli_write_then_apply_baseline(tmp_path, capsys):
-    bad = tmp_path / "src" / "repro" / "service" / "bad.py"
-    bad.parent.mkdir(parents=True)
-    bad.write_text("import time\nnow = time.time()\n")
-    assert lint_main(["src", "--root", str(tmp_path), "--write-baseline"]) == 0
-    capsys.readouterr()
-    # Auto-applied on the next run: grandfathered, exit 0.
-    assert lint_main(["src", "--root", str(tmp_path)]) == 0
-    out = capsys.readouterr().out
-    assert "1 baselined" in out
-    # --no-baseline surfaces it again.
-    assert lint_main(["src", "--root", str(tmp_path), "--no-baseline"]) == 1
 
 
 def test_cli_select_unknown_rule_is_usage_error(tmp_path):

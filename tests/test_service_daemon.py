@@ -22,7 +22,7 @@ from repro.harness import (
 from repro.latency.builder import build_clustered_oracle
 from repro.service import QueryDaemon
 from repro.topology.clustered import ClusteredConfig
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, DataError
 
 SMALL = ClusteredConfig(n_clusters=6, end_networks_per_cluster=20, delta=0.2)
 
@@ -142,6 +142,35 @@ class TestDaemonBasics:
         assert record.queue_depth_time_avg > 0
         assert float(record.queue_wait_ms.max()) > 0
         assert record.in_flight_probes_max > 24  # overlapping fan-outs
+
+    def test_queue_integral_matches_the_job_timelines(self, small_world):
+        """The queue gauge the daemon accrues agrees with the per-query
+        waits: its area is the summed FIFO wait, and its peak lies between
+        the peaks replayed from the (arrival, start) pairs with ties broken
+        both ways."""
+        record = run_daemon(
+            small_world,
+            lambda: RandomProbeSearch(budget=8),
+            get_scenario("daemon-flash-crowd").daemon,
+            n_queries=40,
+        )
+        total_wait = float(record.queue_wait_ms.sum())
+        assert total_wait > 0
+        np.testing.assert_allclose(
+            record.queue_depth_time_avg * record.makespan_ms,
+            total_wait,
+            rtol=1e-12,
+            atol=0.0,
+        )
+        times = np.concatenate([record.arrival_ms, record.start_ms])
+        deltas = np.repeat([1, -1], record.n_queries)
+
+        def replayed_peak(ties_first: int) -> int:
+            order = np.lexsort((deltas != ties_first, times))
+            return int(np.cumsum(deltas[order]).max())
+
+        low, high = replayed_peak(-1), replayed_peak(+1)
+        assert 0 < low <= record.queue_depth_max <= high
 
     def test_fifo_order_and_concurrency_cap_per_entry_node(self, small_world):
         """Queries queued behind one node start in arrival order, and no
@@ -440,9 +469,10 @@ class TestDaemonTableFormatting:
         plain = format_trial_records([static_record])
         assert "tta p50 (ms)" not in plain
 
-    def test_daemon_record_without_timing_arrays_degrades(self, small_world):
-        """Regression: a DaemonTrialRecord built without its optional
-        timing arrays must render/rank as untimed, not crash."""
+    def test_daemon_record_requires_its_timing_arrays(self, small_world):
+        """A daemon record always carries its timing arrays: one built
+        without them fails at construction with a typed error, and the
+        table and ranking tell daemon rows from static ones by type."""
         timed = run_daemon(
             small_world,
             lambda: RandomProbeSearch(budget=8),
@@ -451,15 +481,16 @@ class TestDaemonTableFormatting:
         )
         import dataclasses
 
-        untimed = dataclasses.replace(
-            timed, arrival_ms=None, start_ms=None, finish_ms=None
+        with pytest.raises(DataError, match="arrival_ms"):
+            dataclasses.replace(timed, arrival_ms=None)
+        static = QueryEngine().run_world_trial(
+            small_world,
+            RandomProbeSearch(budget=8),
+            sampling=SamplingSpec(n_targets=10),
+            n_queries=10,
+            seed=3,
         )
-        table = format_trial_records([timed, untimed])
-        assert table.splitlines()[3].rstrip().endswith("-")
-        only_untimed = format_trial_records([untimed])
-        assert "tta p50 (ms)" not in only_untimed
-        ranked = rank_by_time_to_answer([untimed, timed])
-        assert ranked == [timed, untimed]
+        assert rank_by_time_to_answer([static, timed]) == [timed, static]
 
 
 class TestSessionExpiry:
