@@ -161,10 +161,6 @@ class TrialRecord:
         return float(self.aux_probes.mean())
 
     @property
-    def mean_hops_per_query(self) -> float:
-        return float(self.hops.mean())
-
-    @property
     def total_probes(self) -> int:
         return int(self.probes.sum())
 
@@ -258,7 +254,8 @@ class DaemonTrialRecord(TrialRecord):
     maintenance_background_probes: int = 0
     #: Event-loop diagnostics: events executed, live events left queued at
     #: drain (always 0 for a clean run), the largest raw heap ever held,
-    #: and the lifetime cancelled-event count (the compaction workload).
+    #: and the lifetime cancelled-event count (the periodic timers still
+    #: armed at shutdown, at most three).
     loop_events: int = 0
     loop_pending_at_drain: int = 0
     loop_queue_peak: int = 0

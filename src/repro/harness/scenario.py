@@ -11,6 +11,7 @@ dataclass away.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,7 +21,12 @@ from repro.topology.clustered import ClusteredConfig
 from repro.topology.oracle import LatencyOracle, NoisyOracle
 from repro.util.errors import ConfigurationError
 from repro.util.rng import spawn_seeds
-from repro.util.validate import require_in_range, require_positive
+from repro.util.validate import (
+    require,
+    require_in_range,
+    require_non_negative,
+    require_positive,
+)
 
 #: Query protocols.  ``sampled`` is the Meridian Section 4 protocol: draw
 #: ``n_queries`` targets with replacement from the target pool, threading
@@ -63,6 +69,10 @@ class NoiseSpec:
     sigma: float = 0.05
     additive_ms: float = 0.0
     seed: int | None = None
+
+    def __post_init__(self) -> None:
+        require_non_negative(self.sigma, "sigma")
+        require_non_negative(self.additive_ms, "additive_ms")
 
     def wrap(
         self,
@@ -109,6 +119,7 @@ class SamplingSpec:
                 f"unknown sampling policy {self.policy!r}; "
                 f"choose from {SAMPLING_POLICIES}"
             )
+        require(math.isfinite(self.skew), f"skew must be finite, got {self.skew!r}")
 
     def sample(self, world: ClusteredWorld, rng: np.random.Generator) -> np.ndarray:
         """Draw the target ids (without replacement) for one trial."""
@@ -197,11 +208,8 @@ class FaultSpec:
         require_positive(self.probe_timeout_ms, "probe_timeout_ms")
         require_positive(self.query_retry_ms, "query_retry_ms")
         require_positive(self.deadline_ms, "deadline_ms")
-        if self.max_retransmits < 0:
-            raise ConfigurationError(
-                f"max_retransmits must be >= 0, got {self.max_retransmits}"
-            )
-        if self.retransmit_backoff < 1.0 or self.query_retry_backoff < 1.0:
+        require_non_negative(self.max_retransmits, "max_retransmits")
+        if not (self.retransmit_backoff >= 1.0 and self.query_retry_backoff >= 1.0):
             raise ConfigurationError("backoff factors must be >= 1")
         for window in self.outages:
             try:
@@ -405,20 +413,22 @@ class DaemonSpec:
             )
         if self.mean_event_interval_ms is not None:
             require_positive(self.mean_event_interval_ms, "mean_event_interval_ms")
-        if self.arrival_rate < 0:
-            raise ConfigurationError(
-                f"arrival_rate must be >= 0, got {self.arrival_rate}"
-            )
-        if self.departure_rate < 0:
-            raise ConfigurationError(
-                f"departure_rate must be >= 0, got {self.departure_rate}"
-            )
+        require_non_negative(self.arrival_rate, "arrival_rate")
+        require_non_negative(self.departure_rate, "departure_rate")
         if self.session_length_ms is not None:
             require_positive(self.session_length_ms, "session_length_ms")
-        if self.warmup_ms < 0:
-            raise ConfigurationError(
-                f"warmup_ms must be >= 0, got {self.warmup_ms}"
-            )
+        require_non_negative(self.warmup_ms, "warmup_ms")
+        # An infinite arrival gap or warmup never lets a query arrive (the
+        # membership timer then ticks forever), and an infinite rate has
+        # no Poisson draw.
+        for name in (
+            "mean_interarrival_ms",
+            "arrival_rate",
+            "departure_rate",
+            "warmup_ms",
+        ):
+            value = getattr(self, name)
+            require(math.isfinite(value), f"{name} must be finite, got {value!r}")
         if self.flush_period_ms is not None:
             require_positive(self.flush_period_ms, "flush_period_ms")
         if self.ring_repair_period_ms is not None:

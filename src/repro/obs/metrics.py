@@ -1,9 +1,11 @@
 """Breakpoint-backed metrics sampled on simulated-time intervals.
 
-The daemon's hot path already records the exact change-points of its
-load curves — (time, ±k) breakpoints for queue depth and in-flight
-probes (from which the peaks are reconstructed).  The registry generalises
-that representation: a :class:`Counter` or :class:`Gauge` is a list of
+The daemon's load curves are change-point streams: (time, ±k)
+breakpoints for in-flight probes, recorded per round on the hot path
+(the peak is reconstructed from them), and for queue depth, read off the
+finished jobs when the run ends (+1 at each arrival, -1 at each start;
+nothing is recorded on the hot path).  The registry generalises that
+representation: a :class:`Counter` or :class:`Gauge` is a list of
 timestamped deltas, and *sampling* is a single vectorised
 sort/cumsum/searchsorted pass at finalize — nothing runs on the event
 loop, so metrics collection adds no loop events, consumes no rng, and

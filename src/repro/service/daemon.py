@@ -21,9 +21,11 @@ of Poisson-arriving queries under latency-faithful timing:
 
 The in-flight probe integral is accrued analytically (each probe is in
 flight for exactly its delay) and its peak is reconstructed from the
-recorded (time, ±k) breakpoints in one sort/cumsum when the run ends;
-the finished daemon then drops the breakpoints and stands as the run's
-record (:meth:`QueryDaemon.run` returns it).
+recorded (time, ±k) breakpoints in one sort/cumsum when the run ends.
+The queue load needs no hot-path record beyond the live depth and its
+peak: its integral and traced gauge are read off the finished jobs'
+arrival and start times.  The finished daemon then drops the breakpoints
+and stands as the run's record (:meth:`QueryDaemon.run` returns it).
 
 The daemon is deterministic: one workload generator drives arrivals,
 targets, entry choices and membership draws; one algorithm generator
@@ -61,7 +63,7 @@ import numpy as np
 from repro.algorithms.base import NearestPeerAlgorithm, ProbeRound, SearchResult
 from repro.harness.results import MembershipLog
 from repro.harness.scenario import DaemonSpec
-from repro.netsim.engine import EventHandle, EventLoop
+from repro.netsim.engine import EventLoop
 from repro.netsim.network import FaultModel, Network
 from repro.obs.trace import Tracer
 from repro.util.errors import ConfigurationError, SimulationError
@@ -104,10 +106,6 @@ class QueryJob:
     @property
     def time_to_answer_ms(self) -> float:
         return self.finish_ms - self.arrival_ms
-
-    @property
-    def queue_wait_ms(self) -> float:
-        return self.start_ms - self.arrival_ms
 
 
 class QueryDaemon:
@@ -177,14 +175,10 @@ class QueryDaemon:
         # node's FIFO queue behind the concurrency cap.
         self._in_service = np.zeros(algorithm.oracle.n_nodes, dtype=np.int32)
         self._fifo: dict[int, deque[QueryJob]] = {}
-        # Time-weighted queue accounting (breakpoints feed the traced
-        # queue-depth gauge).
+        # Live queue depth and its peak (the peak depends on the order of
+        # tied admissions and releases, so it is tracked as they happen).
         self._queued = 0
-        self._queue_area = 0.0
-        self._queue_last = 0.0
         self.queue_depth_max = 0
-        self._queue_bp_times: list[float] = []
-        self._queue_bp_deltas: list[int] = []
         # In-flight probe accounting: (time, delta) breakpoints, +k at
         # each round's issue instant and -1 at each probe's arrival; ties
         # break in insertion order when ``run`` reconstructs the peak.
@@ -195,10 +189,10 @@ class QueryDaemon:
         self._n_queries = 0
         self._arrived = 0
         self._finished = 0
-        self._done = False
-        self._membership_timer: EventHandle | None = None
-        self._flush_timer: EventHandle | None = None
-        self._repair_timer: EventHandle | None = None
+        # Loop entries of the periodic timers, cancelled at shutdown.
+        self._membership_timer: list | None = None
+        self._flush_timer: list | None = None
+        self._repair_timer: list | None = None
         self.forced_flushes = 0
         self.ring_repair_passes = 0
         self.ring_repair_nodes = 0
@@ -235,9 +229,10 @@ class QueryDaemon:
         ended, plus what this method derives.  The time-weighted means
         integrate the queue depth / in-flight probe count over
         ``makespan_ms``, so an idle tail dilutes them exactly as it would
-        a production dashboard's.  ``maintenance_by_event`` holds the
-        ledger's exact per-event bills for the events this run applied (in
-        observation order) and ``maintenance_background_probes`` the bill
+        a production dashboard's; the queue integral is the jobs' summed
+        wait (``start_ms - arrival_ms``).  ``maintenance_by_event`` holds
+        the ledger's exact per-event bills for the events this run applied
+        (in observation order) and ``maintenance_background_probes`` the bill
         with no membership-event cause (ring repair); together they are
         the run's whole maintenance bill, warmup and phase-boundary drain
         included.  ``spans``/``metrics`` stay ``None`` unless
@@ -274,11 +269,12 @@ class QueryDaemon:
         algorithm = self.algorithm
         if drain:
             algorithm.flush_maintenance(seed=self.algo_rng)
-        # Close the queue integral at the makespan.
-        self._note_queue(0)
+        jobs = self.jobs
+        arrivals = np.array([job.arrival_ms for job in jobs])
+        starts = np.array([job.start_ms for job in jobs])
         makespan = self.makespan_ms = self.loop.now
         if makespan > 0:
-            self.queue_depth_time_avg = self._queue_area / makespan
+            self.queue_depth_time_avg = float(np.sum(starts - arrivals)) / makespan
             self.in_flight_probes_time_avg = self._flight_area / makespan
         flight_times = np.concatenate([np.zeros(0), *self._flight_bp_times])
         flight_deltas = np.concatenate(
@@ -298,37 +294,21 @@ class QueryDaemon:
         if tracer is not None:
             algorithm._flush_observer = None
             metrics = self.metrics = tracer.metrics
-            # The load gauges reuse the breakpoints the daemon already
-            # recorded — zero extra hot-path work.
+            # The load gauges add no hot-path work: a query waits from
+            # its arrival to its start (the +1 and -1 of one that never
+            # queued fall at one instant and cancel), and the in-flight
+            # breakpoints are the ones the peak was read from.
             metrics.gauge("queue_depth").extend(
-                np.asarray(self._queue_bp_times, dtype=float),
-                np.asarray(self._queue_bp_deltas, dtype=np.int64),
+                np.concatenate([arrivals, starts]),
+                np.repeat(np.array([1, -1], dtype=np.int64), len(jobs)),
             )
             metrics.gauge("in_flight_probes").extend(flight_times, flight_deltas)
             self.spans = tracer.sorted_spans()
         # A finished daemon outlives its run (it is the record), so it
         # lets go of the breakpoints it no longer needs.
-        for breakpoints in (
-            self._queue_bp_times,
-            self._queue_bp_deltas,
-            self._flight_bp_times,
-            self._flight_bp_deltas,
-        ):
-            breakpoints.clear()
+        self._flight_bp_times.clear()
+        self._flight_bp_deltas.clear()
         return self
-
-    # -- load accounting ---------------------------------------------------
-
-    def _note_queue(self, delta: int) -> None:
-        now = self.loop.now
-        self._queue_area += self._queued * (now - self._queue_last)
-        self._queue_last = now
-        self._queued += delta
-        if self._queued > self.queue_depth_max:
-            self.queue_depth_max = self._queued
-        if delta:
-            self._queue_bp_times.append(now)
-            self._queue_bp_deltas.append(delta)
 
     # -- arrivals and admission --------------------------------------------
 
@@ -359,7 +339,9 @@ class QueryDaemon:
             self._start(job)
         else:
             self._fifo.setdefault(job.entry, deque()).append(job)
-            self._note_queue(+1)
+            self._queued += 1
+            if self._queued > self.queue_depth_max:
+                self.queue_depth_max = self._queued
 
     def _start(self, job: QueryJob) -> None:
         self._in_service[job.entry] += 1
@@ -548,20 +530,20 @@ class QueryDaemon:
         self._in_service[job.entry] -= 1
         fifo = self._fifo.get(job.entry)
         if fifo:
-            self._note_queue(-1)
+            self._queued -= 1
             self._start(fifo.popleft())
         if self._finished == self._n_queries:
             self._shutdown()
 
     def _shutdown(self) -> None:
         """Cancel the periodic timers so the loop can drain."""
-        self._done = True
-        if self._membership_timer is not None:
-            self._membership_timer.cancel()
-        if self._flush_timer is not None:
-            self._flush_timer.cancel()
-        if self._repair_timer is not None:
-            self._repair_timer.cancel()
+        for timer in (
+            self._membership_timer,
+            self._flush_timer,
+            self._repair_timer,
+        ):
+            if timer is not None:
+                self.loop.cancel(timer)
 
     # -- background processes ----------------------------------------------
 
@@ -610,8 +592,6 @@ class QueryDaemon:
         )
 
     def _membership_tick(self) -> None:
-        if self._done:
-            return
         spec = self.spec
         wrng = self.workload_rng
         algorithm = self.algorithm
@@ -690,8 +670,6 @@ class QueryDaemon:
         return {node: due - now for node, due in self._session_due.items()}
 
     def _flush_tick(self) -> None:
-        if self._done:
-            return
         if self.algorithm.has_pending_maintenance:
             self.algorithm.flush_maintenance(seed=self.algo_rng)
             self.forced_flushes += 1
@@ -701,8 +679,6 @@ class QueryDaemon:
 
     def _repair_tick(self) -> None:
         """One Meridian ring-repair pass; its probes bill as background."""
-        if self._done:
-            return
         repaired, spent = self.algorithm.repair_rings(seed=self.algo_rng)
         self.ring_repair_passes += 1
         self.ring_repair_nodes += int(repaired)

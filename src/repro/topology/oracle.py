@@ -215,9 +215,9 @@ class NoisyOracle:
         additive_ms: float = 0.0,
         seed: int | np.random.Generator | None = None,
     ) -> None:
-        if sigma < 0:
+        if not sigma >= 0:
             raise DataError(f"sigma must be >= 0, got {sigma}")
-        if additive_ms < 0:
+        if not additive_ms >= 0:
             raise DataError(f"additive_ms must be >= 0, got {additive_ms}")
         self._inner = inner
         self._sigma = sigma

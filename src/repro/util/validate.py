@@ -25,8 +25,8 @@ def require_positive(value: float, name: str) -> None:
 
 
 def require_non_negative(value: float, name: str) -> None:
-    """Require ``value >= 0``."""
-    if value < 0:
+    """Require ``value >= 0`` (NaN fails)."""
+    if not value >= 0:
         raise ConfigurationError(f"{name} must be non-negative, got {value!r}")
 
 

@@ -341,6 +341,12 @@ class TestDaemonNatRelay:
         with pytest.raises(ConfigurationError, match="nat_fraction"):
             FaultSpec(nat_fraction=1.0)
 
+    @pytest.mark.parametrize("value", [0.5, float("nan")])
+    @pytest.mark.parametrize("name", ["retransmit_backoff", "query_retry_backoff"])
+    def test_backoff_below_one_rejected_at_construction(self, name, value):
+        with pytest.raises(ConfigurationError, match="backoff"):
+            FaultSpec(**{name: value})
+
 
 class TestDaemonPartition:
     """A mid-run regional outage: queries ride it out and still answer."""

@@ -93,6 +93,17 @@ class TestSampling:
         targets = spec.sample(small_world, rng)
         assert (small_world.topology.host_cluster[targets] == 2).all()
 
+    def test_non_finite_skew_rejected(self):
+        for skew in (float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError, match="skew"):
+                SamplingSpec(n_targets=5, policy="skewed", skew=skew)
+
+    @pytest.mark.parametrize("value", [-1.0, float("nan")])
+    @pytest.mark.parametrize("name", ["sigma", "additive_ms"])
+    def test_noise_spec_rejects_bad_parameters(self, name, value):
+        with pytest.raises(ConfigurationError, match=name):
+            NoiseSpec(**{name: value})
+
     def test_oversized_target_count_rejected(self, small_world):
         with pytest.raises(ConfigurationError):
             SamplingSpec(n_targets=10_000).sample(

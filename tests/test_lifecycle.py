@@ -462,6 +462,15 @@ class TestChurnProtocol:
             dict(initial_fraction=1.5),
             dict(session_length_ms=0.0),
             dict(warmup_ms=-1.0),
+            # NaN slips past a plain ``< 0`` check; it must fail here too,
+            # and so must an infinity the run could never get past.
+            dict(arrival_rate=float("nan")),
+            dict(departure_rate=float("nan")),
+            dict(warmup_ms=float("nan")),
+            dict(arrival_rate=float("inf")),
+            dict(departure_rate=float("inf")),
+            dict(warmup_ms=float("inf")),
+            dict(mean_interarrival_ms=float("inf")),
         ):
             with pytest.raises(ConfigurationError):
                 DaemonSpec(**bad)

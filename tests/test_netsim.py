@@ -36,14 +36,15 @@ class TestEventLoop:
         assert loop.now == 2.5
 
     def test_negative_delay_rejected(self):
-        with pytest.raises(SimulationError):
-            EventLoop().schedule(-1.0, lambda: None)
+        for delay in (-1.0, float("nan")):
+            with pytest.raises(SimulationError):
+                EventLoop().schedule(delay, lambda: None)
 
     def test_cancellation(self):
         loop = EventLoop()
         fired = []
-        handle = loop.schedule(1.0, fired.append, "x")
-        handle.cancel()
+        entry = loop.schedule(1.0, fired.append, "x")
+        loop.cancel(entry)
         loop.run()
         assert fired == []
 
@@ -63,51 +64,48 @@ class TestEventLoop:
 
     def test_cancelled_events_still_drain_from_queue(self):
         loop = EventLoop()
-        handle = loop.schedule(1.0, lambda: None)
-        handle.cancel()
+        loop.cancel(loop.schedule(1.0, lambda: None))
         loop.schedule(2.0, lambda: None)
         loop.run()
         assert loop.pending == 0
-        assert loop.queue_size == 0
         assert loop.processed == 1
         assert loop.now == 2.0
 
     def test_pending_excludes_cancelled_events(self):
         """Regression: ``pending`` used to count cancelled entries."""
         loop = EventLoop()
-        handles = [loop.schedule(1.0, lambda: None) for _ in range(10)]
+        entries = [loop.schedule(1.0, lambda: None) for _ in range(10)]
         assert loop.pending == 10
-        for handle in handles[:7]:
-            handle.cancel()
+        for entry in entries[:7]:
+            loop.cancel(entry)
         assert loop.pending == 3
         # Double-cancel and cancel-after-fire must not corrupt the count.
-        handles[0].cancel()
+        loop.cancel(entries[0])
         assert loop.pending == 3
         loop.run()
         assert loop.pending == 0
         assert loop.processed == 3
-        for handle in handles:
-            handle.cancel()  # all fired or cancelled: no-ops
+        for entry in entries:
+            loop.cancel(entry)  # all fired or cancelled: no-ops
         assert loop.pending == 0
+        assert loop.cancelled_total == 7
 
-    def test_compaction_shrinks_the_heap(self):
+    def test_cancel_storm_leaves_only_the_survivors(self):
         loop = EventLoop()
         fired = []
-        keepers = [loop.schedule(float(i), fired.append, i) for i in range(5)]
+        for i in range(5):
+            loop.schedule(float(i), fired.append, i)
         storm = [loop.schedule(10.0, fired.append, -1) for _ in range(500)]
-        assert loop.queue_size == 505
-        for handle in storm:
-            handle.cancel()
-        # The cancellation storm crossed the compaction threshold: dead
-        # entries were swept, so the heap carries at most one threshold's
-        # worth of them (the post-compaction stragglers) — not all 500.
+        assert loop.peak_queue_size == 505
+        for entry in storm:
+            loop.cancel(entry)
         assert loop.pending == 5
-        assert loop.queue_size - loop.pending < 64
         loop.run()
         assert fired == [0, 1, 2, 3, 4]
-        assert all(not h.active for h in keepers)
+        assert loop.processed == 5
+        assert loop.cancelled_total == 500
 
-    def test_compaction_preserves_firing_order(self):
+    def test_cancelled_ties_keep_survivor_order(self):
         loop = EventLoop()
         fired = []
         # Interleave keepers and victims at identical times, so only the
@@ -118,14 +116,14 @@ class TestEventLoop:
                 victims.append(loop.schedule(5.0, fired.append, i))
             else:
                 loop.schedule(5.0, fired.append, i)
-        for handle in victims:
-            handle.cancel()
+        for entry in victims:
+            loop.cancel(entry)
         loop.run()
         assert fired == [i for i in range(200) if i % 2 == 0]
 
-    def test_compaction_inside_a_callback_keeps_draining(self):
-        """A callback whose cancellations compact the heap mid-run: the
-        loop keeps draining the rebuilt heap, not a stale one."""
+    def test_cancel_storm_inside_a_callback_keeps_draining(self):
+        """A callback that cancels queued events mid-run: the loop drops
+        them as they surface and still fires the later survivor."""
         loop = EventLoop()
         fired = []
         storm = [loop.schedule(10.0, fired.append, -1) for _ in range(500)]
@@ -133,23 +131,13 @@ class TestEventLoop:
 
         def cancel_storm():
             fired.append("cancel")
-            for handle in storm:
-                handle.cancel()
+            for entry in storm:
+                loop.cancel(entry)
 
         loop.schedule(1.0, cancel_storm)
         loop.run()
         assert fired == ["cancel", "late"]
-        assert loop.pending == 0 == loop.queue_size
-
-    def test_handle_active_property(self):
-        loop = EventLoop()
-        handle = loop.schedule(1.0, lambda: None)
-        assert handle.active
-        loop.run()
-        assert not handle.active
-        other = loop.schedule(1.0, lambda: None)
-        other.cancel()
-        assert not other.active
+        assert loop.pending == 0
 
 
 class TestNetwork:

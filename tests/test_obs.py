@@ -29,7 +29,13 @@ from repro.algorithms import (
     TapestrySearch,
     TiersSearch,
 )
-from repro.harness import DaemonSpec, FaultSpec, QueryEngine, SamplingSpec
+from repro.harness import (
+    DaemonSpec,
+    FaultSpec,
+    QueryEngine,
+    SamplingSpec,
+    get_scenario,
+)
 from repro.harness.scenario import TraceSpec
 from repro.latency.builder import build_clustered_oracle
 from repro.obs.cli import main as trace_main
@@ -477,6 +483,36 @@ class TestGoldenFaultTrace:
         assert int(series["in_flight_probes"][0]) == 0
 
 
+class TestQueueDepthGauge:
+    """The traced queue-depth gauge is a pure function of the job timelines."""
+
+    @pytest.fixture(scope="class")
+    def record(self, small_world):
+        # The golden ``queue/random-probe`` run (the flash-crowd daemon
+        # spec fills per-node caps), sampled every simulated millisecond.
+        spec = dataclasses.replace(
+            get_scenario("daemon-flash-crowd").daemon,
+            trace=TraceSpec(sample_interval_ms=1.0),
+        )
+        return run_daemon(
+            small_world, lambda: RandomProbeSearch(budget=8), spec, n_queries=40
+        )
+
+    def test_depth_counts_the_jobs_waiting_at_each_instant(self, record):
+        times = record.timeseries.times_ms
+        depth = record.timeseries.series["queue_depth"]
+        assert times.size == 420
+        waiting = (record.arrival_ms[None, :] <= times[:, None]) & (
+            times[:, None] < record.start_ms[None, :]
+        )
+        assert np.array_equal(depth, waiting.sum(axis=1))
+
+    def test_sampled_peak_is_bounded_by_the_exact_peak(self, record):
+        depth = record.timeseries.series["queue_depth"]
+        assert int(depth.max()) == 3
+        assert record.queue_depth_max == 4
+
+
 # -- export + CLI -------------------------------------------------------------
 
 
@@ -614,7 +650,7 @@ class TestLoopDiagnostics:
 
     def test_fault_runs_cancel_timeout_timers(self, small_world):
         record = run_fault_daemon(small_world, trace=False)
-        # Retransmit/timeout timers that lost the race get cancelled.
+        # Shutdown cancels the membership timer still armed at the end.
         assert record.loop_cancelled_events > 0
 
 

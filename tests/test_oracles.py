@@ -86,10 +86,11 @@ class TestNoisyOracle:
         assert noisy.latency_ms(0, 1) == 10.0
 
     def test_negative_parameters_rejected(self, matrix_oracle):
-        with pytest.raises(DataError):
-            NoisyOracle(matrix_oracle, sigma=-0.1)
-        with pytest.raises(DataError):
-            NoisyOracle(matrix_oracle, additive_ms=-1.0)
+        for bad in (-0.1, float("nan")):
+            with pytest.raises(DataError):
+                NoisyOracle(matrix_oracle, sigma=bad)
+            with pytest.raises(DataError):
+                NoisyOracle(matrix_oracle, additive_ms=bad)
 
     def test_deterministic_with_seed(self, matrix_oracle):
         a = NoisyOracle(matrix_oracle, sigma=0.1, seed=5)
