@@ -841,8 +841,9 @@ class NearestPeerAlgorithm(abc.ABC):
         Offline during :meth:`build`; billed as maintenance when the same
         code runs inside :meth:`_maintain` — a join, leave, flush, region
         refresh or ring repair.  Substrates that build an index (the
-        Meridian overlay, the GNP embedding) take this as their
-        ``measure`` callable, so their measurements stay on the books.
+        Meridian overlay, the GNP embedding, the Vivaldi system) take this
+        as their ``measure`` callable, so their measurements stay on the
+        books.
         """
         block = _read_block(self.oracle, rows, cols)
         if self._in_maintenance:

@@ -15,11 +15,13 @@ the right end-network — the failure mode of Section 2.3.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.algorithms.base import NearestPeerAlgorithm
-from repro.coords.gnp import GnpConfig, GnpEmbedding, _solve_point
-from repro.coords.vivaldi import VivaldiConfig, VivaldiSystem
+from repro.coords.gnp import GnpConfig, GnpEmbedding, _solve_points
+from repro.coords.vivaldi import VivaldiConfig, VivaldiSystem, _random_unit
 from repro.util.validate import require_positive
 
 
@@ -267,7 +269,9 @@ class PicSearch(_CoordinateGreedyBase):
             # target at its closest-measured anchor and let the walks and
             # the final probe round correct from there.
             return positions[int(np.argmin(rtts[keep]))].copy()
-        return _solve_point(positions, rtts[keep], positions.mean(axis=0))
+        return _solve_points(
+            positions, rtts[keep][None, :], positions.mean(axis=0)
+        )[0]
 
     def _place_member(self, node: int, rng: np.random.Generator) -> np.ndarray:
         assert self._embedding is not None
@@ -361,7 +365,7 @@ class VivaldiGreedySearch(_CoordinateGreedyBase):
         self._system = VivaldiSystem(
             self.members, config=self._vivaldi_config, seed=rng
         )
-        self._system.run(self.oracle, rounds=self._vivaldi_rounds)
+        self._system.run(self.offline_probe_block, rounds=self._vivaldi_rounds)
         self._anchor_pool = self.members.copy()
         return {
             int(m): self._system.positions[i].copy()
@@ -424,16 +428,17 @@ class VivaldiGreedySearch(_CoordinateGreedyBase):
         position = anchor_positions.mean(axis=0) + rng.normal(
             0.0, 0.01, size=anchor_positions.shape[1]
         )
+        rtts = rtts.tolist()  # the same values, read as Python floats
         for _ in range(iterations):
             i = int(rng.integers(anchors.size))
             if rtts[i] <= 0:
                 continue
             delta = position - anchor_positions[i]
-            euclid = float(np.linalg.norm(delta))
+            euclid = math.sqrt(delta.dot(delta))  # == np.linalg.norm
             direction = (
                 delta / euclid
                 if euclid > 1e-9
-                else rng.normal(size=position.size)
+                else _random_unit(rng, position.size)
             )
             position = position + 0.25 * (rtts[i] - euclid) * direction
         return position

@@ -13,15 +13,27 @@ vector toward its neighbour with an adaptive timestep:
 
 This is the standard formulation with the paper's recommended constants
 ``cc = ce = 0.25``.
+
+The rule lives in one place, :meth:`VivaldiSystem._update`, which both
+:meth:`~VivaldiSystem.observe` (one sample) and :meth:`~VivaldiSystem.run`
+(the simulation driver) call.  ``run`` reads each node's partner RTTs of a
+round as one ``measure(rows, cols)`` block and keeps errors and heights as
+Python floats while it runs; the floats and the rng draws are the same as
+one ``observe`` per sample.  Every norm is ``math.sqrt(v.dot(v))``, which
+is exactly what ``np.linalg.norm`` computes for a 1-D real vector.  It must
+stay on ``ndarray.dot``: the BLAS dot may fuse multiply-adds, so a Python
+float loop or a row-wise ``norm(axis=1)`` can round differently in the
+last bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.topology.oracle import LatencyOracle
+from repro.topology.oracle import Measure
 from repro.util.errors import DataError
 from repro.util.rng import make_rng
 from repro.util.validate import require_in_range, require_positive
@@ -42,6 +54,13 @@ class VivaldiConfig:
         require_positive(self.dimensions, "dimensions")
         require_in_range(self.cc, "cc", 0.0, 1.0)
         require_in_range(self.ce, "ce", 0.0, 1.0)
+
+
+def _random_unit(rng: np.random.Generator, dimensions: int) -> np.ndarray:
+    """A unit vector in a random direction (one ``normal`` draw)."""
+    direction = rng.normal(size=dimensions)
+    direction /= math.sqrt(direction.dot(direction))
+    return direction
 
 
 class VivaldiSystem:
@@ -86,42 +105,47 @@ class VivaldiSystem:
 
     # -- learning ------------------------------------------------------------
 
-    def observe(self, a: int, b: int, rtt_ms: float) -> None:
-        """Update node ``a``'s coordinate from one RTT sample to ``b``."""
+    def _update(self, ia: int, ib: int, rtt_ms: float, errors, heights) -> None:
+        """The Vivaldi rule: move row ``ia`` by one RTT sample to row ``ib``.
+
+        ``errors`` and ``heights`` are the per-row values being updated:
+        the arrays themselves for a single :meth:`observe`, Python float
+        lists for the length of a :meth:`run`.  Either way every operation
+        is the same IEEE double operation in the same order.
+        """
         if rtt_ms <= 0:
             return
         cfg = self.config
-        ia, ib = self._row(a), self._row(b)
-        delta_vec = self.positions[ia] - self.positions[ib]
-        euclid = float(np.linalg.norm(delta_vec))
-        predicted = euclid + (
-            self.heights[ia] + self.heights[ib] if cfg.use_height else 0.0
-        )
+        positions = self.positions
+        delta_vec = positions[ia] - positions[ib]
+        euclid = math.sqrt(delta_vec.dot(delta_vec))  # == np.linalg.norm
+        predicted = euclid + (heights[ia] + heights[ib] if cfg.use_height else 0.0)
         if euclid < 1e-9:
-            direction = self._rng.normal(size=cfg.dimensions)
-            direction /= np.linalg.norm(direction)
-            euclid_dir = direction
+            euclid_dir = _random_unit(self._rng, cfg.dimensions)
         else:
             euclid_dir = delta_vec / euclid
 
-        w = self.errors[ia] / (self.errors[ia] + self.errors[ib] + 1e-12)
+        error = errors[ia]
+        w = error / (error + errors[ib] + 1e-12)
         relative_error = abs(predicted - rtt_ms) / rtt_ms
-        self.errors[ia] = relative_error * cfg.ce * w + self.errors[ia] * (
-            1.0 - cfg.ce * w
-        )
-        self.errors[ia] = float(np.clip(self.errors[ia], 0.01, 5.0))
+        error = relative_error * cfg.ce * w + error * (1.0 - cfg.ce * w)
+        errors[ia] = min(max(error, 0.01), 5.0)
 
         force = cfg.cc * w * (rtt_ms - predicted)
-        self.positions[ia] += force * euclid_dir
+        positions[ia] += force * euclid_dir
         if cfg.use_height and euclid > 1e-9:
-            self.heights[ia] = max(
-                cfg.min_height, self.heights[ia] + force * (self.heights[ia] / predicted)
+            heights[ia] = max(
+                cfg.min_height, heights[ia] + force * (heights[ia] / predicted)
             )
         self.samples_processed += 1
 
+    def observe(self, a: int, b: int, rtt_ms: float) -> None:
+        """Update node ``a``'s coordinate from one RTT sample to ``b``."""
+        self._update(self._row(a), self._row(b), rtt_ms, self.errors, self.heights)
+
     def run(
         self,
-        oracle: LatencyOracle,
+        measure: Measure,
         rounds: int = 30,
         neighbors_per_round: int = 8,
     ) -> None:
@@ -130,20 +154,28 @@ class VivaldiSystem:
         Each round, every node observes RTTs to ``neighbors_per_round``
         random peers — the standard simulation discipline for Vivaldi
         convergence studies.  A population smaller than that draws every
-        row instead.
+        row instead.  Each node's samples of a round are one
+        ``measure(rows, cols)`` block read (its own row is dropped from
+        the draw before the read): a standalone caller passes
+        ``oracle.latency_block``, a search scheme its counted index
+        channel.
         """
         n = self.node_ids.size
         size = min(neighbors_per_round, n)
+        node_ids = self.node_ids
+        errors, heights = self.errors.tolist(), self.heights.tolist()
         for _ in range(rounds):
             order = self._rng.permutation(n)
-            for row in order:
-                node = int(self.node_ids[row])
+            for row in order.tolist():
                 partners = self._rng.choice(n, size=size, replace=False)
-                for partner_row in partners:
-                    if partner_row == row:
-                        continue
-                    partner = int(self.node_ids[partner_row])
-                    self.observe(node, partner, oracle.latency_ms(node, partner))
+                partners = partners[partners != row]
+                if not partners.size:
+                    continue
+                rtts = measure(node_ids[row : row + 1], node_ids[partners])[0]
+                for partner, rtt in zip(partners.tolist(), rtts.tolist()):
+                    self._update(row, partner, rtt, errors, heights)
+        self.errors[:] = errors
+        self.heights[:] = heights
 
     # -- placement of outside nodes -----------------------------------------
 
@@ -174,17 +206,19 @@ class VivaldiSystem:
                 continue
             im = self._row(m)
             delta_vec = position - self.positions[im]
-            euclid = float(np.linalg.norm(delta_vec))
-            predicted = euclid + (height + self.heights[im] if cfg.use_height else 0.0)
+            euclid = math.sqrt(delta_vec.dot(delta_vec))
+            predicted = euclid + (
+                height + float(self.heights[im]) if cfg.use_height else 0.0
+            )
             direction = (
                 delta_vec / euclid
                 if euclid > 1e-9
-                else self._rng.normal(size=cfg.dimensions)
+                else _random_unit(self._rng, cfg.dimensions)
             )
-            w = error / (error + self.errors[im] + 1e-12)
+            w = error / (error + float(self.errors[im]) + 1e-12)
             relative_error = abs(predicted - rtt) / rtt
-            error = float(
-                np.clip(relative_error * cfg.ce * w + error * (1 - cfg.ce * w), 0.01, 5.0)
+            error = min(
+                max(relative_error * cfg.ce * w + error * (1 - cfg.ce * w), 0.01), 5.0
             )
             force = cfg.cc * w * (rtt - predicted)
             position = position + force * direction

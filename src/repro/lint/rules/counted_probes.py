@@ -16,9 +16,9 @@ move them.
 Scope: the packages where billing is the point.  The oracle/topology
 definitions themselves, the measurement-tool simulators, and the netsim
 wire (which bills its own relay detours) are out of scope.  Substrates
-that build an index (the Meridian overlay, the GNP embedding) take a
-``measure`` callable instead of an oracle, so their measurements are
-billed by whichever channel the caller hands them.
+that build an index (the Meridian overlay, the GNP embedding, the Vivaldi
+system's ``run``) take a ``measure`` callable instead of an oracle, so
+their measurements are billed by whichever channel the caller hands them.
 """
 
 from __future__ import annotations

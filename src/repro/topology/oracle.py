@@ -78,7 +78,8 @@ def missing_oracle_members(oracle: object) -> list[str]:
 
 
 #: The one measurement callable the index substrates take (the Meridian
-#: overlay and ring repair, the GNP embedding): ``measure(rows, cols)``
+#: overlay and ring repair, the GNP embedding, ``VivaldiSystem.run``):
+#: ``measure(rows, cols)``
 #: returns the ``len(rows) × len(cols)`` RTT block, row-major.  A
 #: standalone caller passes ``oracle.latency_block``; an algorithm passes
 #: its counted index channel
